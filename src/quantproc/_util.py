@@ -1,12 +1,14 @@
-"""Small shared helpers: time-dependent parameters, RNG substreams, quadrature."""
+"""Small shared helpers: time-dependent parameters, RNG substreams, quadrature,
+and the normal law."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import NumericError
 
@@ -23,10 +25,6 @@ def as_time_fn(p: TimeParam) -> TimeFn:
         return p
     value = float(p)
     return lambda t: value
-
-
-def is_const(p: TimeParam) -> bool:
-    return not callable(p)
 
 
 def substream(seed: int, *ids: int) -> np.random.Generator:
@@ -54,3 +52,25 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, what: str = "integr
 def clip_unit(u: np.ndarray) -> np.ndarray:
     """Clamp probabilities to the open interval (0, 1)."""
     return np.clip(u, U_EPS, 1.0 - U_EPS)
+
+
+# the normal law N(m, sd^2); m may be an array of per-path means.  Underscored so
+# that perfbench's tracer, which wraps public names, books their time to the calling law.
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _norm_cdf(y, m, sd):
+    """Normal CDF in its erf form, 0.5 * (1 + erf((y - m) / (sd * sqrt 2)))."""
+    return 0.5 * (1.0 + special.erf((np.asarray(y, dtype=float) - m) / (sd * _SQRT2)))
+
+
+def _norm_pdf(y, m, sd):
+    """Normal density."""
+    z = (np.asarray(y, dtype=float) - m) / sd
+    return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
+
+
+def _norm_ppf(u, m, sd):
+    """Normal quantile m + sd * ndtri(u)."""
+    return m + sd * special.ndtri(np.asarray(u, dtype=float))

@@ -79,40 +79,41 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _build_driver(spec: dict) -> drv.Driver:
-    kind = spec.get("kind")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    table = {
-        "Brownian": drv.Brownian,
-        "InhomogeneousOU": drv.InhomogeneousOU,
-        "VarianceGamma": drv.VarianceGamma,
-        "GammaProcess": drv.GammaProcess,
-        "InhomogeneousPoisson": drv.InhomogeneousPoisson,
-    }
-    if kind not in table:
-        raise ConfigError(f"unknown driver kind {kind!r}")
+_DRIVERS = (drv.Brownian, drv.InhomogeneousOU, drv.VarianceGamma, drv.GammaProcess,
+            drv.InhomogeneousPoisson)
+_QUANTILES = (tr.TukeyG, tr.TukeyGH, tr.GaussianQuantile)
+_DISTS = (tr.GaussianLaw, tr.DriverLaw, tr.ShiftedDriverLaw, tr.EmpiricalLaw)
+_PAYOFFS = (va.Linear, va.Layer, va.StopLoss, va.PowerUtility, va.TablePayoff)
+_COPULAS = (cp.IndependenceCopula, cp.ComonotoneCopula, cp.GaussianCopula, cp.ClaytonCopula,
+            cp.GumbelCopula)
+
+
+def _build(section: str, key: str, classes: tuple, spec: dict):
+    """The class in ``classes`` whose ``key`` attribute (kind or family) is
+    ``spec[key]``, constructed from the section's other entries."""
+    name = spec.get(key)
+    by_name = {getattr(cls, key): cls for cls in classes}
+    if name not in by_name:
+        raise ConfigError(f"unknown {section} {key} {name!r}")
     try:
-        driver = table[kind](**params)
+        return by_name[name](**{k: v for k, v in spec.items() if k != key})
     except TypeError as exc:
-        raise ConfigError(f"driver.{kind}: {exc}")
-    return driver
+        raise ConfigError(f"{section}.{name}: {exc}")
+
+
+def _build_driver(spec: dict) -> drv.Driver:
+    return _build("driver", "kind", _DRIVERS, spec)
 
 
 def _build_quantile(spec: dict) -> tr.QuantileSpec:
-    family = spec.get("family")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    if family == "TukeyG":
-        return tr.TukeyG(**params)
-    if family == "TukeyGH":
-        return tr.TukeyGH(**params)
-    if family == "Gaussian":
-        return tr.GaussianQuantile(**params)
-    if family == "TableDriven":
-        if "csv" in params:
+    if spec.get("family") == "TableDriven":
+        params = {k: v for k, v in spec.items() if k != "family"}
+        if set(params) == {"csv"}:
             return tr.TableQuantile.from_csv(params["csv"])
-        return tr.TableQuantile(u_knots=np.asarray(params["u"]),
-                                z_knots=np.asarray(params["z"]))
-    raise ConfigError(f"unknown quantile family {family!r}")
+        if set(params) == {"u", "z"}:
+            return tr.TableQuantile(u_knots=params["u"], z_knots=params["z"])
+        raise ConfigError("quantile.TableDriven: give either csv or both u and z")
+    return _build("quantile", "family", _QUANTILES, spec)
 
 
 def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[tr.DistributionSpec]:
@@ -120,20 +121,14 @@ def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[
         return None
     family = spec.get("family")
     if family == "Gaussian":
-        if spec.get("brownian_scaling"):
+        spec = dict(spec)
+        if spec.pop("brownian_scaling", False):
             return tr.canonical_brownian_law()
-        return tr.GaussianLaw(m=spec.get("m", 0.0), v=spec.get("v", 1.0))
-    if family == "DriverLaw":
+    if family in ("DriverLaw", "ShiftedDriverLaw"):
         if driver is None:
-            raise ConfigError("DriverLaw distribution needs a driver in the config")
-        return tr.DriverLaw(driver)
-    if family == "ShiftedDriverLaw":
-        if driver is None:
-            raise ConfigError("ShiftedDriverLaw distribution needs a driver in the config")
-        return tr.ShiftedDriverLaw(driver, shift=spec.get("shift", 0.0))
-    if family == "Empirical":
-        return tr.EmpiricalLaw(samples=np.asarray(spec["samples"], dtype=float))
-    raise ConfigError(f"unknown distribution family {family!r}")
+            raise ConfigError(f"{family} distribution needs a driver in the config")
+        spec = {**spec, "driver": driver}
+    return _build("dist", "family", _DISTS, spec)
 
 
 def _build_map(spec: dict, driver: Optional[drv.Driver]) -> tr.CompositeMap:
@@ -145,23 +140,23 @@ def _build_map(spec: dict, driver: Optional[drv.Driver]) -> tr.CompositeMap:
     dist = _build_dist(spec.get("dist"), driver)
     if dist is None and mode is tr.MapMode.TRUE_LAW and driver is not None:
         dist = tr.DriverLaw(driver)
-    return tr.CompositeMap(dist=dist, quantile=quantile, mode=mode,
-                           pivot_reference=None)
+    return tr.CompositeMap(dist=dist, quantile=quantile, mode=mode)
 
 
 def _build_payoff(spec: dict) -> va.Payoff:
-    kind = spec.get("kind")
-    if kind == "Linear":
-        return va.Linear(scale=spec.get("scale", 1.0))
-    if kind == "Layer":
-        return va.Layer(a=spec["a"], b=spec["b"])
-    if kind == "StopLoss":
-        return va.StopLoss(a=spec["a"], b=spec["b"])
-    if kind == "PowerUtility":
-        return va.PowerUtility(gamma=spec.get("gamma", 0.5))
-    if kind == "Custom":
-        return va.TablePayoff(y_knots=np.asarray(spec["y"]), v_knots=np.asarray(spec["v"]))
-    raise ConfigError(f"unknown payoff kind {kind!r}")
+    if spec.get("kind") == "Custom":
+        knots = {"y": "y_knots", "v": "v_knots"}
+        spec = {knots.get(k, k): v for k, v in spec.items()}
+    return _build("payoff", "kind", _PAYOFFS, spec)
+
+
+def _build_copula(spec: dict) -> cp.CopulaSpec:
+    return _build("copula", "family", _COPULAS, spec)
+
+
+#: the sections each experiment kind cannot run without
+_NEEDS = {"simulate": ("driver", "grid"), "price": ("driver", "map", "payoff"),
+          "dominance": ("map1", "map2")}
 
 
 def validate_config(cfg: dict) -> list[Diagnostic]:
@@ -206,20 +201,11 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
         n = cfg.get("n_paths", 0)
         if not isinstance(n, int) or n < 1:
             diags.append(Diagnostic("n_paths", "must be a positive integer"))
-        if "driver" not in cfg:
-            diags.append(Diagnostic("driver", "simulate needs a driver section"))
-        if "grid" not in cfg:
-            diags.append(Diagnostic("grid", "simulate needs a grid section"))
-    if kind == "price":
-        for req in ("driver", "map", "payoff"):
-            if req not in cfg:
-                diags.append(Diagnostic(req, f"price needs a {req} section"))
-        if cfg.get("t", 0.0) > 0 and "state" not in cfg:
-            diags.append(Diagnostic("state", "pricing at t > 0 needs the driver state at t"))
-    if kind == "dominance":
-        for req in ("map1", "map2"):
-            if req not in cfg:
-                diags.append(Diagnostic(req, f"dominance needs a {req} section"))
+    for req in _NEEDS.get(kind, ()):
+        if req not in cfg:
+            diags.append(Diagnostic(req, f"{kind} needs a {req} section"))
+    if kind == "price" and cfg.get("t", 0.0) > 0 and "state" not in cfg:
+        diags.append(Diagnostic("state", "pricing at t > 0 needs the driver state at t"))
     if kind == "tariff":
         exps = cfg.get("exporters")
         if not isinstance(exps, list) or len(exps) < 2:
@@ -233,21 +219,6 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         diags.append(Diagnostic("seed", "must be an integer"))
     return diags
-
-
-def _build_copula(spec: dict) -> cp.CopulaSpec:
-    family = spec.get("family")
-    if family == "Independence":
-        return cp.IndependenceCopula(dim=spec.get("dim", 2))
-    if family == "Comonotone":
-        return cp.ComonotoneCopula(dim=spec.get("dim", 2))
-    if family == "GaussianCopula":
-        return cp.GaussianCopula(corr=np.asarray(spec["corr"], dtype=float))
-    if family == "Clayton":
-        return cp.ClaytonCopula(theta=spec.get("theta", 1.0), dim=spec.get("dim", 2))
-    if family == "Gumbel":
-        return cp.GumbelCopula(theta=spec.get("theta", 1.5), dim=spec.get("dim", 2))
-    raise ConfigError(f"unknown copula family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +449,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=False, help="YAML experiment config")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="reserved; computation is vectorized in-process")
 
     for name in ("simulate", "dominance", "price", "tariff", "validate"):
         common(sub.add_parser(name))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -407,41 +408,27 @@ def simulate_joint(drivers: Sequence[drv.Driver], copula: CopulaSpec, grid: drv.
         raise ParameterError("need one driver per copula dimension")
     for dr in drivers:
         dr.validate()
-    times = grid.times
+    starts = np.array([np.full(n_paths, dr.initial_value(), dtype=float) for dr in drivers])
     if isinstance(copula, (IndependenceCopula, ComonotoneCopula)):
-        out = []
+        paths = []
         for i, dr in enumerate(drivers):
-            stream = 0 if isinstance(copula, ComonotoneCopula) else i
-            rng = substream(seed, 11, stream)
-            states = np.full(n_paths, dr.initial_value())
-            paths = np.empty((n_paths, times.size))
-            prev = 0.0
-            for k, t in enumerate(times):
-                if t > prev:
-                    states = dr.sample_transition(rng, prev, t, states)
-                paths[:, k] = states
-                prev = t
-            out.append(drv.PathEnsemble(grid=grid, paths=paths, seed=seed, driver=dr))
-        return out
-    if not isinstance(copula, GaussianCopula):
+            rng = substream(seed, 11, 0 if isinstance(copula, ComonotoneCopula) else i)
+            paths.append(drv.step_grid(grid.times, starts[i], partial(dr.sample_transition, rng)))
+    elif isinstance(copula, GaussianCopula):
+        chol = copula._chol()
+        rng = substream(seed, 11)
+
+        def step(s, t, states):
+            u_steps = stats.norm.cdf(rng.standard_normal((n_paths, m)) @ chol.T)
+            return np.array([dr.transition_from_uniform(s, t, states[i], u_steps[:, i])
+                             for i, dr in enumerate(drivers)])
+        paths = drv.step_grid(grid.times, starts, step)
+    else:
         raise CapabilityError(
             "joint simulation couples innovations through a Gaussian copula; "
             "use Independence or Comonotone for other dependence structures")
-    chol = copula._chol()
-    rng = substream(seed, 11)
-    states = np.array([np.full(n_paths, dr.initial_value()) for dr in drivers])
-    paths = np.empty((m, n_paths, times.size))
-    prev = 0.0
-    for k, t in enumerate(times):
-        if t > prev:
-            z = rng.standard_normal((n_paths, m)) @ chol.T
-            u_steps = stats.norm.cdf(z)
-            for i, dr in enumerate(drivers):
-                states[i] = _transition_from_uniform(dr, prev, t, states[i], u_steps[:, i])
-        paths[:, :, k] = states
-        prev = t
-    return [drv.PathEnsemble(grid=grid, paths=paths[i], seed=seed, driver=drivers[i])
-            for i in range(m)]
+    return [drv.PathEnsemble(grid=grid, paths=paths[i], seed=seed, driver=dr)
+            for i, dr in enumerate(drivers)]
 
 
 def simulate_joint_terminal(drivers: Sequence[drv.Driver], copula: CopulaSpec,
@@ -467,24 +454,6 @@ def simulate_joint_terminal(drivers: Sequence[drv.Driver], copula: CopulaSpec,
         y = np.asarray(dr.marginal_quantile(u_time, uniforms[:, i]), dtype=float)
         out.append(drv.PathEnsemble(grid=grid, paths=y[:, None], seed=seed, driver=dr))
     return out
-
-
-def _transition_from_uniform(dr: drv.Driver, s: float, t: float, states: np.ndarray,
-                             u: np.ndarray) -> np.ndarray:
-    """Exact one-step transition driven by a supplied innovation uniform."""
-    from scipy.special import gammaincinv, ndtri
-
-    if isinstance(dr, drv.Brownian):
-        return states + math.sqrt(t - s) * ndtri(clip_unit(u))
-    if isinstance(dr, drv.InhomogeneousOU):
-        mean, sd = dr._transition_mean_std(s, t, states)
-        return mean + sd * ndtri(clip_unit(u))
-    if isinstance(dr, drv.GammaProcess):
-        shape, scale = dr._shape_scale(t - s)
-        return states + scale * gammaincinv(shape, clip_unit(u))
-    raise CapabilityError(
-        f"{dr.kind} transitions need more than one innovation per step and cannot "
-        f"be coupled through a Gaussian innovation copula")
 
 
 def apply_multi_composite(mmap: MultiCompositeMap,
@@ -564,9 +533,7 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     disc = me.money_market(rate, t) / me.money_market(rate, u)
     ensembles = simulate_joint_terminal(drivers, driver_copula, u, mc.n_paths, mc.seed)
     z = apply_multi_composite(mmap, ensembles).paths[:, 0]
-    v = payoff(z)
-    price = disc * float(np.mean(v))
-    se = disc * float(np.std(v, ddof=1)) / math.sqrt(mc.n_paths)
+    price, se = va._mean_se(payoff(z), disc)
     raw = disc * float(np.mean(ensembles[risk_index].paths[:, 0]))
     return va.ValuationResult(price=price, std_error=se, risk_loading=price - raw,
                               diagnostics={"n_effective": mc.n_paths, "seed": mc.seed,

@@ -97,6 +97,21 @@ def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float,
     return roots, us, d
 
 
+def _u_star(roots: list[float], d: np.ndarray) -> Optional[float]:
+    """The crossing level of ``crossing_u_star`` from one scan's roots and differences."""
+    if roots:
+        return float(special.ndtr(np.asarray(roots[-1])))
+    finite = np.isfinite(d)
+    if not np.any(finite):
+        raise NumericError("quantile difference is nowhere finite on the scan grid")
+    dmax = np.max(d[finite])
+    dmin = np.min(d[finite])
+    if dmin >= -TOL and dmax > TOL:
+        return 0.0
+    # second curve above throughout, or identical curves: no crossing either way
+    return None
+
+
 def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
                     x_max: float = _X_RESOLVABLE, n_scan: int = 4096) -> Optional[float]:
     """Largest quantile level where the two quantile curves cross.
@@ -111,20 +126,8 @@ def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     """
     q1.validate(t)
     q2.validate(t)
-    roots, us, d = _crossing_roots(q1, q2, t, x_max, n_scan)
-    if roots:
-        return float(special.ndtr(np.asarray(roots[-1])))
-    finite = np.isfinite(d)
-    if not np.any(finite):
-        raise NumericError("quantile difference is nowhere finite on the scan grid")
-    dmax = np.max(d[finite])
-    dmin = np.min(d[finite])
-    if dmin >= -TOL and dmax > TOL:
-        return 0.0
-    if dmax <= TOL and dmin < -TOL:
-        return None
-    # identical curves: no strict witness either way
-    return None
+    roots, _, d = _crossing_roots(q1, q2, t, x_max, n_scan)
+    return _u_star(roots, d)
 
 
 def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
@@ -134,8 +137,10 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     The reported domain lower bound is z0 = Q1(u*) = Q2(u*); the dominating
     side on (u*, 1) is read off the sign of Q1 - Q2 beyond the crossing.
     """
+    q1.validate(t)
+    q2.validate(t)
     roots, us, d = _crossing_roots(q1, q2, t, x_max, n_scan)
-    u_star = crossing_u_star(q1, q2, t, x_max=x_max, n_scan=n_scan)
+    u_star = _u_star(roots, d)
     if u_star is None:
         finite = np.isfinite(d)
         direction = -1 if np.max(d[finite]) <= TOL else 0
@@ -189,13 +194,6 @@ def _truncate_domain(F1, F2, domain: tuple[float, float],
     return lo, hi
 
 
-def _as_vector_cdf(F) -> Callable[[np.ndarray], np.ndarray]:
-    def wrapped(z: np.ndarray) -> np.ndarray:
-        out = F(z)
-        return np.asarray(out, dtype=float)
-    return wrapped
-
-
 def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512,
                tol: float = TOL) -> DominanceReport:
     """First-order check: does one CDF sit below the other on the domain?
@@ -209,8 +207,8 @@ def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512,
         raise ParameterError("grid_size must be at least 64")
     lo, hi = _truncate_domain(F1, F2, domain)
     zs = np.linspace(lo, hi, grid_size)
-    f1 = _as_vector_cdf(F1)(zs)
-    f2 = _as_vector_cdf(F2)(zs)
+    f1 = np.asarray(F1(zs), dtype=float)
+    f2 = np.asarray(F2(zs), dtype=float)
     diff = f2 - f1
 
     def verdict(d: np.ndarray, direction: int) -> Optional[DominanceReport]:
@@ -243,8 +241,8 @@ def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024,
         raise ParameterError("grid_size must be at least 64")
     lo, hi = _truncate_domain(F1, F2, domain)
     zs = np.linspace(lo, hi, grid_size)
-    f1 = _as_vector_cdf(F1)(zs)
-    f2 = _as_vector_cdf(F2)(zs)
+    f1 = np.asarray(F1(zs), dtype=float)
+    f2 = np.asarray(F2(zs), dtype=float)
     diff = f2 - f1
     cum = integrate.cumulative_trapezoid(diff, zs, initial=0.0)
     scale = max(1.0, hi - lo)

@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import special, stats
 
-from ._util import TimeFn, TimeParam, adaptive_quad, as_time_fn, clip_unit, is_const, substream
+from ._util import (TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, adaptive_quad, as_time_fn,
+                    clip_unit, substream)
 from .errors import CapabilityError, MappingError, ParameterError, SimulationError
 
 __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "Driver",
+    "GaussianDriver",
     "Brownian",
     "InhomogeneousOU",
     "VarianceGamma",
     "GammaProcess",
     "InhomogeneousPoisson",
+    "step_grid",
     "simulate",
     "simulate_conditional",
     "marginal_cdf",
@@ -130,8 +134,47 @@ class Driver:
     def transition_pdf(self, s: float, t: float, state, y) -> np.ndarray:
         raise NotImplementedError
 
+    def transition_from_uniform(self, s: float, t: float, states: np.ndarray,
+                                u: np.ndarray) -> np.ndarray:
+        """Exact transition of ``states`` from s to t driven by one innovation uniform each."""
+        raise CapabilityError(
+            f"{self.kind} transitions need more than one innovation per step and cannot "
+            f"be coupled through a Gaussian innovation copula")
+
     def marginal_mean_std(self, t: float) -> tuple[float, float]:
         raise CapabilityError(f"{self.kind} driver has no Gaussian mean/std decomposition")
+
+
+class GaussianDriver(Driver):
+    """A driver whose marginal and transition laws are normal.
+
+    Subclasses give the means and standard deviations, ``marginal_mean_std(t)``
+    and ``_transition_mean_std(s, t, states)``; every law and sampler follows.
+    """
+
+    is_gaussian = True
+
+    def _transition_mean_std(self, s: float, t: float, states) -> tuple:
+        raise NotImplementedError
+
+    def sample_transition(self, rng, s, t, states):
+        mean, sd = self._transition_mean_std(s, t, states)
+        return mean + sd * rng.standard_normal(np.shape(states))
+
+    def transition_from_uniform(self, s, t, states, u):
+        return _norm_ppf(clip_unit(u), *self._transition_mean_std(s, t, states))
+
+    def marginal_cdf(self, t, y):
+        return _norm_cdf(y, *self.marginal_mean_std(t))
+
+    def marginal_pdf(self, t, y):
+        return _norm_pdf(y, *self.marginal_mean_std(t))
+
+    def marginal_quantile(self, t, u):
+        return _norm_ppf(u, *self.marginal_mean_std(t))
+
+    def transition_pdf(self, s, t, state, y):
+        return _norm_pdf(y, *self._transition_mean_std(s, t, np.asarray(state, dtype=float)))
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -140,44 +183,25 @@ def _check_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Brownian(Driver):
+class Brownian(GaussianDriver):
     """Standard Brownian motion started at ``origin`` (zero by default)."""
 
     origin: float = 0.0
 
     kind = "Brownian"
-    is_gaussian = True
 
     def initial_value(self) -> float:
         return self.origin
 
-    def sample_transition(self, rng, s, t, states):
-        return states + math.sqrt(t - s) * rng.standard_normal(states.shape)
-
     def marginal_mean_std(self, t):
         return self.origin, math.sqrt(t)
 
-    def marginal_cdf(self, t, y):
-        m, sd = self.marginal_mean_std(t)
-        return 0.5 * (1.0 + special.erf((np.asarray(y, dtype=float) - m) / (sd * math.sqrt(2.0))))
-
-    def marginal_pdf(self, t, y):
-        m, sd = self.marginal_mean_std(t)
-        z = (np.asarray(y, dtype=float) - m) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-    def marginal_quantile(self, t, u):
-        m, sd = self.marginal_mean_std(t)
-        return m + sd * special.ndtri(np.asarray(u, dtype=float))
-
-    def transition_pdf(self, s, t, state, y):
-        sd = math.sqrt(t - s)
-        z = (np.asarray(y, dtype=float) - np.asarray(state, dtype=float)) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    def _transition_mean_std(self, s, t, states):
+        return states, math.sqrt(t - s)
 
 
 @dataclass(frozen=True, eq=False)
-class InhomogeneousOU(Driver):
+class InhomogeneousOU(GaussianDriver):
     """Ornstein-Uhlenbeck driver dY = theta(t) (mu(t) - Y) dt + sigma(t) dW.
 
     Parameters may be constants or deterministic functions of time.  The
@@ -192,7 +216,6 @@ class InhomogeneousOU(Driver):
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     kind = "InhomogeneousOU"
-    is_gaussian = True
 
     def validate(self) -> None:
         sig = as_time_fn(self.sigma)
@@ -243,28 +266,6 @@ class InhomogeneousOU(Driver):
             self._drift_int(t) - self._drift_int(s))
         var = decay_t ** 2 * (self._var_int(t) - self._var_int(s))
         return mean, math.sqrt(max(var, 0.0))
-
-    def sample_transition(self, rng, s, t, states):
-        mean, sd = self._transition_mean_std(s, t, states)
-        return mean + sd * rng.standard_normal(np.shape(states))
-
-    def marginal_cdf(self, t, y):
-        m, sd = self.marginal_mean_std(t)
-        return 0.5 * (1.0 + special.erf((np.asarray(y, dtype=float) - m) / (sd * math.sqrt(2.0))))
-
-    def marginal_pdf(self, t, y):
-        m, sd = self.marginal_mean_std(t)
-        z = (np.asarray(y, dtype=float) - m) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-    def marginal_quantile(self, t, u):
-        m, sd = self.marginal_mean_std(t)
-        return m + sd * special.ndtri(np.asarray(u, dtype=float))
-
-    def transition_pdf(self, s, t, state, y):
-        mean, sd = self._transition_mean_std(s, t, np.asarray(state, dtype=float))
-        z = (np.asarray(y, dtype=float) - mean) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +383,10 @@ class GammaProcess(Driver):
         shape, scale = self._shape_scale(t - s)
         return states + rng.gamma(shape, scale, size=np.shape(states))
 
+    def transition_from_uniform(self, s, t, states, u):
+        shape, scale = self._shape_scale(t - s)
+        return states + scale * special.gammaincinv(shape, clip_unit(u))
+
     def marginal_cdf(self, t, y):
         shape, scale = self._shape_scale(t)
         return stats.gamma.cdf(np.asarray(y, dtype=float), shape, scale=scale)
@@ -478,6 +483,23 @@ class InhomogeneousPoisson(Driver):
         raise CapabilityError("the Poisson driver is discrete; use marginal_pmf")
 
 
+def step_grid(times: np.ndarray, states: np.ndarray,
+              step: Callable[[float, float, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Carry ``states`` along the grid from time zero, ``states = step(s, t, states)``.
+
+    Returns the state at every grid time in a new last axis; a grid time of
+    zero records the start state without a step.
+    """
+    paths = np.empty(np.shape(states) + (len(times),))
+    prev = 0.0
+    for k, t in enumerate(times):
+        if t > prev:
+            states = step(prev, t, states)
+        paths[..., k] = states
+        prev = t
+    return paths
+
+
 def simulate(driver: Driver, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Generate an ensemble of exact-transition sample paths.
 
@@ -493,15 +515,8 @@ def simulate(driver: Driver, grid: TimeGrid, n_paths: int, seed: int) -> PathEns
             f"grid origin_value {grid.origin_value} conflicts with the driver's "
             f"time-zero value {anchor}")
     rng = substream(seed)
-    times = grid.times
-    paths = np.empty((n_paths, times.size))
-    state = np.full(n_paths, anchor, dtype=float)
-    prev = 0.0
-    for k, t in enumerate(times):
-        if t > prev:
-            state = driver.sample_transition(rng, prev, t, state)
-        paths[:, k] = state
-        prev = t
+    paths = step_grid(grid.times, np.full(n_paths, anchor, dtype=float),
+                      partial(driver.sample_transition, rng))
     if not np.all(np.isfinite(paths)):
         raise SimulationError("simulation produced non-finite path values")
     return PathEnsemble(grid=grid, paths=paths, seed=int(seed), driver=driver)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import TimeFn, TimeParam, as_time_fn, clip_unit
+from ._util import TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, as_time_fn, clip_unit
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -48,15 +48,10 @@ __all__ = [
     "tukey_g_gaussian_moments",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _X_MAX = 39.0  # |ndtri(u)| stays below this for representable u in (0, 1)
 # below this the skew branch is numerically identical to its g -> 0 limit and
 # subnormal g would underflow inside exp/expm1
 _G_TINY = 1e-150
-
-
-def _ndtri(u):
-    return special.ndtri(np.asarray(u, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,7 @@ class TukeyGH(QuantileSpec):
         a, b, g, h = self.params_at(t)
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            x = _ndtri(clip_unit(u))
+            x = special.ndtri(clip_unit(u))
         out = a + b * _gh_core(x, g, h)
         # endpoints follow the family's tails
         lo, hi = self.support(t)
@@ -249,19 +244,20 @@ class GaussianQuantile(QuantileSpec):
     def eval(self, t, u):
         m, v = self.params_at(t)
         u = np.asarray(u, dtype=float)
-        out = m + math.sqrt(v) * _ndtri(clip_unit(u))
+        out = _norm_ppf(clip_unit(u), m, math.sqrt(v))
         out = np.where(u <= 0.0, -np.inf, out)
         out = np.where(u >= 1.0, np.inf, out)
         return out
 
     def cdf(self, t, z):
+        # ndtr, not the erf form of _norm_cdf: 1 + erf rounds to 0 for standardized
+        # values below -8.37, so at -8.5 the erf form gives 0 where ndtr gives 9.5e-18
         m, v = self.params_at(t)
         return special.ndtr((np.asarray(z, dtype=float) - m) / math.sqrt(v))
 
     def pdf(self, t, z):
         m, v = self.params_at(t)
-        zz = (np.asarray(z, dtype=float) - m) / math.sqrt(v)
-        return np.exp(-0.5 * zz * zz) / math.sqrt(2.0 * math.pi * v)
+        return _norm_pdf(z, m, math.sqrt(v))
 
 
 @dataclass(frozen=True)
@@ -417,16 +413,15 @@ class GaussianLaw(DistributionSpec):
 
     def cdf(self, t, y):
         m, v = self.params_at(t)
-        return 0.5 * (1.0 + special.erf((np.asarray(y, dtype=float) - m) / math.sqrt(2.0 * v)))
+        return _norm_cdf(y, m, math.sqrt(v))
 
     def pdf(self, t, y):
         m, v = self.params_at(t)
-        z = (np.asarray(y, dtype=float) - m) / math.sqrt(v)
-        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * v)
+        return _norm_pdf(y, m, math.sqrt(v))
 
     def quantile(self, t, u):
         m, v = self.params_at(t)
-        return m + math.sqrt(v) * _ndtri(np.asarray(u, dtype=float))
+        return _norm_ppf(u, m, math.sqrt(v))
 
     def is_true_law_of(self, driver):
         if isinstance(driver, drv.Brownian):
@@ -582,7 +577,6 @@ class CompositeMap:
     dist: Optional[DistributionSpec]
     quantile: QuantileSpec
     mode: MapMode = MapMode.FALSE_LAW
-    pivot_reference: Optional[DistributionSpec] = None
 
     def validate(self, t: float = 1.0) -> None:
         self.quantile.validate(t)

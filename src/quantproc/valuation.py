@@ -210,13 +210,23 @@ def _discount(rate: TimeParam, t: float, u: float) -> float:
     return me.money_market(rate, t) / me.money_market(rate, u)
 
 
-def _terminal_draws(req: ValuationRequest, stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate (Y_u, Z_u) from the request's conditioning point, one exact step."""
-    rng = substream(req.mc.seed, stream)
+def _mean_se(v: np.ndarray, disc: float) -> tuple[float, float]:
+    """Discounted Monte Carlo mean of ``v`` and its standard error."""
+    return disc * float(np.mean(v)), disc * float(np.std(v, ddof=1)) / math.sqrt(v.size)
+
+
+def _start_state(req: ValuationRequest) -> tuple[float, float]:
+    """The time and driver state the request conditions on."""
     if req.t > 0:
-        start_t, start_y = req.t, float(req.state)
-    else:
-        start_t, start_y = 0.0, req.risk.initial_value()
+        return req.t, float(req.state)
+    return 0.0, req.risk.initial_value()
+
+
+def _terminal_draws(req: ValuationRequest,
+                    stream: tuple[int, ...] = (0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate (Y_u, Z_u) from the request's conditioning point, one exact step."""
+    rng = substream(req.mc.seed, *stream)
+    start_t, start_y = _start_state(req)
     states = np.full(req.mc.n_paths, start_y)
     y_u = drv.simulate_conditional(req.risk, start_t, req.u, states, rng)
     grid = drv.TimeGrid(np.array([req.u]))
@@ -239,12 +249,10 @@ def qpvp_price(req: ValuationRequest) -> ValuationResult:
     v = req.payoff(z_u)
     if not np.all(np.isfinite(v)):
         raise RequestError("payoff evaluated to non-finite values")
-    n = req.mc.n_paths
-    price = disc * float(np.mean(v))
-    se = disc * float(np.std(v, ddof=1)) / math.sqrt(n)
+    price, se = _mean_se(v, disc)
     raw = disc * float(np.mean(y_u))
     return ValuationResult(price=price, std_error=se, risk_loading=price - raw,
-                           diagnostics={"n_effective": n, "seed": req.mc.seed,
+                           diagnostics={"n_effective": req.mc.n_paths, "seed": req.mc.seed,
                                         "discount": disc})
 
 
@@ -284,11 +292,9 @@ def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) ->
     disc = _discount(req.rate, req.t, req.u)
     y_u, z_u = _terminal_draws(req)
     v = req.payoff(z_u)
-    n = req.mc.n_paths
     price = disc * float(np.mean(v))
     bench = disc * float(np.mean(y_u))
-    diff = v - y_u
-    se = disc * float(np.std(diff, ddof=1)) / math.sqrt(n)
+    _, se = _mean_se(v - y_u, disc)
     gap = price - bench
     out = {"loaded": bool(gap >= -3.0 * se), "gap": gap, "se": se,
            "price": price, "benchmark": bench}
@@ -332,13 +338,11 @@ def price_ordering(req1: ValuationRequest, req2: ValuationRequest) -> PriceOrder
     y1, z1 = _terminal_draws(req1)
     y2, z2 = _terminal_draws(req2)
     v1, v2 = req1.payoff(z1), req2.payoff(z2)
-    paired = req1.risk == req2.risk
-    n = req1.mc.n_paths
-    if paired:
-        d = v1 - v2
-        se = disc * float(np.std(d, ddof=1)) / math.sqrt(n)
+    if req1.risk == req2.risk:  # common random numbers: the SE of the paired difference
+        _, se = _mean_se(v1 - v2, disc)
     else:
-        se = disc * math.hypot(float(np.std(v1, ddof=1)), float(np.std(v2, ddof=1))) / math.sqrt(n)
+        se = disc * math.hypot(float(np.std(v1, ddof=1)),
+                               float(np.std(v2, ddof=1))) / math.sqrt(req1.mc.n_paths)
     p1 = disc * float(np.mean(v1))
     p2 = disc * float(np.mean(v2))
     law1, law2 = me.DistortedLaw(req1.map, req1.risk), me.DistortedLaw(req2.map, req2.risk)
@@ -427,25 +431,13 @@ def nested_price(req: ValuationRequest, mid: float, n_outer: int,
     if not req.t < mid < req.u:
         raise RequestError("need t < mid < u for nested pricing")
     req.validate()
-    rng = substream(req.mc.seed, 101)
-    if req.t > 0:
-        start_t, start_y = req.t, float(req.state)
-    else:
-        start_t, start_y = 0.0, req.risk.initial_value()
-    outer = drv.simulate_conditional(req.risk, start_t, mid,
-                                     np.full(n_outer, start_y), rng)
+    start_t, start_y = _start_state(req)
+    outer = drv.simulate_conditional(req.risk, start_t, mid, np.full(n_outer, start_y),
+                                     substream(req.mc.seed, 101))
     inner_vals = np.empty(n_outer)
     disc_mid_u = _discount(req.rate, mid, req.u)
+    inner_mc = replace(req.mc, n_paths=n_inner)
     for i, s in enumerate(outer):
-        y_u = drv.simulate_conditional(req.risk, mid, req.u,
-                                       np.full(n_inner, float(s)),
-                                       substream(req.mc.seed, 202, i))
-        grid = drv.TimeGrid(np.array([req.u]))
-        ens = drv.PathEnsemble(grid=grid, paths=y_u[:, None], seed=req.mc.seed,
-                               driver=req.risk)
-        z_u = tr.apply_composite(req.map, ens).paths[:, 0]
+        _, z_u = _terminal_draws(replace(req, t=mid, state=s, mc=inner_mc), stream=(202, i))
         inner_vals[i] = disc_mid_u * float(np.mean(req.payoff(z_u)))
-    disc_t_mid = _discount(req.rate, req.t, mid)
-    price = disc_t_mid * float(np.mean(inner_vals))
-    se = disc_t_mid * float(np.std(inner_vals, ddof=1)) / math.sqrt(n_outer)
-    return price, se
+    return _mean_se(inner_vals, _discount(req.rate, req.t, mid))

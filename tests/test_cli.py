@@ -65,6 +65,36 @@ def test_validate_grid_and_exporters():
     assert "exporters[0].gamma" in fields and "exporters[0].g" in fields
 
 
+def price_cfg():
+    return {
+        "kind": "price",
+        "seed": 3,
+        "n_paths": 20_000,
+        "driver": {"kind": "Brownian"},
+        "map": {"mode": "FalseLaw",
+                "dist": {"family": "Gaussian", "m": 0.0, "v": 1.0},
+                "quantile": {"family": "TukeyG", "a": 0, "b": 1, "g": 0.5}},
+        "payoff": {"kind": "Layer", "a": 1.0, "b": 2.0},
+    }
+
+
+@pytest.mark.parametrize("section", ["driver", "quantile", "dist", "payoff", "copula"])
+def test_unknown_key_is_validation_failure(tmp_path, capsys, section):
+    cfg = price_cfg()
+    if section == "copula":
+        cfg["copula"] = {"family": "Clayton", "theta": 2.0, "rho": 1}
+    else:
+        spec = cfg["map"][section] if section in ("quantile", "dist") else cfg[section]
+        spec["hh"] = 0.1
+    cfgfile = write_yaml(tmp_path, "stray.yaml", cfg)
+    for command in ("validate", "price"):
+        rc = cli.main([command, "--config", cfgfile, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"{section}." in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unparseable_yaml_reports_location(tmp_path):
     p = tmp_path / "broken.yaml"
     p.write_text("kind: [unclosed\n  - seq\n")

@@ -270,19 +270,21 @@ def test_single_margin_reduces_to_univariate():
     assert np.array_equal(z_multi, z_uni)
 
 
-def test_gaussian_coupled_innovations():
+@pytest.mark.parametrize("second", [d.InhomogeneousOU(1.0, 0.0, 1.0, 0.0),
+                                    d.GammaProcess(1.2, 0.6)], ids=["ou", "gamma"])
+def test_gaussian_coupled_innovations(second):
     rho = 0.7
     gc = cp.GaussianCopula(np.array([[1.0, rho], [rho, 1.0]]))
     bm = d.Brownian()
-    ou = d.InhomogeneousOU(1.0, 0.0, 1.0, 0.0)
     grid = d.TimeGrid(np.array([0.5, 1.0]))
-    ens = cp.simulate_joint([bm, ou], gc, grid, 50_000, 11)
-    corr = np.corrcoef(ens[0].paths[:, 0], ens[1].paths[:, 0])[0, 1]
+    ens = cp.simulate_joint([bm, second], gc, grid, 50_000, 11)
+    u0 = d.uniformize(bm, ens[0]).paths
+    u1 = d.uniformize(second, ens[1]).paths
+    # one exact step from a fixed start: the normal scores are the coupled innovations
+    corr = np.corrcoef(stats.norm.ppf(u0[:, 0]), stats.norm.ppf(u1[:, 0]))[0, 1]
     assert corr == pytest.approx(rho, abs=0.02)
     # each margin keeps its exact law
-    u0 = d.uniformize(bm, ens[0]).paths[:, 0]
-    u1 = d.uniformize(ou, ens[1]).paths[:, 1]
-    for u in (u0, u1):
+    for u in (u0[:, 0], u1[:, 1]):
         u_sorted = np.sort(u)
         emp = np.arange(1, u.size + 1) / u.size
         assert float(np.max(np.abs(u_sorted - emp))) < ks_critical(u.size)
