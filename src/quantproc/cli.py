@@ -154,6 +154,9 @@ def _build_copula(spec: dict) -> cp.CopulaSpec:
     return _build("copula", "family", _COPULAS, spec)
 
 
+#: the config sections that must be mappings when present
+_SECTIONS = ("driver", "grid", "map", "map1", "map2", "payoff", "copula")
+
 #: the sections each experiment kind cannot run without
 _NEEDS = {"simulate": ("driver", "grid"), "price": ("driver", "map", "payoff"),
           "dominance": ("map1", "map2")}
@@ -165,6 +168,10 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
     kind = cfg.get("kind")
     if kind not in KINDS:
         diags.append(Diagnostic("kind", f"must be one of {', '.join(KINDS)}"))
+        return diags
+    diags = [Diagnostic(s, "must be a mapping") for s in _SECTIONS
+             if s in cfg and not isinstance(cfg[s], dict)]
+    if diags:
         return diags
 
     def check(fieldname: str, fn):
@@ -244,8 +251,8 @@ def _run_dominance(cfg: dict, out: Path) -> list[Path]:
     lo = min(q1.support(t)[0], q2.support(t)[0])
     F1 = lambda z: q1.cdf(t, z)
     F2 = lambda z: q2.cdf(t, z)
-    fosd = dom.fosd_check(F1, F2, (lo, np.inf), grid_size=int(cfg.get("grid_size", 512)))
-    sosd = dom.sosd_check(F1, F2, (lo, np.inf), grid_size=int(cfg.get("grid_size", 1024)))
+    fosd = dom.fosd_check(F1, F2, (lo, np.inf))
+    sosd = dom.sosd_check(F1, F2, (lo, np.inf))
     report = {
         "u_star": rep.u_star,
         "crossing_domain_lower": rep.domain_lower,

@@ -2,8 +2,12 @@
 
 Dominance is decided on evaluable distribution functions: pointwise CDF
 ordering for first order, ordering of the cumulative CDF-difference integral
-for second order, each with a strict witness.  Quantile crossing levels u*
-delimit the dominance domain for composite-map pairs sharing a driver law.
+for second order, each with a strict witness (Shaked & Shanthikumar,
+*Stochastic Orders*, 2007, 1.A and 4.A).  An infinite domain is first cut to
+where both CDFs leave {0, 1}; the grid on it is uniform in asinh(z), so a
+domain widened to millions by a heavy tail keeps its points dense where the
+CDFs cross.  Quantile crossing levels u* delimit the dominance domain for
+composite-map pairs sharing a driver law.
 """
 
 from __future__ import annotations
@@ -97,21 +101,6 @@ def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float,
     return roots, us, d
 
 
-def _u_star(roots: list[float], d: np.ndarray) -> Optional[float]:
-    """The crossing level of ``crossing_u_star`` from one scan's roots and differences."""
-    if roots:
-        return float(special.ndtr(np.asarray(roots[-1])))
-    finite = np.isfinite(d)
-    if not np.any(finite):
-        raise NumericError("quantile difference is nowhere finite on the scan grid")
-    dmax = np.max(d[finite])
-    dmin = np.min(d[finite])
-    if dmin >= -TOL and dmax > TOL:
-        return 0.0
-    # second curve above throughout, or identical curves: no crossing either way
-    return None
-
-
 def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
                     x_max: float = _X_RESOLVABLE, n_scan: int = 4096) -> Optional[float]:
     """Largest quantile level where the two quantile curves cross.
@@ -124,10 +113,7 @@ def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     The scan runs on a grid uniform in x = ndtri(u) so crossings pushed far
     into either tail (u within 1e-9 of 0 or 1) are still resolved.
     """
-    q1.validate(t)
-    q2.validate(t)
-    roots, _, d = _crossing_roots(q1, q2, t, x_max, n_scan)
-    return _u_star(roots, d)
+    return crossing_report(q1, q2, t, x_max, n_scan).u_star
 
 
 def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
@@ -140,58 +126,88 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     q1.validate(t)
     q2.validate(t)
     roots, us, d = _crossing_roots(q1, q2, t, x_max, n_scan)
-    u_star = _u_star(roots, d)
-    if u_star is None:
-        finite = np.isfinite(d)
-        direction = -1 if np.max(d[finite]) <= TOL else 0
-        lo, _ = q2.support(t)
-        return DominanceReport(order="FOSD" if direction else None, direction=direction,
-                               domain_lower=float(lo), u_star=None,
-                               notes="no interior crossing; second curve dominates"
-                               if direction else "curves indistinguishable at tolerance")
+    evidence = {"u_grid": us, "quantile_diff": d}
     if roots:
         x_star = roots[-1]
-        z0 = float(q1.eval(t, special.ndtr(np.asarray(x_star))))
+        u_star = float(special.ndtr(np.asarray(x_star)))
+        z0 = float(q1.eval(t, u_star))
         above = special.ndtr(np.asarray(x_star + max(1e-6, 1e-6 * abs(x_star))))
         sign_after = float(q1.eval(t, above) - q2.eval(t, above))
-        direction = 1 if sign_after > 0 else -1
-    else:
-        z0 = float(min(q1.support(t)[0], q2.support(t)[0]))
-        direction = 1
-    boundary = ""
-    if u_star is not None and u_star > 1.0 - 1e-6:
-        boundary = ("crossing sits at the u -> 1 boundary: the first curve dominates "
-                    "everywhere below it, so the verdict reads as full-domain dominance")
-    return DominanceReport(order="FOSD", direction=direction, domain_lower=z0,
-                           u_star=u_star, strictness_witness=None,
-                           evidence={"u_grid": us, "quantile_diff": d},
-                           notes=boundary)
+        boundary = ""
+        if u_star > 1.0 - 1e-6:
+            boundary = ("crossing sits at the u -> 1 boundary: the first curve dominates "
+                        "everywhere below it, so the verdict reads as full-domain dominance")
+        return DominanceReport(order="FOSD", direction=1 if sign_after > 0 else -1,
+                               domain_lower=z0, u_star=u_star, evidence=evidence,
+                               notes=boundary)
+    if np.min(d) >= -TOL and np.max(d) > TOL:
+        # first curve above throughout: the crossing sits at u -> 0
+        return DominanceReport(order="FOSD", direction=1, u_star=0.0, evidence=evidence,
+                               domain_lower=float(min(q1.support(t)[0], q2.support(t)[0])))
+    # second curve above throughout, or identical curves: no crossing either way
+    direction = -1 if np.max(d) <= TOL else 0
+    return DominanceReport(order="FOSD" if direction else None, direction=direction,
+                           domain_lower=float(q2.support(t)[0]), evidence=evidence,
+                           notes="no interior crossing; second curve dominates"
+                           if direction else "curves indistinguishable at tolerance")
 
 
 # ---------------------------------------------------------------------------
 # CDF-based checks
 # ---------------------------------------------------------------------------
 
+def _verdict(order: str, d: np.ndarray, at: np.ndarray, tol: float, none_note: str,
+             notes: str = "", **fields) -> DominanceReport:
+    """The strict-witness rule shared by every check.
+
+    Direction +1 when d >= -tol everywhere and d > tol somewhere, -1 for the
+    mirror case, otherwise a report with no verdict.  The witness is the point
+    of ``at`` where the dominating side leads most.
+    """
+    for direction in (1, -1):
+        signed = direction * d
+        if np.min(signed) >= -tol and np.max(signed) > tol:
+            return DominanceReport(order=order, direction=direction, notes=notes,
+                                   strictness_witness=float(at[int(np.argmax(signed))]),
+                                   **fields)
+    return DominanceReport(order=None, direction=0, notes=none_note, **fields)
+
+
+#: the edges an infinite domain bound may be cut at: +-1, 4, 16, ..., 4**20 (about 1.1e12)
+_EDGES = 4.0 ** np.arange(21)
+
+
 def _truncate_domain(F1, F2, domain: tuple[float, float],
                      tail: float = 1e-10) -> tuple[float, float]:
-    """Shrink an infinite or very wide domain to where the CDFs leave {0, 1}."""
+    """Cut each infinite domain bound at the first edge where both CDFs are
+    within ``tail`` of 0 (lower bound) or 1 (upper bound), else at the last."""
     lo, hi = float(domain[0]), float(domain[1])
 
-    def both_small(z):
-        return max(float(F1(z)), float(F2(z))) < tail
-
-    def both_large(z):
-        return min(float(F1(z)), float(F2(z))) > 1.0 - tail
+    def first(ok: np.ndarray) -> float:
+        ok[-1] = True
+        return float(_EDGES[int(np.argmax(ok))])
 
     if not math.isfinite(lo):
-        lo = -1.0
-        while not both_small(lo) and lo > -1e12:
-            lo *= 4.0
+        lo = -first(np.maximum(F1(-_EDGES), F2(-_EDGES)) < tail)
     if not math.isfinite(hi):
-        hi = 1.0
-        while not both_large(hi) and hi < 1e12:
-            hi *= 4.0
+        hi = first(np.minimum(F1(_EDGES), F2(_EDGES)) > 1.0 - tail)
     return lo, hi
+
+
+def _cdf_grid(F1, F2, domain: tuple[float, float],
+              grid_size: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Truncated domain, its asinh-spaced grid and F2 - F1 on the grid.
+
+    asinh spacing is linear near 0 and logarithmic in |z|, so a domain
+    widened to cover heavy tails still resolves crossings at moderate z.
+    """
+    if grid_size < 64:
+        raise ParameterError("grid_size must be at least 64")
+    lo, hi = _truncate_domain(F1, F2, domain)
+    zs = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi), grid_size))
+    f1 = np.asarray(F1(zs), dtype=float)
+    f2 = np.asarray(F2(zs), dtype=float)
+    return lo, hi, zs, f2 - f1
 
 
 def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512,
@@ -200,32 +216,12 @@ def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512,
 
     F2 - F1 >= -tol everywhere with one point above tol means the first
     process dominates; the swapped inequality means the second does.  The
-    reported domain_lower is the largest grid point, below the first strict
-    separation, at which the two CDFs still agree.
+    reported domain_lower is the lower edge of the (truncated) domain.
     """
-    if grid_size < 64:
-        raise ParameterError("grid_size must be at least 64")
-    lo, hi = _truncate_domain(F1, F2, domain)
-    zs = np.linspace(lo, hi, grid_size)
-    f1 = np.asarray(F1(zs), dtype=float)
-    f2 = np.asarray(F2(zs), dtype=float)
-    diff = f2 - f1
-
-    def verdict(d: np.ndarray, direction: int) -> Optional[DominanceReport]:
-        if np.min(d) < -tol or np.max(d) <= tol:
-            return None
-        witness = zs[int(np.argmax(d))]
-        # no interior crossing: the dominance domain starts at the requested edge
-        return DominanceReport(order="FOSD", direction=direction, domain_lower=float(lo),
-                               strictness_witness=float(witness),
-                               evidence={"z": zs, "cdf_diff": diff},
-                               truncation=(lo, hi))
-    rep = verdict(diff, 1) or verdict(-diff, -1)
-    if rep is not None:
-        return rep
-    return DominanceReport(order=None, direction=0, domain_lower=lo,
-                           evidence={"z": zs, "cdf_diff": diff}, truncation=(lo, hi),
-                           notes="CDFs cross or coincide: no first-order verdict")
+    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
+    return _verdict("FOSD", diff, zs, tol, "CDFs cross or coincide: no first-order verdict",
+                    domain_lower=lo, evidence={"z": zs, "cdf_diff": diff},
+                    truncation=(lo, hi))
 
 
 def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024,
@@ -237,35 +233,14 @@ def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024,
     sign-swapped statement for the second.  When the difference has not
     decayed at the truncation edge the verdict is flagged inconclusive.
     """
-    if grid_size < 64:
-        raise ParameterError("grid_size must be at least 64")
-    lo, hi = _truncate_domain(F1, F2, domain)
-    zs = np.linspace(lo, hi, grid_size)
-    f1 = np.asarray(F1(zs), dtype=float)
-    f2 = np.asarray(F2(zs), dtype=float)
-    diff = f2 - f1
+    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
     cum = integrate.cumulative_trapezoid(diff, zs, initial=0.0)
-    scale = max(1.0, hi - lo)
-    tail_live = abs(diff[-1]) > 1e-6
-
-    def verdict(c: np.ndarray, direction: int) -> Optional[DominanceReport]:
-        if np.min(c) < -tol * scale or np.max(c) <= tol:
-            return None
-        witness = zs[int(np.argmax(c))]
-        return DominanceReport(order="SOSD", direction=direction, domain_lower=lo,
-                               strictness_witness=float(witness),
-                               evidence={"z": zs, "cdf_diff": diff, "cum_integral": cum},
-                               truncation=(lo, hi),
-                               inconclusive=tail_live,
-                               notes="CDF difference still materially nonzero at the "
-                                     "truncation bound" if tail_live else "")
-    rep = verdict(cum, 1) or verdict(-cum, -1)
-    if rep is not None:
-        return rep
-    return DominanceReport(order=None, direction=0, domain_lower=lo,
-                           evidence={"z": zs, "cdf_diff": diff, "cum_integral": cum},
-                           truncation=(lo, hi), inconclusive=tail_live,
-                           notes="running integral changes sign: no second-order verdict")
+    tail_live = bool(abs(diff[-1]) > 1e-6)
+    return _verdict("SOSD", cum, zs, tol, "running integral changes sign: no second-order verdict",
+                    notes="CDF difference still materially nonzero at the truncation bound"
+                    if tail_live else "",
+                    domain_lower=lo, evidence={"z": zs, "cdf_diff": diff, "cum_integral": cum},
+                    truncation=(lo, hi), inconclusive=tail_live)
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +420,5 @@ def kendall_order_check(K1, K2, grid_size: int = 512, tol: float = TOL) -> Domin
     k1 = np.asarray([float(K1(v)) for v in vs])
     k2 = np.asarray([float(K2(v)) for v in vs])
     diff = k2 - k1
-
-    def verdict(d: np.ndarray, direction: int) -> Optional[DominanceReport]:
-        if np.min(d) < -tol or np.max(d) <= tol:
-            return None
-        witness = vs[int(np.argmax(d))]
-        return DominanceReport(order="Kendall", direction=direction, domain_lower=0.0,
-                               strictness_witness=float(witness),
-                               evidence={"v": vs, "kendall_diff": diff})
-    rep = verdict(diff, 1) or verdict(-diff, -1)
-    if rep is not None:
-        return rep
-    return DominanceReport(order=None, direction=0, domain_lower=0.0,
-                           evidence={"v": vs, "kendall_diff": diff},
-                           notes="Kendall functions cross or coincide")
+    return _verdict("Kendall", diff, vs, tol, "Kendall functions cross or coincide",
+                    domain_lower=0.0, evidence={"v": vs, "kendall_diff": diff})

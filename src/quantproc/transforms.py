@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -32,6 +32,7 @@ __all__ = [
     "canonical_brownian_law",
     "DriverLaw",
     "ShiftedDriverLaw",
+    "PivotLaw",
     "EmpiricalLaw",
     "MapMode",
     "CompositeMap",
@@ -41,8 +42,6 @@ __all__ = [
     "quantile_cdf",
     "quantile_pdf",
     "apply_composite",
-    "PivotTransform",
-    "build_pivot",
     "pivot_gaussian_tukey_g_params",
     "TukeyGMoments",
     "tukey_g_gaussian_moments",
@@ -489,6 +488,36 @@ class ShiftedDriverLaw(DistributionSpec):
 
 
 @dataclass(frozen=True)
+class PivotLaw(DistributionSpec):
+    """A law on the standardized pivot of a Gaussian-marginal driver.
+
+    F(t, y) = reference.cdf(t, (y - m_t)/sd_t) with (m_t, sd_t) the driver's
+    marginal mean and standard deviation; the default N(0, 1) reference makes
+    this the driver's own marginal law.
+    """
+
+    driver: drv.Driver
+    reference: DistributionSpec = GaussianLaw(0.0, 1.0)
+
+    family = "Pivot"
+
+    def validate(self, t: float = 1.0) -> None:
+        self.reference.validate(t)
+
+    def cdf(self, t, y):
+        m, sd = self.driver.marginal_mean_std(t)
+        return self.reference.cdf(t, (np.asarray(y, dtype=float) - m) / sd)
+
+    def pdf(self, t, y):
+        m, sd = self.driver.marginal_mean_std(t)
+        return self.reference.pdf(t, (np.asarray(y, dtype=float) - m) / sd) / sd
+
+    def quantile(self, t, u):
+        m, sd = self.driver.marginal_mean_std(t)
+        return m + sd * self.reference.quantile(t, u)
+
+
+@dataclass(frozen=True)
 class EmpiricalLaw(DistributionSpec):
     """Continuous (piecewise-linear) CDF interpolating a sample."""
 
@@ -535,34 +564,6 @@ class MapMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PivotTransform:
-    """Standardizing path map plus the parameter-free reference law it targets."""
-
-    map_fn: Callable[[float, np.ndarray], np.ndarray]
-    reference: DistributionSpec
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return self.map_fn(t, y)
-
-
-def build_pivot(driver: drv.Driver) -> PivotTransform:
-    """Standardize a Gaussian-marginal driver to N(0, 1) marginals.
-
-    Supported for Brownian and OU drivers; other families raise.
-    """
-    if not driver.is_gaussian:
-        raise CapabilityError(
-            f"pivot standardization is implemented for Gaussian-marginal drivers, "
-            f"not {driver.kind}")
-
-    def map_fn(t: float, y: np.ndarray) -> np.ndarray:
-        m, sd = driver.marginal_mean_std(t)
-        return (np.asarray(y, dtype=float) - m) / sd
-
-    return PivotTransform(map_fn=map_fn, reference=GaussianLaw(0.0, 1.0))
-
-
-@dataclass(frozen=True)
 class CompositeMap:
     """The full distortion recipe: a distribution map composed with a quantile map.
 
@@ -570,8 +571,8 @@ class CompositeMap:
       TRUE_LAW  - dist must be the driver's own marginal law (checked when the
                   map is applied); the composed level U_t is then uniform.
       FALSE_LAW - dist is deliberately different, encoding model risk.
-      PIVOT     - paths are standardized first, then dist (a law in the pivot
-                  reference's family) and the quantile map are applied.
+      PIVOT     - dist (default N(0, 1)) is a law on the standardized pivot
+                  (Y - m_t)/sd_t of a Gaussian-marginal driver; see PivotLaw.
     """
 
     dist: Optional[DistributionSpec]
@@ -583,11 +584,17 @@ class CompositeMap:
         if self.dist is not None:
             self.dist.validate(t)
         # true-law mode fills the driver's own law in when applied; pivot mode
-        # defaults to the reference law
+        # defaults to the N(0, 1) reference
         if self.mode is MapMode.FALSE_LAW and self.dist is None:
             raise ParameterError("a false-law composite map needs a distribution spec")
 
     def dist_for(self, driver: drv.Driver) -> DistributionSpec:
+        if self.mode is MapMode.PIVOT:
+            if not driver.is_gaussian:
+                raise CapabilityError(
+                    f"pivot standardization is implemented for Gaussian-marginal drivers, "
+                    f"not {driver.kind}")
+            return PivotLaw(driver, self.dist) if self.dist is not None else PivotLaw(driver)
         if self.mode is MapMode.TRUE_LAW:
             if self.dist is None:
                 return DriverLaw(driver)
@@ -615,18 +622,11 @@ def apply_composite(cmap: CompositeMap, ensemble: drv.PathEnsemble) -> drv.PathE
     """
     cmap.validate(float(ensemble.grid.times[0]))
     ensemble.grid.require_positive()
-    if cmap.mode is MapMode.PIVOT:
-        pivot = build_pivot(ensemble.driver)
-        dist = cmap.dist if cmap.dist is not None else pivot.reference
-    else:
-        pivot = None
-        dist = cmap.dist_for(ensemble.driver)
+    dist = cmap.dist_for(ensemble.driver)
 
     out = np.empty_like(ensemble.paths)
     for k, t in enumerate(ensemble.grid.times):
         y = ensemble.paths[:, k]
-        if pivot is not None:
-            y = pivot(t, y)
         try:
             u = clip_unit(dist.cdf(t, y))
             out[:, k] = cmap.quantile.eval(t, u)

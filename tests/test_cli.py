@@ -95,6 +95,19 @@ def test_unknown_key_is_validation_failure(tmp_path, capsys, section):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section", ["driver", "grid", "map", "map1", "map2", "payoff", "copula"])
+def test_non_mapping_section_is_validation_failure(tmp_path, capsys, section):
+    cfg = price_cfg()
+    cfg[section] = "Brownian"
+    cfgfile = write_yaml(tmp_path, "scalar.yaml", cfg)
+    for command in ("validate", "price"):
+        rc = cli.main([command, "--config", cfgfile, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"{section}: must be a mapping" in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unparseable_yaml_reports_location(tmp_path):
     p = tmp_path / "broken.yaml"
     p.write_text("kind: [unclosed\n  - seq\n")
@@ -200,6 +213,10 @@ def test_dominance_runs(tmp_path):
     payload = json.loads((out / "dominance.json").read_text())
     assert payload["u_star"] == pytest.approx(0.0218, abs=0.001)
     assert payload["crossing_domain_lower"] == pytest.approx(-1.109, abs=0.01)
+    # the CDFs cross near z = -1.11 and the SOSD running integral dips to -0.011
+    assert payload["fosd"]["order"] is None
+    assert payload["sosd"]["order"] is None
+    assert payload["sosd"]["inconclusive"] is False
 
 
 def test_tariff_emits_sorted_csv(tmp_path):

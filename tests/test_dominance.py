@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from quantproc import dominance as dom
 from quantproc import transforms as tr
@@ -135,6 +135,26 @@ def test_fosd_tukey_g_ordering_in_g():
     assert rep.order == "FOSD" and rep.direction == 1
     u = dom.crossing_u_star(q1, q2)
     assert u == pytest.approx(0.0, abs=1e-6)
+
+
+def test_heavy_tailed_crossing_pair_has_no_verdict():
+    # truncation widens this pair's domain to about [-4096, 1.07e9]; the CDFs
+    # still cross near z = -1.11, where the quantile curves cross
+    q1, q2 = gh(2.0, 0.4), gh(0.8, 0.05)
+    F1 = lambda z: q1.cdf(1.0, z)
+    F2 = lambda z: q2.cdf(1.0, z)
+    fosd = dom.fosd_check(F1, F2, (-np.inf, np.inf))
+    assert fosd.order is None and fosd.direction == 0
+    assert fosd.truncation[1] > 1e8
+    sosd = dom.sosd_check(F1, F2, (-np.inf, np.inf))
+    assert sosd.order is None and sosd.direction == 0
+    assert sosd.inconclusive is False
+    # the running integral's dip matches quadrature of F2 - F1 up to the crossing
+    z_cross = dom.crossing_report(q1, q2).domain_lower
+    dip, _ = integrate.quad(lambda z: float(F2(z) - F1(z)), fosd.truncation[0], z_cross,
+                            points=[-10.0, -2.0], limit=200)
+    assert dip == pytest.approx(-0.01101, abs=2e-4)
+    assert np.min(sosd.evidence["cum_integral"]) == pytest.approx(dip, abs=5e-4)
 
 
 def test_fosd_grid_size_guard():

@@ -44,6 +44,19 @@ def test_distorted_cdf_tukey_g_closed_form():
     assert me.distorted_cdf(law, 1.0, 1e12) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dist", [None, tr.GaussianLaw(0.0, 1.0)])
+def test_pivot_map_distorted_law_is_family_law(dist):
+    # the N(0, 1) pivot of a Gaussian driver makes the level uniform, so the
+    # distorted law is the quantile family's own law at every time
+    q = tr.TukeyG(0, 1, 0.5)
+    cm = tr.CompositeMap(dist=dist, quantile=q, mode=tr.MapMode.PIVOT)
+    zs = np.array([-1.2, 0.3, 2.5])
+    for base in (d.Brownian(), d.InhomogeneousOU(1.0, 0.3, 0.9, 0.2)):
+        law = me.DistortedLaw(cm, base)
+        assert me.distorted_cdf(law, 0.5, 0.3) == pytest.approx(float(q.cdf(0.5, 0.3)), abs=1e-12)
+        assert np.allclose(me.distorted_pdf(law, 0.5, zs), q.pdf(0.5, zs), rtol=1e-10)
+
+
 def test_distorted_cdf_matches_ensemble_frequencies():
     bm = d.Brownian()
     cm = tr.canonical_map(tr.TukeyGH(0, 1, 0.5, 0.1))

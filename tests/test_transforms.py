@@ -211,32 +211,33 @@ def test_path_continuity_under_grid_refinement():
 # ---------------------------------------------------------------------------
 
 def test_pivot_brownian_is_sqrt_t_scaling():
-    pivot = tr.build_pivot(d.Brownian())
+    law = tr.PivotLaw(d.Brownian())
     y = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(pivot(4.0, y), y / 2.0)
-    assert isinstance(pivot.reference, tr.GaussianLaw)
+    assert np.allclose(law.cdf(4.0, y), stats.norm.cdf(y / 2.0))
+    assert np.allclose(law.pdf(4.0, y), stats.norm.pdf(y / 2.0) / 2.0)
+    assert np.allclose(law.quantile(4.0, law.cdf(4.0, y)), y)
+    assert isinstance(law.reference, tr.GaussianLaw)
 
 
 def test_pivot_ou_standardizes():
     ou = d.InhomogeneousOU(1.3, -0.4, 0.8, 0.6)
     ens = d.simulate(ou, d.TimeGrid(np.array([0.8])), 100_000, 12)
-    pivot = tr.build_pivot(ou)
-    std = pivot(0.8, ens.paths[:, 0])
-    assert ks_statistic_uniform(stats.norm.cdf(std)) < ks_critical(100_000)
+    u = tr.PivotLaw(ou).cdf(0.8, ens.paths[:, 0])
+    assert ks_statistic_uniform(u) < ks_critical(100_000)
 
 
 def test_pivot_identity_on_standard_input():
-    bm = d.Brownian()
-    pivot = tr.build_pivot(bm)
+    law = tr.PivotLaw(d.Brownian())
     y = np.array([0.3, -1.2])
-    assert np.allclose(pivot(1.0, y), y)
+    assert np.allclose(law.cdf(1.0, y), tr.GaussianLaw(0.0, 1.0).cdf(1.0, y))
 
 
 def test_pivot_unsupported_family():
+    cm = tr.CompositeMap(dist=None, quantile=tr.TukeyG(0, 1, 0.4), mode=tr.MapMode.PIVOT)
     with pytest.raises(CapabilityError):
-        tr.build_pivot(d.VarianceGamma())
+        cm.dist_for(d.VarianceGamma())
     with pytest.raises(CapabilityError):
-        tr.build_pivot(d.GammaProcess())
+        cm.dist_for(d.GammaProcess())
 
 
 def test_pivot_mode_composite():
