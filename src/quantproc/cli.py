@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -23,12 +23,11 @@ import yaml
 from . import copulas as cp
 from . import dominance as dom
 from . import drivers as drv
-from . import measures as me
 from . import transforms as tr
 from . import valuation as va
 from ._util import substream
 from .errors import (CapabilityError, ConfigError, MappingError, NumericError,
-                     ParameterError, QuantprocError, RequestError, SimulationError)
+                     ParameterError, RequestError, SimulationError)
 
 __all__ = ["main", "run", "validate_config", "load_config", "Diagnostic"]
 
@@ -157,6 +156,22 @@ def _build_copula(spec: dict) -> cp.CopulaSpec:
 #: the config sections that must be mappings when present
 _SECTIONS = ("driver", "grid", "map", "map1", "map2", "payoff", "copula")
 
+
+def _non_mappings(cfg: dict) -> list[str]:
+    """Names of the present config entries that should be mappings and are not."""
+    entries = {s: cfg[s] for s in _SECTIONS if s in cfg}
+    maps = {s: cfg[s] for s in ("map", "map1", "map2") if isinstance(cfg.get(s), dict)}
+    entries.update({f"{s}.quantile": m["quantile"] for s, m in maps.items() if "quantile" in m})
+    if maps.get("map", {}).get("dist") is not None:  # a null dist means "no distribution spec"
+        entries["map.dist"] = maps["map"]["dist"]
+    for name in ("exporters", "drivers"):
+        for i, item in enumerate(cfg[name] if isinstance(cfg.get(name), list) else []):
+            entries[f"{name}[{i}]"] = item
+            if name == "exporters" and isinstance(item, dict) and "driver" in item:
+                entries[f"{name}[{i}].driver"] = item["driver"]
+    return [name for name, value in entries.items() if not isinstance(value, dict)]
+
+
 #: the sections each experiment kind cannot run without
 _NEEDS = {"simulate": ("driver", "grid"), "price": ("driver", "map", "payoff"),
           "dominance": ("map1", "map2")}
@@ -169,8 +184,7 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
     if kind not in KINDS:
         diags.append(Diagnostic("kind", f"must be one of {', '.join(KINDS)}"))
         return diags
-    diags = [Diagnostic(s, "must be a mapping") for s in _SECTIONS
-             if s in cfg and not isinstance(cfg[s], dict)]
+    diags = [Diagnostic(name, "must be a mapping") for name in _non_mappings(cfg)]
     if diags:
         return diags
 
@@ -223,6 +237,8 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
                     diags.append(Diagnostic(f"exporters[{i}].gamma", "must lie in [0, 1]"))
                 if ex.get("g", 0.0) == 0.0:
                     diags.append(Diagnostic(f"exporters[{i}].g", "skew parameter must be nonzero"))
+    if "drivers" in cfg and not isinstance(cfg["drivers"], list):
+        diags.append(Diagnostic("drivers", "must be a list of driver mappings"))
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         diags.append(Diagnostic("seed", "must be an integer"))
     return diags

@@ -7,7 +7,9 @@ for second order, each with a strict witness (Shaked & Shanthikumar,
 where both CDFs leave {0, 1}; the grid on it is uniform in asinh(z), so a
 domain widened to millions by a heavy tail keeps its points dense where the
 CDFs cross.  Quantile crossing levels u* delimit the dominance domain for
-composite-map pairs sharing a driver law.
+composite-map pairs sharing a driver law.  The sufficient conditions read
+their derivatives and CDFs off ``transforms.preimage``, the inverse composite
+w = Q_dist(t, F_quantile(t, z)); this module does not import ``measures``.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
         return DominanceReport(order="FOSD", direction=1, u_star=0.0, evidence=evidence,
                                domain_lower=float(min(q1.support(t)[0], q2.support(t)[0])))
     # second curve above throughout, or identical curves: no crossing either way
-    direction = -1 if np.max(d) <= TOL else 0
+    direction = -1 if np.max(d) <= TOL and np.min(d) < -TOL else 0
     return DominanceReport(order="FOSD" if direction else None, direction=direction,
                            domain_lower=float(q2.support(t)[0]), evidence=evidence,
                            notes="no interior crossing; second curve dominates"
@@ -260,18 +262,6 @@ class SufficientConditionsResult:
         return self.cond_i | self.cond_ii | self.cond_iii
 
 
-def _dz_quantile_of_cdf(cmap: tr.CompositeMap, t: float, z: np.ndarray,
-                        dist: tr.DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """d/dz of Q_dist(t, F_quantile(z)) by the chain rule, plus F_quantile(z)."""
-    u = np.asarray(cmap.quantile.cdf(t, z), dtype=float)
-    fz = np.asarray(cmap.quantile.pdf(t, z), dtype=float)
-    y = np.asarray(dist.quantile(t, np.clip(u, 1e-300, 1 - 1e-16)), dtype=float)
-    fd = np.asarray(dist.pdf(t, y), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deriv = fz / fd
-    return deriv, u
-
-
 def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: float,
                                z_grid: Sequence[float],
                                base1=None, base2=None,
@@ -285,46 +275,38 @@ def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: 
       (ii)  both derivatives >= 1 and F_2(z)/F_1(z) <= (D_1 - 1)/(D_2 - 1);
       (iii) both derivatives <= 1 and F_2(z)/F_1(z) >= (1 - D_1)/(1 - D_2).
 
-    The F_i are the processes' marginal CDFs when base drivers are supplied
-    (general form), else the stationary family CDFs F_{zeta_i} (the
-    equal-in-law variant).  Points where a needed density vanishes are
-    flagged indeterminate rather than fatal.  These conditions are sufficient,
-    not necessary: their failure does not refute dominance.
+    At the preimage w_i of z, D_i = f_zeta_i(z) / f_dist_i(w_i) and the F_i are
+    the marginal CDFs F_Y_i(t, w_i) when base drivers are supplied (general
+    form), else the stationary family CDFs F_{zeta_i} (equal-in-law variant).
+    Points off either family's range, or where a density vanishes, are flagged
+    indeterminate rather than fatal.  These conditions are sufficient, not
+    necessary: their failure does not refute dominance.
     """
-    from . import measures
-
     z = np.asarray(z_grid, dtype=float)
-    dist1 = map1.dist_for(base1) if base1 is not None else map1.dist
-    dist2 = map2.dist_for(base2) if base2 is not None else map2.dist
-    if dist1 is None or dist2 is None:
-        raise ParameterError("both maps need a distribution spec (or pass base drivers)")
-    d1, u1 = _dz_quantile_of_cdf(map1, t, z, dist1)
-    d2, u2 = _dz_quantile_of_cdf(map2, t, z, dist2)
-    if base1 is not None and base2 is not None:
-        F1 = measures.distorted_cdf(measures.DistortedLaw(map1, base1), t, z)
-        F2 = measures.distorted_cdf(measures.DistortedLaw(map2, base2), t, z)
-    else:
-        F1, F2 = u1, u2
+    general = base1 is not None and base2 is not None
+    D, F = [], []
+    for cmap, base in ((map1, base1), (map2, base2)):
+        dist = cmap.dist_for(base) if base is not None else cmap.dist
+        if dist is None:
+            raise ParameterError("both maps need a distribution spec (or pass base drivers)")
+        u, w, fz, fd, ok = tr.preimage(cmap.quantile, dist, t, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D.append(np.where(ok, fz / fd, np.nan))
+        F.append(np.where(ok, base.marginal_cdf(t, w), 0.0) if general else u)
+    (d1, d2), (F1, F2) = D, F
 
-    indeterminate = ~np.isfinite(d1) | ~np.isfinite(d2)
+    usable = np.isfinite(d1) & np.isfinite(d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(F1 > 0, F2 / np.where(F1 > 0, F1, 1.0), np.inf)
-        cond_i = (d2 <= 1.0 + tol) & (d1 >= 1.0 - tol)
         rhs_ii = (d1 - 1.0) / np.where(np.abs(d2 - 1.0) > tol, d2 - 1.0, np.nan)
-        cond_ii = (d1 >= 1.0 - tol) & (d2 >= 1.0 - tol) & (ratio <= rhs_ii + tol)
         rhs_iii = (1.0 - d1) / np.where(np.abs(1.0 - d2) > tol, 1.0 - d2, np.nan)
-        cond_iii = (d1 <= 1.0 + tol) & (d2 <= 1.0 + tol) & (ratio >= rhs_iii - tol)
-    cond_i = np.where(indeterminate, False, cond_i)
-    cond_ii = np.where(indeterminate, False, np.nan_to_num(cond_ii))
-    cond_iii = np.where(indeterminate, False, np.nan_to_num(cond_iii))
-    usable = ~indeterminate
+    cond_i = usable & (d2 <= 1.0 + tol) & (d1 >= 1.0 - tol)
+    cond_ii = usable & (d1 >= 1.0 - tol) & (d2 >= 1.0 - tol) & (ratio <= rhs_ii + tol)
+    cond_iii = usable & (d1 <= 1.0 + tol) & (d2 <= 1.0 + tol) & (ratio >= rhs_iii - tol)
     some = cond_i | cond_ii | cond_iii
-    sufficient = bool(np.all(some[usable])) and bool(np.any(usable))
-    return SufficientConditionsResult(z=z, cond_i=cond_i.astype(bool),
-                                      cond_ii=cond_ii.astype(bool),
-                                      cond_iii=cond_iii.astype(bool),
-                                      indeterminate=indeterminate,
-                                      sufficient=sufficient)
+    return SufficientConditionsResult(z=z, cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii,
+                                      indeterminate=~usable,
+                                      sufficient=bool(np.all(some[usable]) and np.any(usable)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Distorted probability measures induced by quantile processes.
 
-The pushforward law of Z_t = Q(F(t, Y_t)) has distribution function
-F_Z(t, z) = F_Y(t, Q_dist(t, F_quantile(z))); its density against the
-driver's law is a four-density ratio evaluated at the driver's own state.
-Chaining conditional density ratios with money-market discounting yields a
-pricing-kernel process whose discounted value is a martingale.
+The pushforward law of Z_t = Q(F(t, Y_t)) has distribution function F_Y(t, w)
+at the preimage w = Q_dist(t, F_quantile(t, z)) of ``transforms.preimage``;
+its density is f_Y(w) f_quantile(z) / f_dist(w), and its density ratio against
+the driver's law divides that by f_Y(z).  Chaining conditional density ratios
+with money-market discounting yields a pricing-kernel process whose
+discounted value is a martingale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +32,6 @@ __all__ = [
     "money_market",
 ]
 
-_U_FLOOR = 1e-300
-
 
 @dataclass(frozen=True, eq=False)
 class DistortedLaw:
@@ -40,15 +39,9 @@ class DistortedLaw:
 
     map: tr.CompositeMap
     base: drv.Driver
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def dist(self) -> tr.DistributionSpec:
-        if "dist" not in self._cache:
-            self._cache["dist"] = self.map.dist_for(self.base)
-        return self._cache["dist"]
-
-    def support(self, t: float) -> tuple[float, float]:
-        return self.map.quantile.support(t)
+        return self.map.dist_for(self.base)
 
 
 def distorted_cdf(law: DistortedLaw, t: float, z):
@@ -75,30 +68,26 @@ def distorted_pdf(law: DistortedLaw, t: float, z):
     """Density of the quantile process at z (zero off the family's range)."""
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    q = law.map.quantile
-    dist = law.dist()
-    u = np.asarray(q.cdf(t, zv), dtype=float)
-    fz = np.asarray(q.pdf(t, zv), dtype=float)
-    out = np.zeros_like(u)
-    ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
+    _, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
+    out = np.zeros_like(w)
     if np.any(ok):
-        y = dist.quantile(t, u[ok])
-        denom = dist.pdf(t, y)
-        out[ok] = law.base.marginal_pdf(t, y) * fz[ok] / denom
+        out[ok] = law.base.marginal_pdf(t, w[ok]) * fz[ok] / fd[ok]
     return out if np.ndim(z) else float(out[0])
 
 
-def _mapped_point(cmap: tr.CompositeMap, dist: tr.DistributionSpec, t: float,
-                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w = Q_dist(t, F_quantile(y)) with the in-range mask and quantile density."""
-    u = np.asarray(cmap.quantile.cdf(t, y), dtype=float)
-    fz = np.asarray(cmap.quantile.pdf(t, y), dtype=float)
-    ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
-    w = np.zeros_like(u)
+def _ratio(cmap: tr.CompositeMap, base: drv.Driver, t: float, y,
+           density: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """f(w) f_quantile(y) / (f_dist(w) f(y)) at the preimage w; f(x) = density(x, ok)."""
+    _, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
+    out = np.zeros_like(w)
     if np.any(ok):
-        w[ok] = dist.quantile(t, u[ok])
-    return w, ok, fz
+        yv = np.atleast_1d(np.asarray(y, dtype=float))
+        num = density(w[ok], ok) * fz[ok]
+        den = fd[ok] * density(yv[ok], ok)
+        if np.any(den <= 0):
+            raise NumericError(f"density-ratio denominator underflow at y={yv[ok][den <= 0][:3]}")
+        out[ok] = num / den
+    return out if np.ndim(y) else float(out[0])
 
 
 def rn_derivative(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
@@ -112,18 +101,7 @@ def rn_derivative(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
         raise ParameterError("the density ratio is defined for t > 0")
     if base.is_discrete:
         return _rn_derivative_discrete(cmap, base, t, y)
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    dist = cmap.dist_for(base)
-    w, ok, fz = _mapped_point(cmap, dist, t, yv)
-    out = np.zeros_like(yv)
-    if np.any(ok):
-        num = base.marginal_pdf(t, w[ok]) * fz[ok]
-        den = dist.pdf(t, w[ok]) * base.marginal_pdf(t, yv[ok])
-        if np.any(den <= 0):
-            bad = yv[ok][den <= 0]
-            raise NumericError(f"density-ratio denominator underflow at y={bad[:3]}")
-        out[ok] = num / den
-    return out if np.ndim(y) else float(out[0])
+    return _ratio(cmap, base, t, y, lambda x, ok: base.marginal_pdf(t, x))
 
 
 def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
@@ -177,19 +155,8 @@ def conditional_rn(cmap: tr.CompositeMap, base: drv.Driver, s: float, t: float,
         raise ParameterError("conditional ratio needs s < t")
     if s <= 0:
         return rn_derivative(cmap, base, t, y)
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    sv = np.broadcast_to(np.asarray(state, dtype=float), yv.shape)
-    dist = cmap.dist_for(base)
-    w, ok, fz = _mapped_point(cmap, dist, t, yv)
-    out = np.zeros_like(yv)
-    if np.any(ok):
-        num = base.transition_pdf(s, t, sv[ok], w[ok]) * fz[ok]
-        den = dist.pdf(t, w[ok]) * base.transition_pdf(s, t, sv[ok], yv[ok])
-        if np.any(den <= 0):
-            bad = yv[ok][den <= 0]
-            raise NumericError(f"conditional density-ratio underflow at y={bad[:3]}")
-        out[ok] = num / den
-    return out if np.ndim(y) else float(out[0])
+    sv = np.broadcast_to(np.asarray(state, dtype=float), np.atleast_1d(np.asarray(y)).shape)
+    return _ratio(cmap, base, t, y, lambda x, ok: base.transition_pdf(s, t, sv[ok], x))
 
 
 # ---------------------------------------------------------------------------

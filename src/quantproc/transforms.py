@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ __all__ = [
     "canonical_map",
     "quantile_eval",
     "quantile_cdf",
-    "quantile_pdf",
+    "preimage",
     "apply_composite",
     "pivot_gaussian_tukey_g_params",
     "TukeyGMoments",
@@ -178,7 +178,9 @@ class TukeyGH(QuantileSpec):
                 hi = np.where(f > 0, np.minimum(hi, x), hi)
                 slope = _gh_core_deriv(x, g, h) / np.hypot(1.0, core)
                 x_new = x - f / slope
-            bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
+            # a zero step has converged, even onto a bracket edge, unless the slope overflowed
+            stuck = (x_new == x) & np.isfinite(slope)
+            bad = ((x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)) & ~stuck
             if it % 3 == 2:
                 bad = bad | (np.abs(f) > 1.0)
             x_new = np.where(bad, 0.5 * (lo + hi), x_new)
@@ -357,11 +359,6 @@ def quantile_cdf(spec: QuantileSpec, t: float, z):
     Values outside the family's range clamp to 0 or 1.
     """
     return spec.cdf(t, z)
-
-
-def quantile_pdf(spec: QuantileSpec, t: float, z):
-    """Density of the family at z (zero off the support)."""
-    return spec.pdf(t, z)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +610,24 @@ def true_law_map(driver: drv.Driver, quantile: QuantileSpec) -> CompositeMap:
 def canonical_map(quantile: QuantileSpec) -> CompositeMap:
     """Canonical construction on standard Brownian motion: F = N(0, t)."""
     return CompositeMap(dist=canonical_brownian_law(), quantile=quantile, mode=MapMode.TRUE_LAW)
+
+
+def preimage(quantile: QuantileSpec, dist: DistributionSpec, t: float, z):
+    """(u, w, fz, fd, ok) for the inverse composite w = Q_dist(t, F_quantile(t, z)).
+
+    u and fz are the family's CDF and density at z, as 1-d or wider arrays.  On
+    its range ok = (0 < u < 1) & (fz > 0), w = dist.quantile(t, u) and
+    fd = dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.
+    """
+    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    u = np.asarray(quantile.cdf(t, zv), dtype=float)
+    fz = np.asarray(quantile.pdf(t, zv), dtype=float)
+    ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
+    w, fd = np.zeros_like(u), np.zeros_like(u)
+    if np.any(ok):
+        w[ok] = dist.quantile(t, u[ok])
+        fd[ok] = dist.pdf(t, w[ok])
+    return u, w, fz, fd, ok
 
 
 def apply_composite(cmap: CompositeMap, ensemble: drv.PathEnsemble) -> drv.PathEnsemble:

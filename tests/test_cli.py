@@ -95,12 +95,37 @@ def test_unknown_key_is_validation_failure(tmp_path, capsys, section):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section", ["driver", "grid", "map", "map1", "map2", "payoff", "copula"])
+def scalar_entry_cfg(entry):
+    """A config of the kind that reads ``entry``, with that entry set to a scalar."""
+    quantile = {"family": "TukeyGH", "a": 0, "b": 1, "g": 0.5, "h": 0.1}
+    if entry.startswith("map1") or entry.startswith("map2"):
+        cfg = {"kind": "dominance", "map1": {"quantile": dict(quantile)},
+               "map2": {"quantile": dict(quantile)}}
+    elif entry.startswith("exporters"):
+        cfg = {"kind": "tariff", "n_paths": 1000,
+               "exporters": [{"g": 0.6, "driver": {"kind": "Brownian"}}, {"g": 0.2}]}
+    elif entry.startswith("drivers"):
+        cfg = price_cfg()
+        cfg["copula"] = {"family": "Clayton", "theta": 1.5, "dim": 2}
+        cfg["drivers"] = [{"kind": "Brownian"}, {"kind": "Brownian"}]
+    else:
+        cfg = price_cfg()
+    *path, last = entry.replace("[", ".").replace("]", "").split(".")
+    node = cfg
+    for key in path:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[int(last) if last.isdigit() else last] = "Brownian"
+    return cfg
+
+
+@pytest.mark.parametrize("section", ["driver", "grid", "map", "map1", "map2", "payoff", "copula",
+                                     "map.quantile", "map.dist", "map1.quantile",
+                                     "map2.quantile", "exporters[1]", "exporters[0].driver",
+                                     "drivers[1]"])
 def test_non_mapping_section_is_validation_failure(tmp_path, capsys, section):
-    cfg = price_cfg()
-    cfg[section] = "Brownian"
+    cfg = scalar_entry_cfg(section)
     cfgfile = write_yaml(tmp_path, "scalar.yaml", cfg)
-    for command in ("validate", "price"):
+    for command in ("validate", cfg["kind"]):
         rc = cli.main([command, "--config", cfgfile, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_VALIDATION
         captured = capsys.readouterr()

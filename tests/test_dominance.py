@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from quantproc import dominance as dom
+from quantproc import drivers as d
 from quantproc import transforms as tr
 from quantproc.errors import ParameterError
 
@@ -62,6 +63,13 @@ def test_crossing_antisymmetry():
     r21 = dom.crossing_report(q2, q1)
     assert r12.u_star == pytest.approx(r21.u_star, abs=1e-9)
     assert r12.direction == -r21.direction
+
+
+def test_crossing_identical_curves_no_verdict():
+    q = tr.TukeyGH(0.0, 1.0, 0.5, 0.1)
+    rep = dom.crossing_report(q, q)
+    assert rep.order is None and rep.direction == 0 and rep.u_star is None
+    assert rep.notes == "curves indistinguishable at tolerance"
 
 
 def test_crossing_consistency_with_quantile_value():
@@ -273,6 +281,18 @@ def test_sufficient_conditions_scaled_gaussian_base():
         f = lambda zz: float(cm.dist.quantile(1.0, q.cdf(1.0, zz)))
         got = (f(0.3 + eps) - f(0.3 - eps)) / (2 * eps)
         assert got == pytest.approx(want, rel=1e-5)
+
+
+def test_sufficient_conditions_off_range_is_indeterminate():
+    # below the Tukey-g support edge a - b/g = -2 neither derivative exists
+    cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
+    z = np.array([-3.0, -2.5, -1.0, 0.0, 1.0])
+    bm = d.Brownian()
+    for bases in ((), (bm, bm)):
+        res = dom.sosd_sufficient_conditions(cm, cm, 1.0, z, *bases)
+        assert res.indeterminate.tolist() == [True, True, False, False, False]
+        assert not np.any(res.any_condition()[:2])
+        assert res.sufficient
 
 
 def test_sufficient_conditions_not_necessary():

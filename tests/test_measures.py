@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from quantproc import drivers as d
 from quantproc import measures as me
@@ -110,6 +112,36 @@ def test_distorted_pdf_is_cdf_derivative():
     for z in (-0.8, 0.0, 1.3):
         fd = (me.distorted_cdf(law, 1.0, z + eps) - me.distorted_cdf(law, 1.0, z - eps)) / (2 * eps)
         assert me.distorted_pdf(law, 1.0, z) == pytest.approx(fd, rel=1e-5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(-0.5, 0.5), b=st.floats(0.5, 2.0), g=st.floats(-1.0, 1.0),
+       h=st.floats(0.0, 0.3), kind=st.sampled_from(["brownian", "ou", "false-law"]))
+def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
+    # density, density ratio and CDF all read the one preimage w = Q_dist(F_Q(z))
+    q = tr.TukeyGH(a, b, g, h)
+    if kind == "ou":
+        base = d.InhomogeneousOU(1.0, 0.2, 0.8, 0.1)
+        cm = tr.true_law_map(base, q)
+    else:
+        base = d.Brownian()
+        cm = (tr.true_law_map(base, q) if kind == "brownian"
+              else tr.CompositeMap(dist=tr.GaussianLaw(0.3, 1.5), quantile=q))
+    law = me.DistortedLaw(cm, base)
+    t = 0.8
+    zs = np.linspace(-3.0, 3.0, 25)
+    pdf = me.distorted_pdf(law, t, zs)
+    rho = me.rn_derivative(cm, base, t, zs)
+    assert np.allclose(pdf, rho * base.marginal_pdf(t, zs), rtol=1e-12, atol=0.0)
+    eps = 1e-5
+    central = (me.distorted_cdf(law, t, zs + eps) - me.distorted_cdf(law, t, zs - eps)) / (2 * eps)
+    assert np.allclose(central, pdf, rtol=1e-5, atol=1e-7)
+    dist = cm.dist_for(base)
+    u, w, _, _, ok = tr.preimage(q, dist, t, zs)
+    # the erf-form Gaussian CDF keeps ~1e-16 absolute, not relative, accuracy in
+    # its lower tail, hence the level cut and the tolerance
+    sel = ok & (np.abs(special.ndtri(u)) < 7.0)
+    assert np.allclose(q.eval(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

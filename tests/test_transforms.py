@@ -70,6 +70,36 @@ def test_gh_roundtrip_property(g, h, b, a, u):
     assert back == pytest.approx(u, abs=1e-9)
 
 
+def test_gh_newton_stops_on_a_fixed_point(monkeypatch):
+    # a Newton step that lands exactly on x has converged; counting it as a
+    # bracket violation bisects away from the root here for about 40 sweeps
+    calls = []
+    core = tr._gh_core
+
+    def counting(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(tr, "_gh_core", counting)
+    q = tr.TukeyGH(0.0, 1.0, 0.8, 0.05)
+    z = -979.2161318447968
+    x = q.x_from_z(1.0, np.array([z]))
+    assert len(calls) <= 10
+    assert float(core(x, 0.8, 0.05)[0]) == pytest.approx(z, rel=1e-12)
+
+
+def test_gh_newton_does_not_stop_on_an_overflowed_slope():
+    # at x = asinh(1e16) the slope overflows to inf, so the Newton step is 0
+    # although the residual is not; that is no fixed point
+    q = tr.TukeyGH(0.0, 1.0, 0.0, 1.0)
+    z = np.array([-1e16, 1e16])
+    x = q.x_from_z(0.0, z)
+    np.testing.assert_allclose(tr._gh_core(x, 0.0, 1.0), z, rtol=1e-12)
+    assert abs(x[1]) == pytest.approx(8.3332, abs=1e-4)
+    assert float(q.cdf(0.0, z)[0]) == pytest.approx(stats.norm.cdf(x[0]), rel=1e-12)
+    assert 1e-17 < float(q.cdf(0.0, z)[0]) < 1e-16
+
+
 def test_validation_rules():
     with pytest.raises(ParameterError):
         tr.TukeyGH(0.0, 1.0, 0.5, -0.1).validate()
