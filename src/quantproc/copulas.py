@@ -559,16 +559,16 @@ def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.Distr
     The pushforward density differentiates K_C(t, F_quantile(z)); Archimedean
     and product copulas use the analytic Kendall derivative, other families a
     kernel-free central difference of the empirical Kendall function.  Points
-    at the quantile range's edges are flagged by returning zero mass.
+    at the quantile range's edges are flagged by returning zero mass; NaN
+    states give NaN.
     """
     mmap.validate(t)
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     q = mmap.quantile
-    u = np.asarray(q.cdf(t, yv), dtype=float)
-    fz = np.asarray(q.pdf(t, yv), dtype=float)
+    u, fz = (np.asarray(a, dtype=float) for a in q.cdf_pdf(t, yv))
     dK = mmap.copula.kendall_derivative(t)
     ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
-    out = np.zeros_like(yv)
+    out = np.where(np.isnan(u), np.nan, 0.0)
     if dK is not None:
         kd = np.zeros_like(u)
         kd[ok] = dK(u[ok])

@@ -47,7 +47,8 @@ class DistortedLaw:
 def distorted_cdf(law: DistortedLaw, t: float, z):
     """F_Z(t, z): probability the quantile process sits at or below z.
 
-    Events below the quantile family's range get probability 0, above it 1.
+    Events below the quantile family's range get probability 0, above it 1;
+    a NaN z gives NaN.
     """
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
@@ -55,7 +56,7 @@ def distorted_cdf(law: DistortedLaw, t: float, z):
     u = np.asarray(law.map.quantile.cdf(t, zv), dtype=float)
     dist = law.dist()
     inner = u > 0.0
-    out = np.zeros_like(u)
+    out = np.where(np.isnan(u), np.nan, 0.0)
     out[u >= 1.0] = 1.0
     mid = inner & (u < 1.0)
     if np.any(mid):
@@ -65,11 +66,11 @@ def distorted_cdf(law: DistortedLaw, t: float, z):
 
 
 def distorted_pdf(law: DistortedLaw, t: float, z):
-    """Density of the quantile process at z (zero off the family's range)."""
+    """Density of the quantile process at z (zero off the family's range, NaN at NaN)."""
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    _, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
-    out = np.zeros_like(w)
+    u, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
+    out = np.where(np.isnan(u), np.nan, 0.0)
     if np.any(ok):
         out[ok] = law.base.marginal_pdf(t, w[ok]) * fz[ok] / fd[ok]
     return out if np.ndim(z) else float(out[0])
@@ -78,8 +79,8 @@ def distorted_pdf(law: DistortedLaw, t: float, z):
 def _ratio(cmap: tr.CompositeMap, base: drv.Driver, t: float, y,
            density: Callable[[np.ndarray, np.ndarray], np.ndarray]):
     """f(w) f_quantile(y) / (f_dist(w) f(y)) at the preimage w; f(x) = density(x, ok)."""
-    _, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
-    out = np.zeros_like(w)
+    u, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
+    out = np.where(np.isnan(u), np.nan, 0.0)
     if np.any(ok):
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         num = density(w[ok], ok) * fz[ok]
@@ -95,7 +96,7 @@ def rn_derivative(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
 
     Evaluates f_Y(t, w) f_quantile(y) / (f_dist(t, w) f_Y(t, y)) with
     w = Q_dist(t, F_quantile(y)); returns 0 where y lies outside the quantile
-    family's range (the distorted measure puts no mass there).
+    family's range (the distorted measure puts no mass there) and NaN at NaN.
     """
     if t <= 0:
         raise ParameterError("the density ratio is defined for t > 0")

@@ -76,6 +76,13 @@ class QuantileSpec:
     def pdf(self, t: float, z) -> np.ndarray:
         raise NotImplementedError
 
+    def cdf_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf, pdf) at z: the one place a family's CDF and density are read together.
+
+        Families whose two share work (one inversion for TukeyGH) override it.
+        """
+        return self.cdf(t, z), self.pdf(t, z)
+
     def support(self, t: float) -> tuple[float, float]:
         return -np.inf, np.inf
 
@@ -92,16 +99,20 @@ def _gh_core(x: np.ndarray, g: float, h: float) -> np.ndarray:
     return base * np.exp(0.5 * h * x * x)
 
 
-def _gh_core_deriv(x: np.ndarray, g: float, h: float) -> np.ndarray:
-    """d/dx of _gh_core; positive for h >= 0."""
+def _gh_core_slope(x: np.ndarray, g: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(_gh_core, its d/dx) from one exp(h x^2 / 2) and one expm1(g x); slope > 0 for h >= 0."""
     x = np.asarray(x, dtype=float)
     if abs(g) < _G_TINY:
-        inner = 1.0 + h * x * x
-        return inner * np.exp(0.5 * h * x * x) if h != 0.0 else np.ones_like(x)
+        if h == 0.0:
+            return x, np.ones_like(x)
+        e = np.exp(0.5 * h * x * x)
+        return x * e, (1.0 + h * x * x) * e
+    m = np.expm1(g * x)
     egx = np.exp(g * x)
     if h == 0.0:
-        return egx
-    return np.exp(0.5 * h * x * x) * (egx + h * x * np.expm1(g * x) / g)
+        return m / g, egx
+    e = np.exp(0.5 * h * x * x)
+    return m / g * e, e * (egx + h * x * m / g)
 
 
 @dataclass(frozen=True)
@@ -159,24 +170,26 @@ class TukeyGH(QuantileSpec):
             if abs(g) < _G_TINY:
                 return zc
             arg = g * zc
-            out = np.full_like(zc, -np.inf if g > 0 else np.inf)
+            out = np.where(np.isnan(zc), np.nan, -np.inf if g > 0 else np.inf)
             ok = arg > -1.0
             out[ok] = np.log1p(arg[ok]) / g  # log1p stays exact as g -> 0
             return out
         # h > 0: strictly increasing onto all of R.  Newton runs on
         # asinh(core(x)), which grows only quadratically in x, with bracket
-        # safeguarding and a forced bisection every third sweep.
+        # safeguarding and a forced bisection every third sweep.  A NaN z
+        # stays out of the convergence test and comes back as a NaN x.
+        nan = np.isnan(zc)
         x = np.zeros_like(zc)
         lo = np.full_like(zc, -_X_MAX)
         hi = np.full_like(zc, _X_MAX)
         target_s = np.arcsinh(zc)
         for it in range(160):
             with np.errstate(over="ignore", invalid="ignore"):
-                core = _gh_core(x, g, h)
+                core, dcore = _gh_core_slope(x, g, h)
                 f = np.arcsinh(core) - target_s
                 lo = np.where(f < 0, np.maximum(lo, x), lo)
                 hi = np.where(f > 0, np.minimum(hi, x), hi)
-                slope = _gh_core_deriv(x, g, h) / np.hypot(1.0, core)
+                slope = dcore / np.hypot(1.0, core)
                 x_new = x - f / slope
             # a zero step has converged, even onto a bracket edge, unless the slope overflowed
             stuck = (x_new == x) & np.isfinite(slope)
@@ -184,29 +197,34 @@ class TukeyGH(QuantileSpec):
             if it % 3 == 2:
                 bad = bad | (np.abs(f) > 1.0)
             x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-            done = np.abs(x_new - x) <= 1e-14 * (1.0 + np.abs(x_new))
+            done = (np.abs(x_new - x) <= 1e-14 * (1.0 + np.abs(x_new))) | nan
             x = x_new
             if np.all(done):
                 break
         else:
             with np.errstate(over="ignore"):
-                resid = np.max(np.abs(np.arcsinh(_gh_core(x, g, h)) - target_s))
+                resid = np.max(np.abs(np.arcsinh(_gh_core(x, g, h)) - target_s)[~nan], initial=0.0)
             if resid > 1e-9:
                 raise NumericError("g-and-h inversion did not converge", achieved=float(resid))
-        return x
+        return np.where(nan, np.nan, x)
 
     def cdf(self, t, z):
         x = self.x_from_z(t, z)
         return special.ndtr(x)
 
     def pdf(self, t, z):
+        return self.cdf_pdf(t, z)[1]
+
+    def cdf_pdf(self, t, z):
+        """ndtr(x) and phi(x) / (B core'(x)) from one solve x = x_from_z(t, z)."""
         _, b, g, h = self.params_at(t)
         x = self.x_from_z(t, z)
-        dens = np.zeros_like(x)
+        dens = np.where(np.isnan(x), np.nan, 0.0)
         ok = np.isfinite(x)
         phi = np.exp(-0.5 * x[ok] ** 2) / math.sqrt(2.0 * math.pi)
-        dens[ok] = phi / (b * _gh_core_deriv(x[ok], g, h))
-        return dens
+        with np.errstate(over="ignore"):  # the slope overflows in the far tails, where phi is 0
+            dens[ok] = phi / (b * _gh_core_slope(x[ok], g, h)[1])
+        return special.ndtr(x), dens
 
 
 @dataclass(frozen=True)
@@ -615,13 +633,14 @@ def canonical_map(quantile: QuantileSpec) -> CompositeMap:
 def preimage(quantile: QuantileSpec, dist: DistributionSpec, t: float, z):
     """(u, w, fz, fd, ok) for the inverse composite w = Q_dist(t, F_quantile(t, z)).
 
-    u and fz are the family's CDF and density at z, as 1-d or wider arrays.  On
-    its range ok = (0 < u < 1) & (fz > 0), w = dist.quantile(t, u) and
-    fd = dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.
+    u and fz are the family's CDF and density at z, as 1-d or wider arrays,
+    read together by one ``quantile.cdf_pdf`` call, so TukeyGH inverts each z
+    once.  On its range ok = (0 < u < 1) & (fz > 0), w = dist.quantile(t, u)
+    and fd = dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.  A NaN
+    z gives NaN u and fz and is never ``ok``.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    u = np.asarray(quantile.cdf(t, zv), dtype=float)
-    fz = np.asarray(quantile.pdf(t, zv), dtype=float)
+    u, fz = (np.asarray(a, dtype=float) for a in quantile.cdf_pdf(t, zv))
     ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
     w, fd = np.zeros_like(u), np.zeros_like(u)
     if np.any(ok):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from quantproc import copulas as cp
+from quantproc import dominance as dm
 from quantproc import drivers as d
 from quantproc import measures as me
 from quantproc import transforms as tr
@@ -142,6 +144,50 @@ def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
     # its lower tail, hence the level cut and the tolerance
     sel = ok & (np.abs(special.ndtri(u)) < 7.0)
     assert np.allclose(q.eval(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
+
+
+def test_one_inversion_per_call(monkeypatch):
+    # F_Q and f_Q come from one x_from_z solve per call on the whole inverse path
+    calls = []
+    solve = tr.TukeyGH.x_from_z
+
+    def counting(self, t, z):
+        calls.append(self.family)
+        return solve(self, t, z)
+
+    monkeypatch.setattr(tr.TukeyGH, "x_from_z", counting)
+    base = d.Brownian()
+    ys = np.linspace(-2.0, 2.0, 9)
+    ens = d.simulate(base, d.TimeGrid(np.array([0.5, 1.0, 1.5])), 50, 1)
+    for q in (tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.5)):
+        cm = tr.true_law_map(base, q)
+        law = me.DistortedLaw(cm, base)
+        mm = cp.MultiCompositeMap(margins=(tr.GaussianLaw(0.0, 1.0),) * 2,
+                                  copula=cp.ClaytonCopula(2.0, 2), quantile=q)
+        for run, n in ((lambda: tr.preimage(q, cm.dist_for(base), 1.0, ys), 1),
+                       (lambda: me.distorted_pdf(law, 1.0, ys), 1),
+                       (lambda: me.rn_derivative(cm, base, 1.0, ys), 1),
+                       (lambda: me.conditional_rn(cm, base, 0.5, 1.0, 0.1, ys), 1),
+                       (lambda: cp.multi_rn_derivative(mm, 1.0, ys, tr.GaussianLaw(0.0, 1.0)), 1),
+                       (lambda: me.pricing_kernel(cm, base, ens), 2),
+                       (lambda: dm.sosd_sufficient_conditions(cm, cm, 1.0, ys, base, base), 2)):
+            calls.clear()
+            run()
+            assert calls == [q.family] * n
+
+
+def test_nan_state_gives_nan():
+    base = d.Brownian()
+    cm = tr.true_law_map(base, tr.TukeyGH(0.0, 1.0, 0.5, 0.1))
+    law = me.DistortedLaw(cm, base)
+    z = np.array([-1.0, 0.4])
+    zn = np.insert(z, 1, np.nan)
+    for f in (lambda v: me.distorted_pdf(law, 1.0, v), lambda v: me.distorted_cdf(law, 1.0, v),
+              lambda v: me.rn_derivative(cm, base, 1.0, v),
+              lambda v: me.conditional_rn(cm, base, 0.5, 1.0, 0.1, v)):
+        got, want = f(zn), f(z)
+        assert np.isnan(got[1]) and np.array_equal(np.delete(got, 1), want)
+    assert math.isnan(me.distorted_pdf(law, 1.0, np.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -70,22 +70,23 @@ def test_gh_roundtrip_property(g, h, b, a, u):
     assert back == pytest.approx(u, abs=1e-9)
 
 
+def _count_core_slope(monkeypatch) -> list:
+    """Record each _gh_core_slope call: one per Newton sweep, one per density."""
+    calls = []
+    core_slope = tr._gh_core_slope
+    monkeypatch.setattr(tr, "_gh_core_slope", lambda *args: calls.append(1) or core_slope(*args))
+    return calls
+
+
 def test_gh_newton_stops_on_a_fixed_point(monkeypatch):
     # a Newton step that lands exactly on x has converged; counting it as a
     # bracket violation bisects away from the root here for about 40 sweeps
-    calls = []
-    core = tr._gh_core
-
-    def counting(*args):
-        calls.append(1)
-        return core(*args)
-
-    monkeypatch.setattr(tr, "_gh_core", counting)
+    calls = _count_core_slope(monkeypatch)
     q = tr.TukeyGH(0.0, 1.0, 0.8, 0.05)
     z = -979.2161318447968
     x = q.x_from_z(1.0, np.array([z]))
     assert len(calls) <= 10
-    assert float(core(x, 0.8, 0.05)[0]) == pytest.approx(z, rel=1e-12)
+    assert float(tr._gh_core(x, 0.8, 0.05)[0]) == pytest.approx(z, rel=1e-12)
 
 
 def test_gh_newton_does_not_stop_on_an_overflowed_slope():
@@ -98,6 +99,64 @@ def test_gh_newton_does_not_stop_on_an_overflowed_slope():
     assert abs(x[1]) == pytest.approx(8.3332, abs=1e-4)
     assert float(q.cdf(0.0, z)[0]) == pytest.approx(stats.norm.cdf(x[0]), rel=1e-12)
     assert 1e-17 < float(q.cdf(0.0, z)[0]) < 1e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(st.just(0.0), st.floats(-1e-149, 1e-149), st.floats(-2.0, 2.0)),
+       h=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), seed=st.integers(0, 2**32 - 1))
+def test_gh_core_slope_is_the_closed_form_bit_for_bit(g, h, seed):
+    x = np.random.default_rng(seed).uniform(-8.0, 8.0, 64)
+    e = np.exp(0.5 * h * x * x)
+    if abs(g) < tr._G_TINY:
+        want = (x * e, (1.0 + h * x * x) * e)
+    else:
+        want = (np.expm1(g * x) / g * e, e * (np.exp(g * x) + h * x * np.expm1(g * x) / g))
+    core, slope = tr._gh_core_slope(x, g, h)
+    assert np.array_equal(core, want[0]) and np.array_equal(slope, want[1])
+    assert np.array_equal(core, tr._gh_core(x, g, h))
+
+
+_TABLE = tr.TableQuantile(u_knots=np.array([0.05, 0.3, 0.7, 0.95]),
+                          z_knots=np.array([-2.0, -0.4, 0.5, 3.0]))
+
+
+@st.composite
+def _families(draw):
+    kind = draw(st.sampled_from(["gh", "g", "gaussian", "table"]))
+    a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 3.0))
+    if kind == "gh":
+        g = draw(st.one_of(st.just(0.0), st.floats(-1e-151, 1e-151), st.floats(-2.0, 2.0)))
+        return tr.TukeyGH(a, b, g, draw(st.floats(1e-3, 1.0)))
+    if kind == "g":
+        return tr.TukeyG(a, b, draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
+    return tr.GaussianQuantile(a, b) if kind == "gaussian" else _TABLE
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=_families(), zs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20),
+       t=st.floats(0.1, 3.0))
+def test_cdf_pdf_is_cdf_and_pdf_bit_for_bit(q, zs, t):
+    # both tails, and the support edge of TukeyG and the table with points beyond it
+    edges = [e for e in q.support(t) if np.isfinite(e)]
+    z = np.array(zs + [-np.inf, np.inf] + [e + s for e in edges for s in (-1.0, 0.0, 1.0)])
+    cdf, pdf = q.cdf_pdf(t, z)
+    assert np.array_equal(cdf, q.cdf(t, z)) and np.array_equal(pdf, q.pdf(t, z))
+
+
+@pytest.mark.parametrize("q", [tr.TukeyGH(0.0, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.5)],
+                         ids=["gh", "g"])
+def test_nan_value_stays_nan(q, monkeypatch):
+    calls = _count_core_slope(monkeypatch)
+    z = np.array([-2.5, 0.3, 4.0])
+    zn = np.insert(z, 1, np.nan)
+    want = (q.cdf(1.0, z), q.pdf(1.0, z), *q.cdf_pdf(1.0, z))
+    clean_calls = len(calls)
+    got = (q.cdf(1.0, zn), q.pdf(1.0, zn), *q.cdf_pdf(1.0, zn))
+    # a NaN level neither reads as a plausible number nor holds the others' Newton loop
+    assert len(calls) == 2 * clean_calls
+    for g_, w_ in zip(got, want):
+        assert np.isnan(g_[1]) and np.array_equal(np.delete(g_, 1), w_)
+    assert np.isnan(q.cdf(1.0, np.nan)) and np.isnan(q.pdf(1.0, np.nan))
 
 
 def test_validation_rules():
