@@ -56,13 +56,12 @@ def clip_unit(u: np.ndarray) -> np.ndarray:
 
 # the normal law N(m, sd^2); m may be an array of per-path means.  Underscored so
 # that perfbench's tracer, which wraps public names, books their time to the calling law.
-_SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def _norm_cdf(y, m, sd):
-    """Normal CDF in its erf form, 0.5 * (1 + erf((y - m) / (sd * sqrt 2)))."""
-    return 0.5 * (1.0 + special.erf((np.asarray(y, dtype=float) - m) / (sd * _SQRT2)))
+    """Normal CDF ndtr((y - m) / sd), relatively accurate in the lower tail too."""
+    return special.ndtr((np.asarray(y, dtype=float) - m) / sd)
 
 
 def _norm_pdf(y, m, sd):

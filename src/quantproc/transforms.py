@@ -3,7 +3,10 @@
 The composite map sends a driver value y to Q(F(t, y)): a distribution
 function F (the driver's true law, a deliberately different law, or a law on
 a standardized pivot) followed by a quantile function Q.  Applied path-wise
-it turns a driver ensemble into a quantile-process ensemble.
+it turns a driver ensemble into a quantile-process ensemble.  Families that
+are closed form in the normal score x = ndtri(u) compose through the law's
+score ndtri(F(t, y)), which is exact and affine for Gaussian laws, so no
+probability is formed or clamped on that route.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
     "QuantileSpec",
+    "NormalScoreQuantile",
     "TukeyG",
     "TukeyGH",
     "GaussianQuantile",
@@ -83,8 +87,38 @@ class QuantileSpec:
         """
         return self.cdf(t, z), self.pdf(t, z)
 
+    def compose(self, t: float, dist: DistributionSpec, y) -> np.ndarray:
+        """Q(t, F(t, y)) for the law ``dist``: the composite map at one time.
+
+        The probability level is clamped into (0, 1); NormalScoreQuantile
+        families override this and never form it.
+        """
+        return self.eval(t, clip_unit(dist.cdf(t, y)))
+
     def support(self, t: float) -> tuple[float, float]:
         return -np.inf, np.inf
+
+
+class NormalScoreQuantile(QuantileSpec):
+    """A family Q(t, u) = T(t, ndtri(u)) given in closed form in the normal score.
+
+    ``compose`` feeds T the law's score ndtri(F(t, y)) directly.
+    """
+
+    def eval_score(self, t: float, x) -> np.ndarray:
+        """T(t, x) at normal scores x."""
+        raise NotImplementedError
+
+    def eval(self, t, u):
+        u = np.asarray(u, dtype=float)
+        out = self.eval_score(t, special.ndtri(clip_unit(u)))
+        # endpoints follow the family's tails
+        lo, hi = self.support(t)
+        out = np.where(u <= 0.0, lo, out)
+        return np.where(u >= 1.0, hi, out)
+
+    def compose(self, t, dist, y):
+        return self.eval_score(t, dist.score(t, y))
 
 
 def _gh_core(x: np.ndarray, g: float, h: float) -> np.ndarray:
@@ -116,7 +150,7 @@ def _gh_core_slope(x: np.ndarray, g: float, h: float) -> tuple[np.ndarray, np.nd
 
 
 @dataclass(frozen=True)
-class TukeyGH(QuantileSpec):
+class TukeyGH(NormalScoreQuantile):
     """Tukey g-and-h quantile family A + (B/g)(e^{gX}-1) e^{hX^2/2}, X = ndtri(u).
 
     g controls skewness, h tail weight; h >= 0 keeps the map monotone and
@@ -142,17 +176,11 @@ class TukeyGH(QuantileSpec):
         if h < 0:
             raise ParameterError(f"TukeyGH requires h >= 0, got {h}")
 
-    def eval(self, t, u):
+    def eval_score(self, t, x):
+        """A + B core(x); past the float range, e.g. exp(h x^2 / 2) at large |x|, +-inf."""
         a, b, g, h = self.params_at(t)
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            x = special.ndtri(clip_unit(u))
-        out = a + b * _gh_core(x, g, h)
-        # endpoints follow the family's tails
-        lo, hi = self.support(t)
-        out = np.where(u <= 0.0, lo, out)
-        out = np.where(u >= 1.0, hi, out)
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a + b * _gh_core(x, g, h)
 
     def support(self, t):
         a, b, g, h = self.params_at(t)
@@ -244,7 +272,7 @@ class TukeyG(TukeyGH):
 
 
 @dataclass(frozen=True)
-class GaussianQuantile(QuantileSpec):
+class GaussianQuantile(NormalScoreQuantile):
     """Normal quantile family m(t) + sqrt(v(t)) * ndtri(u)."""
 
     m: TimeParam = 0.0
@@ -260,19 +288,13 @@ class GaussianQuantile(QuantileSpec):
         if not v > 0:
             raise ParameterError(f"Gaussian quantile requires v > 0, got {v}")
 
-    def eval(self, t, u):
+    def eval_score(self, t, x):
         m, v = self.params_at(t)
-        u = np.asarray(u, dtype=float)
-        out = _norm_ppf(clip_unit(u), m, math.sqrt(v))
-        out = np.where(u <= 0.0, -np.inf, out)
-        out = np.where(u >= 1.0, np.inf, out)
-        return out
+        return m + math.sqrt(v) * np.asarray(x, dtype=float)
 
     def cdf(self, t, z):
-        # ndtr, not the erf form of _norm_cdf: 1 + erf rounds to 0 for standardized
-        # values below -8.37, so at -8.5 the erf form gives 0 where ndtr gives 9.5e-18
         m, v = self.params_at(t)
-        return special.ndtr((np.asarray(z, dtype=float) - m) / math.sqrt(v))
+        return _norm_cdf(z, m, math.sqrt(v))
 
     def pdf(self, t, z):
         m, v = self.params_at(t)
@@ -348,11 +370,8 @@ class TableQuantile(QuantileSpec):
         return np.interp(np.asarray(z, dtype=float), self.z_knots, self.u_knots)
 
     def pdf(self, t, z):
-        z = np.asarray(z, dtype=float)
         slopes = np.diff(self.z_knots) / np.diff(self.u_knots)
-        idx = np.clip(np.searchsorted(self.z_knots, z) - 1, 0, slopes.size - 1)
-        inside = (z >= self.z_knots[0]) & (z <= self.z_knots[-1])
-        return np.where(inside, 1.0 / slopes[idx], 0.0)
+        return _segment_slope(z, self.z_knots, 1.0 / slopes)
 
     def support(self, t):
         return float(self.z_knots[0]), float(self.z_knots[-1])
@@ -361,6 +380,14 @@ class TableQuantile(QuantileSpec):
     def from_csv(cls, path: str) -> "TableQuantile":
         data = np.loadtxt(path, delimiter=",", skiprows=0, ndmin=2)
         return cls(u_knots=data[:, 0], z_knots=data[:, 1])
+
+
+def _segment_slope(x, knots, slopes) -> np.ndarray:
+    """slopes[i] on the segment [knots[i], knots[i+1]] holding x; 0 off the knots, NaN at NaN."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(knots, x) - 1, 0, slopes.size - 1)
+    inside = (x >= knots[0]) & (x <= knots[-1])
+    return np.where(inside, slopes[idx], np.where(np.isnan(x), np.nan, 0.0))
 
 
 def quantile_eval(spec: QuantileSpec, t: float, u):
@@ -400,6 +427,11 @@ class DistributionSpec:
     def quantile(self, t: float, u) -> np.ndarray:
         raise NotImplementedError
 
+    def score(self, t: float, y) -> np.ndarray:
+        """Normal score ndtri(F(t, y)); exact and affine for Gaussian laws, else from
+        the CDF clamped into (0, 1)."""
+        return special.ndtri(clip_unit(self.cdf(t, y)))
+
     def is_true_law_of(self, driver: drv.Driver) -> bool:
         return False
 
@@ -429,6 +461,10 @@ class GaussianLaw(DistributionSpec):
         m, v = self.params_at(t)
         return _norm_cdf(y, m, math.sqrt(v))
 
+    def score(self, t, y):
+        m, v = self.params_at(t)
+        return (np.asarray(y, dtype=float) - m) / math.sqrt(v)
+
     def pdf(self, t, y):
         m, v = self.params_at(t)
         return _norm_pdf(y, m, math.sqrt(v))
@@ -443,6 +479,12 @@ class GaussianLaw(DistributionSpec):
             m2, v2 = self.params_at(2.0)
             return m == driver.origin == m2 and v == 1.0 and v2 == 2.0
         return False
+
+
+def _standardize(driver: drv.Driver, t: float, y) -> np.ndarray:
+    """(y - m_t)/sd_t by the driver's Gaussian marginal mean and standard deviation."""
+    m, sd = driver.marginal_mean_std(t)
+    return (np.asarray(y, dtype=float) - m) / sd
 
 
 def canonical_brownian_law() -> GaussianLaw:
@@ -460,6 +502,11 @@ class DriverLaw(DistributionSpec):
 
     def cdf(self, t, y):
         return self.driver.marginal_cdf(t, y)
+
+    def score(self, t, y):
+        if self.driver.is_gaussian:
+            return _standardize(self.driver, t, y)
+        return super().score(t, y)
 
     def pdf(self, t, y):
         return self.driver.marginal_pdf(t, y)
@@ -492,6 +539,11 @@ class ShiftedDriverLaw(DistributionSpec):
     def cdf(self, t, y):
         return self.driver.marginal_cdf(t, np.asarray(y, dtype=float) - self.shift)
 
+    def score(self, t, y):
+        if self.driver.is_gaussian:
+            return _standardize(self.driver, t, np.asarray(y, dtype=float) - self.shift)
+        return super().score(t, y)
+
     def pdf(self, t, y):
         return self.driver.marginal_pdf(t, np.asarray(y, dtype=float) - self.shift)
 
@@ -520,8 +572,10 @@ class PivotLaw(DistributionSpec):
         self.reference.validate(t)
 
     def cdf(self, t, y):
-        m, sd = self.driver.marginal_mean_std(t)
-        return self.reference.cdf(t, (np.asarray(y, dtype=float) - m) / sd)
+        return self.reference.cdf(t, _standardize(self.driver, t, y))
+
+    def score(self, t, y):
+        return self.reference.score(t, _standardize(self.driver, t, y))
 
     def pdf(self, t, y):
         m, sd = self.driver.marginal_mean_std(t)
@@ -561,11 +615,7 @@ class EmpiricalLaw(DistributionSpec):
 
     def pdf(self, t, y):
         xs, ps = self._knots()
-        y = np.asarray(y, dtype=float)
-        slopes = np.diff(ps) / np.diff(xs)
-        idx = np.clip(np.searchsorted(xs, y) - 1, 0, slopes.size - 1)
-        inside = (y >= xs[0]) & (y <= xs[-1])
-        return np.where(inside, slopes[idx], 0.0)
+        return _segment_slope(y, xs, np.diff(ps) / np.diff(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +702,9 @@ def preimage(quantile: QuantileSpec, dist: DistributionSpec, t: float, z):
 def apply_composite(cmap: CompositeMap, ensemble: drv.PathEnsemble) -> drv.PathEnsemble:
     """Transform every path value: out[n, k] = Q(t_k, F(t_k, in[n, k])).
 
-    Grid, path count and seed metadata carry over unchanged.
+    Each grid time is one ``quantile.compose`` call.  Grid, path count and
+    seed metadata carry over unchanged; a non-finite output at a finite path
+    value raises NumericError.
     """
     cmap.validate(float(ensemble.grid.times[0]))
     ensemble.grid.require_positive()
@@ -662,8 +714,7 @@ def apply_composite(cmap: CompositeMap, ensemble: drv.PathEnsemble) -> drv.PathE
     for k, t in enumerate(ensemble.grid.times):
         y = ensemble.paths[:, k]
         try:
-            u = clip_unit(dist.cdf(t, y))
-            out[:, k] = cmap.quantile.eval(t, u)
+            out[:, k] = cmap.quantile.compose(t, dist, y)
         except (ValueError, FloatingPointError, NumericError) as exc:
             raise NumericError(f"composite map failed at grid index {k} (t={t}): {exc}")
         finite = np.isfinite(out[:, k]) | ~np.isfinite(y)

@@ -49,7 +49,7 @@ GOLDEN = {
     "sim": (["simulate"], SIM_YAML, {
         "ensemble.csv": "c887b18dc6180982fb15b9434496e254749a73f721bc0be93d5d28be12099015"}),
     "price": (["price"], PRICE_YAML, {
-        "price.json": "fff8a8b14fd674ac0ae696e206474f83c8fe50ad8c687c30d7a2fecb29c826eb"}),
+        "price.json": "28d1faa142499a9ef633fee12f75ddbc5d7bb0c260a5cb48faa05a9d33ae46a3"}),
     "dom": (["dominance"], DOM_YAML, {
         "dominance.json": "d99c8cecbc21c232ebd95df51f54863e7444ffe31786adb8ecb4fcc336394c9d",
         "dominance_evidence.csv":

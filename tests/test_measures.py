@@ -140,8 +140,8 @@ def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
     assert np.allclose(central, pdf, rtol=1e-5, atol=1e-7)
     dist = cm.dist_for(base)
     u, w, _, _, ok = tr.preimage(q, dist, t, zs)
-    # the erf-form Gaussian CDF keeps ~1e-16 absolute, not relative, accuracy in
-    # its lower tail, hence the level cut and the tolerance
+    # the Gaussian CDF keeps ~1e-16 absolute, not relative, accuracy as it nears 1,
+    # hence the level cut and the tolerance
     sel = ok & (np.abs(special.ndtri(u)) < 7.0)
     assert np.allclose(q.eval(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
 

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from quantproc import drivers as d
 from quantproc import transforms as tr
-from quantproc.errors import CapabilityError, ParameterError
+from quantproc._util import clip_unit
+from quantproc.errors import CapabilityError, NumericError, ParameterError
 
 from conftest import ks_critical, ks_statistic_uniform
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, from an independent oracle
+PHI_M9 = 1.1285884059538406e-19  # standard normal CDF at -9, from the same oracle
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +123,8 @@ _TABLE = tr.TableQuantile(u_knots=np.array([0.05, 0.3, 0.7, 0.95]),
 
 
 @st.composite
-def _families(draw):
-    kind = draw(st.sampled_from(["gh", "g", "gaussian", "table"]))
+def _families(draw, kinds=("gh", "g", "gaussian", "table")):
+    kind = draw(st.sampled_from(kinds))
     a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 3.0))
     if kind == "gh":
         g = draw(st.one_of(st.just(0.0), st.floats(-1e-151, 1e-151), st.floats(-2.0, 2.0)))
@@ -157,6 +159,19 @@ def test_nan_value_stays_nan(q, monkeypatch):
     for g_, w_ in zip(got, want):
         assert np.isnan(g_[1]) and np.array_equal(np.delete(g_, 1), w_)
     assert np.isnan(q.cdf(1.0, np.nan)) and np.isnan(q.pdf(1.0, np.nan))
+
+
+def test_piecewise_density_is_nan_at_nan():
+    table = tr.TableQuantile(np.array([0.1, 0.5, 0.9]), np.array([-1.0, 0.0, 2.0]))
+    emp = tr.EmpiricalLaw(np.array([-1.0, 0.0, 2.0, 3.0]))
+    z = np.array([-5.0, -1.0, 0.5, 2.0, 9.0])
+    zn = np.insert(z, 1, np.nan)
+    # the density is NaN where the matching CDF is, and unchanged elsewhere
+    for pdf in (lambda x: table.pdf(1.0, x), lambda x: table.cdf_pdf(1.0, x)[1],
+                lambda x: emp.pdf(1.0, x)):
+        got = pdf(zn)
+        assert np.isnan(got[1]) and np.array_equal(np.delete(got, 1), pdf(z))
+    assert np.isnan(table.cdf(1.0, zn)[1]) and np.isnan(emp.cdf(1.0, zn)[1])
 
 
 def test_validation_rules():
@@ -293,6 +308,89 @@ def test_path_continuity_under_grid_refinement():
         # both shrink roughly like sqrt(dt); allow generous statistical slack
         assert z_ratio < 1.0 and y_ratio < 1.0
         assert z_ratio == pytest.approx(y_ratio, abs=0.25)
+
+
+def test_gaussian_cdf_keeps_relative_accuracy_far_below_the_mean():
+    # 1 + erf(.) rounds to exactly 0 below -8.37 sd; ndtr keeps the tail
+    assert float(tr.GaussianLaw(-1.0, 0.0625).cdf(1.0, -3.25)) == pytest.approx(
+        special.ndtr(-9.0), rel=1e-14)
+    assert float(d.Brownian().marginal_cdf(0.25, -4.5)) == pytest.approx(
+        special.ndtr(-9.0), rel=1e-14)
+    # sqrt(0.04) rounds, so this point lies at -9 sd plus two ulps: 2e-14 relative
+    v = float(tr.GaussianLaw(-1.0, 0.04).cdf(1.0, -1.0 - 9 * 0.2))
+    assert v > 0.0 and v == pytest.approx(PHI_M9, rel=1e-13)
+
+
+def test_score_composite_is_exact_past_the_level_clamp():
+    # F(y) clamped to 1 - 1e-15 capped the score at 7.94, so all three points
+    # gave 456.03; composing in the score keeps them apart and exact
+    y = np.array([1.6, 1.8, 2.0])
+    ens = d.PathEnsemble(grid=d.TimeGrid(np.array([1.0])), paths=y[:, None], seed=0,
+                         driver=d.Brownian())
+    cm = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 0.04), quantile=tr.TukeyGH(0.0, 1.0, 0.2, 0.1))
+    z = tr.apply_composite(cm, ens).paths[:, 0]
+    np.testing.assert_allclose(z, tr._gh_core(y / 0.2, 0.2, 0.1), rtol=1e-14, atol=0.0)
+    assert np.all(np.diff(z) > 0) and z[-1] == pytest.approx(4741.1, rel=1e-5)
+
+
+def test_score_composite_overflow_is_a_numeric_error():
+    # x = 5 / 0.01 = 500 overflows exp(h x^2 / 2): a typed error, no RuntimeWarning
+    ens = d.PathEnsemble(grid=d.TimeGrid(np.array([1.0])), paths=np.array([[0.0], [5.0]]),
+                         seed=0, driver=d.Brownian())
+    cm = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1e-4), quantile=tr.TukeyGH(0.0, 1.0, 0.0, 0.5))
+    with pytest.raises(NumericError, match="path 1"):
+        tr.apply_composite(cm, ens)
+
+
+_BM, _OU = d.Brownian(0.3), d.InhomogeneousOU(0.9, 0.2, 1.1, 0.4)
+_GAUSSIAN_LAWS = [
+    tr.GaussianLaw(0.1, 0.05), tr.canonical_brownian_law(),
+    tr.DriverLaw(_BM), tr.DriverLaw(_OU),
+    tr.ShiftedDriverLaw(_BM, 0.4), tr.ShiftedDriverLaw(_OU, 0.7),
+    tr.PivotLaw(_OU), tr.PivotLaw(_BM, tr.GaussianLaw(0.2, 1.5)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(_GAUSSIAN_LAWS), q=_families(("gh", "g", "gaussian")),
+       t=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_score_composite_is_the_probability_composite(law, q, t, seed):
+    y = law.quantile(t, special.ndtr(np.random.default_rng(seed).uniform(-7.5, 7.5, 64)))
+    x = law.score(t, y)
+    keep = np.abs(x) < 7.0
+    x, y = x[keep], y[keep]
+    got = q.compose(t, law, y)
+    want = q.eval(t, clip_unit(law.cdf(t, y)))
+    # the probability route rounds u near 1 to absolute precision, an error of
+    # eps / phi(x) in the score; the bound is that error carried through Q
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    dx = 1e-13 * (1.0 + np.abs(x)) + np.where(x > 0, 4.0 * np.finfo(float).eps / phi, 0.0)
+    bound = np.abs(q.eval_score(t, x + dx) - q.eval_score(t, x - dx)) + 1e-12 * (1.0 + np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+_TABLE_Q = tr.TableQuantile(np.array([0.0, 0.2, 0.6, 1.0]), np.array([-2.0, -0.5, 0.7, 3.0]))
+_VG, _GAMMA = d.VarianceGamma(-0.1, 0.3, 0.4), d.GammaProcess(1.2, 0.6)
+_EMPIRICAL = tr.EmpiricalLaw(np.random.default_rng(5).normal(size=200))
+_ALL_FAMILIES = [tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.4),
+                 tr.GaussianQuantile(0.2, 2.0), _TABLE_Q, tr.PoissonQuantile(2.5)]
+_PROBABILITY_PATH = (
+    [(law, drv, q) for law, drv in ((tr.DriverLaw(_VG), _VG), (tr.DriverLaw(_GAMMA), _GAMMA),
+                                    (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
+     for q in _ALL_FAMILIES]
+    + [(law, drv, q) for law, drv in ((tr.GaussianLaw(0.1, 0.05), _BM), (tr.DriverLaw(_OU), _OU))
+       for q in (_TABLE_Q, tr.PoissonQuantile(2.5))])
+
+
+@pytest.mark.parametrize("law, drv, q", _PROBABILITY_PATH,
+                         ids=[f"{law.family}-{q.family}" for law, _, q in _PROBABILITY_PATH])
+def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
+    # a law without an exact score, or a family without a closed form in it,
+    # composes Q(clip_unit(F(y))) bit for bit
+    ens = d.simulate(drv, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
+    z = tr.apply_composite(tr.CompositeMap(dist=law, quantile=q), ens).paths
+    for k, t in enumerate(ens.grid.times):
+        assert np.array_equal(z[:, k], q.eval(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
 
 
 # ---------------------------------------------------------------------------
