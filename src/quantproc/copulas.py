@@ -209,9 +209,6 @@ class GaussianCopula(CopulaSpec):
 class _Archimedean(CopulaSpec):
     """Common machinery for generator-based families (bivariate Kendall closed form)."""
 
-    def generator(self, t: float, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def generator_ratio(self, t: float, v: np.ndarray) -> np.ndarray:
         """phi(v) / phi'(v), the Kendall correction term."""
         raise NotImplementedError

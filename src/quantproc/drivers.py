@@ -3,8 +3,8 @@
 Implemented drivers: standard Brownian motion, time-inhomogeneous
 Ornstein-Uhlenbeck, variance-gamma (as a difference of two gamma
 subordinators), gamma process, and inhomogeneous Poisson counting process.
-Gaussian drivers use exact Gaussian transitions (no Euler bias); Poisson
-paths are generated by thinning against a per-interval intensity supremum.
+Every grid step draws from its exact transition law (no Euler bias); only
+Poisson event times on a continuous horizon are drawn by thinning.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy import special, stats
 
 from ._util import (TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, adaptive_quad, as_time_fn,
                     clip_unit, substream)
-from .errors import CapabilityError, MappingError, ParameterError, SimulationError
+from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
     "TimeGrid",
@@ -409,9 +409,11 @@ class GammaProcess(Driver):
 class InhomogeneousPoisson(Driver):
     """Counting process with deterministic intensity lambda(t) >= 0.
 
-    ``sup_intensity(a, b)`` may be supplied to bound the intensity on an
-    interval; otherwise the bound is estimated by dense sampling (1000
-    points per interval).
+    A grid step from s to t adds an independent Poisson count whose mean is
+    lambda integrated over (s, t].  ``sample_events`` draws event times by
+    thinning: ``sup_intensity(a, b)`` may be supplied to bound the intensity
+    on [a, b]; otherwise the bound is estimated by dense sampling (1000
+    points, scanned once per horizon).
     """
 
     intensity: TimeParam = 1.0
@@ -428,6 +430,9 @@ class InhomogeneousPoisson(Driver):
                 raise ParameterError("Poisson intensity must be non-negative")
 
     def _sup_on(self, a: float, b: float) -> float:
+        key = ("sup", a, b)
+        if key in self._cache:
+            return self._cache[key]
         if self.sup_intensity is not None:
             bound = float(self.sup_intensity(a, b))
         else:
@@ -437,6 +442,7 @@ class InhomogeneousPoisson(Driver):
         if not math.isfinite(bound) or bound * max(b - a, 1.0) > 1e12:
             raise SimulationError(
                 f"intensity supremum on [{a}, {b}] is not finite enough to thin against")
+        self._cache[key] = bound
         return bound
 
     def cumulative_intensity(self, t: float) -> float:
@@ -458,18 +464,13 @@ class InhomogeneousPoisson(Driver):
         return cand[accept]
 
     def sample_transition(self, rng, s, t, states):
-        lam = as_time_fn(self.intensity)
-        bound = self._sup_on(s, t)
-        n_paths = np.shape(states)[0]
-        if bound == 0.0:
-            return np.asarray(states, dtype=float).copy()
-        counts = rng.poisson(bound * (t - s), size=n_paths)
-        total = int(counts.sum())
-        cand = rng.uniform(s, t, size=total)
-        accept = rng.uniform(0.0, 1.0, size=total) * bound <= np.array([lam(c) for c in cand])
-        owner = np.repeat(np.arange(n_paths), counts)
-        increments = np.bincount(owner[accept], minlength=n_paths)
-        return np.asarray(states, dtype=float) + increments
+        # integrate over (s, t] itself: a difference of cumulative intensities
+        # can come out a round-off below zero where lambda vanishes on the step
+        try:
+            mean = adaptive_quad(as_time_fn(self.intensity), s, t, what="intensity integral")
+            return np.asarray(states, dtype=float) + rng.poisson(mean, size=np.shape(states))
+        except (NumericError, ValueError) as exc:
+            raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
 
     def marginal_cdf(self, t, y):
         mean = self.cumulative_intensity(t)
@@ -559,8 +560,7 @@ def uniformize(driver: Driver, ensemble: PathEnsemble) -> PathEnsemble:
                         seed=ensemble.seed, driver=driver)
 
 
-def poisson_pivot(lambda_fn: TimeParam, target_rate: float, events: Sequence[float],
-                  t_max: Optional[float] = None) -> np.ndarray:
+def poisson_pivot(lambda_fn: TimeParam, target_rate: float, events: Sequence[float]) -> np.ndarray:
     """Map inhomogeneous Poisson events to a homogeneous process of the target rate.
 
     An event at time x is sent to M(x) / target_rate where M is the cumulative

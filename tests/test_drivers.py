@@ -255,11 +255,47 @@ def test_poisson_infinite_sup_rejected():
 
 
 def test_poisson_caller_supplied_supremum():
-    lam = d.InhomogeneousPoisson(intensity=lambda t: 1.0 + np.sin(t) ** 2,
-                                 sup_intensity=lambda a, b: 2.0)
-    ens = d.simulate(lam, d.TimeGrid(np.array([2.0])), 20_000, 13)
+    bounds = []
+
+    def sup(a, b):
+        bounds.append((a, b))
+        return 2.0
+
+    lam = d.InhomogeneousPoisson(intensity=lambda t: 1.0 + np.sin(t) ** 2, sup_intensity=sup)
+    rng = np.random.default_rng(13)
+    counts = [lam.sample_events(rng, 2.0).size for _ in range(20_000)]
     want, _ = integrate.quad(lambda t: 1.0 + np.sin(t) ** 2, 0, 2)
-    assert ens.paths.mean() == pytest.approx(want, abs=0.05)
+    assert np.mean(counts) == pytest.approx(want, abs=0.05)
+    # the bound is taken once per horizon, not once per call
+    assert bounds == [(0.0, 2.0)]
+
+
+def test_poisson_grid_step_sees_a_narrow_bump():
+    # the bump is narrower than the spacing of a 1000-point scan of [0, 1], so
+    # only a step that integrates lambda counts it in full
+    width = 3e-4
+    lam = d.InhomogeneousPoisson(
+        intensity=lambda t: 1.0 + 100.0 * math.exp(-((t - 0.5) / width) ** 2))
+    want = 1.0 + 100.0 * width * math.sqrt(math.pi) * math.erf(0.5 / width)
+    n = 100_000
+    ens = d.simulate(lam, d.TimeGrid(np.array([1.0])), n, 5)
+    assert ens.paths.mean() == pytest.approx(want, abs=5 * math.sqrt(want / n))
+
+
+def test_poisson_counts_hold_where_intensity_vanishes():
+    # each step integrates lambda over (s, t] itself, so a zero intensity
+    # after t = 0.5 gives a zero mean rather than a round-off below it
+    lam = d.InhomogeneousPoisson(intensity=lambda t: 1.0 if t < 0.5 else 0.0)
+    ens = d.simulate(lam, d.TimeGrid(np.array([0.6, 0.75, 1.0, 3.0])), 2000, 3)
+    assert np.all(np.isfinite(ens.paths))
+    assert np.all(ens.paths == ens.paths[:, :1])
+    assert ens.paths[:, 0].mean() == pytest.approx(0.5, abs=5 * math.sqrt(0.5 / 2000))
+
+
+def test_poisson_mean_beyond_the_sampler_rejected():
+    lam = d.InhomogeneousPoisson(intensity=1e20)
+    with pytest.raises(SimulationError):
+        d.simulate(lam, d.TimeGrid(np.array([1.0])), 10, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Golden artifacts: the SHA-256 of every deterministic CLI artifact.
 
-Covers README's example configs (sim.yaml, price.yaml, dom.yaml) and the
-four ``reproduce`` targets at seed 1.  A change that moves any of these bytes
-must say which artifact moved and why, and update the hash here.
+Covers README's example configs (sim.yaml, price.yaml, dom.yaml), a Poisson
+``simulate`` config, and the four ``reproduce`` targets at seed 1.  A change
+that moves any of these bytes must say which artifact moved and why, and
+update the hash here.
 
 The hashes are tied to the numeric libraries they were taken with, numpy 2.4
 and scipy 1.17: another release may round special functions or random draws
@@ -44,10 +45,20 @@ map1: {quantile: {family: TukeyGH, a: 0, b: 1, g: 2.0, h: 0.4}}
 map2: {quantile: {family: TukeyGH, a: 0, b: 1, g: 0.8, h: 0.05}}
 """
 
+POISSON_YAML = """\
+kind: simulate
+seed: 7
+n_paths: 1000
+driver: {kind: InhomogeneousPoisson, intensity: 2.0}
+grid: {times: [0.5, 1, 2]}
+"""
+
 # name -> (CLI arguments before --out/--config, config text or None, {artifact: sha256})
 GOLDEN = {
     "sim": (["simulate"], SIM_YAML, {
         "ensemble.csv": "c887b18dc6180982fb15b9434496e254749a73f721bc0be93d5d28be12099015"}),
+    "poisson-sim": (["simulate"], POISSON_YAML, {
+        "ensemble.csv": "d8a8e08e80ada535ab9d54beefb402a12258a2c5566663a6523d3310fc3cbeb3"}),
     "price": (["price"], PRICE_YAML, {
         "price.json": "28d1faa142499a9ef633fee12f75ddbc5d7bb0c260a5cb48faa05a9d33ae46a3"}),
     "dom": (["dominance"], DOM_YAML, {
