@@ -5,20 +5,25 @@ Ornstein-Uhlenbeck, variance-gamma (as a difference of two gamma
 subordinators), gamma process, and inhomogeneous Poisson counting process.
 Every grid step draws from its exact transition law (no Euler bias); only
 Poisson event times on a continuous horizon are drawn by thinning.
+
+Marginal laws are exact too.  The variance-gamma law uses its Bessel-K
+density, which has a cusp at y = 0 (infinite when t/nu <= 1/2); its CDF and
+quantile integrate that density on a panel table built once per time.
+Marginal laws are defined on t >= MIN_TIME.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import special, stats
 
-from ._util import (TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, adaptive_quad, as_time_fn,
-                    clip_unit, substream)
+from ._util import (_SQRT2PI, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, adaptive_quad,
+                    as_time_fn, clip_unit, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -165,16 +170,24 @@ class GaussianDriver(Driver):
         return _norm_ppf(clip_unit(u), *self._transition_mean_std(s, t, states))
 
     def marginal_cdf(self, t, y):
+        _check_time(t)
         return _norm_cdf(y, *self.marginal_mean_std(t))
 
     def marginal_pdf(self, t, y):
+        _check_time(t)
         return _norm_pdf(y, *self.marginal_mean_std(t))
 
     def marginal_quantile(self, t, u):
+        _check_time(t)
         return _norm_ppf(u, *self.marginal_mean_std(t))
 
     def transition_pdf(self, s, t, state, y):
         return _norm_pdf(y, *self._transition_mean_std(s, t, np.asarray(state, dtype=float)))
+
+
+def _check_time(t: float) -> None:
+    if not MIN_TIME <= t < math.inf:
+        raise ParameterError(f"marginal laws are defined on finite t >= {MIN_TIME}, got t = {t}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -268,6 +281,216 @@ class InhomogeneousOU(GaussianDriver):
         return mean, math.sqrt(max(var, 0.0))
 
 
+#: nodes of the Gauss rules of the VG law: per table panel, and per point of its CDF
+_VG_NODES = 8
+#: the Gauss-Legendre rule on [0, 1]
+_GL_R, _GL_W = special.roots_legendre(_VG_NODES)
+_GL_R, _GL_W = (_GL_R + 1.0) / 2.0, _GL_W / 2.0
+#: the VG table's panels shrink by sqrt(2) this many times from the law's scale toward the
+#: cusp, so that 8 nodes resolve the cusp's singularity on each; it reaches this many
+#: scales past the mean
+_VG_LEVELS, _VG_REACH = 100, 40.0
+#: floor of the VG Bessel argument kappa |y|: nearer the cusp (but not at it) the density,
+#: or when it is singular there its smooth factor f / |y|^(2t/nu - 1), is held at its value
+#: here, which moves the CDF by less than 1e-280
+_VG_X_FLOOR = 1e-290
+
+
+def _log_kve(v: float, x: np.ndarray) -> np.ndarray:
+    """log(e^x K_v(x)) for an order v >= 0 and arguments x > 0.
+
+    Where ``kve`` overflows (large orders at small x) the value is carried up
+    from the order v mod 1 by K_{m+1} = K_{m-1} + (2m/x) K_m, in ratios; the
+    recurrence is stable upward.
+    """
+    out = np.log(special.kve(v, x))
+    over = np.isinf(out)
+    if over.any():
+        xo, m = x[over], v % 1.0
+        k_m = special.kve(m, xo)
+        log_k = np.log(k_m)
+        ratio = special.kve(1.0 - m, xo) / k_m  # K_{m-1} / K_m, since K_{-v} = K_v
+        while m < v - 0.5:
+            up = ratio + 2.0 * m / xo  # K_{m+1} / K_m
+            log_k += np.log(up)
+            ratio, m = 1.0 / up, m + 1.0
+        out[over] = log_k
+    return out
+
+
+def _solve_increasing(target, width, scale, curve, w):
+    """Solve curve(w) = target for w in [0, width] by safeguarded Newton, point by point.
+
+    ``curve(w, idx)`` returns the increasing function and its slope at the
+    points ``idx``; a step that leaves the bracket bisects it instead.  A point
+    stops once its step is within 4 ulps of ``scale + w``.
+    """
+    lo, hi = np.zeros_like(w), np.asarray(width, dtype=float).copy()
+    active = np.arange(w.size)
+    for _ in range(64):
+        wa = w[active]
+        value, slope = curve(wa, active)
+        resid = value - target[active]
+        lo[active] = np.where(resid < 0, wa, lo[active])
+        hi[active] = np.where(resid > 0, wa, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = wa - resid / slope
+        inside = (nxt > lo[active]) & (nxt < hi[active])
+        nxt = np.where(resid == 0, wa, np.where(inside, nxt, 0.5 * (lo[active] + hi[active])))
+        w[active] = nxt
+        active = active[np.abs(nxt - wa) > 4.0 * np.finfo(float).eps * (scale[active] + nxt)]
+        if active.size == 0:
+            break
+    return w
+
+
+class _VGLaw:
+    """The variance-gamma marginal law at one time t (see ``VarianceGamma``).
+
+    ``log_pdf`` is the exact density.  The CDF and quantile read a table of the
+    mass left of each panel edge, built on first use; a point then costs its
+    edge mass plus one 8-node integral from the panel edge.  Panels shrink
+    toward the cusp y = 0 and are uniform beyond the law's scale, the larger of
+    its standard deviation and the slower tail's jump scale
+    1 / (kappa - |mu| / sigma^2).  When t/nu <= 1/2 the density is singular like
+    |y|^(2t/nu - 1) at the cusp; the two panels touching it then use the
+    Gauss-Jacobi rule of that weight.
+    """
+
+    def __init__(self, mu: float, sigma: float, nu: float, t: float):
+        a, s2 = t / nu, sigma * sigma
+        root = math.sqrt(2.0 * s2 / nu + mu * mu)  # sqrt(c), c = 2 sigma^2 / nu + mu^2
+        self.t, self.a, self.mu, self.kappa = t, a, mu, root / s2
+        # decay rates of f on the side of y where mu y > 0 and on the other side:
+        # kappa -+ |mu| / sigma^2, the first written free of cancellation
+        self.rate_with, self.rate_against = 2.0 / (nu * (root + abs(mu))), (root + abs(mu)) / s2
+        self.log_ks = math.log(root * root / s2)  # log(kappa sqrt(c))
+        self.head = math.log(2.0) - a * math.log(nu) - math.log(_SQRT2PI * sigma) - special.gammaln(a)
+        self.log_cusp = (self.head - math.log(2.0) + special.gammaln(a - 0.5)
+                         + (a - 0.5) * math.log(2.0 * s2 / (root * root)) if a > 0.5 else math.inf)
+        self.scale = max(math.sqrt((s2 + nu * mu * mu) * t), 1.0 / self.rate_with)
+        self.mean = mu * t
+        if a <= 0.5:
+            # the weight's exponent 2a - 1 is rounded near -1, which moves the weights'
+            # total by up to an ulp / 2a; their total, 2^(2a) / 2a, is pinned here
+            x, weights = special.roots_jacobi(_VG_NODES, 0.0, 2.0 * a - 1.0)
+            self.cusp_rule = ((x + 1.0) / 2.0, weights / (2.0 * a * weights.sum()))
+            self.floor = _VG_X_FLOOR / self.kappa
+        else:
+            self.cusp_rule = None
+
+    def log_pdf(self, y: np.ndarray) -> np.ndarray:
+        """log f_t at finite y (any shape)."""
+        ay = np.abs(y)
+        x = self.kappa * ay
+        held = np.maximum(x, _VG_X_FLOOR)
+        log_held = np.log(held)
+        rate = np.where(self.mu * y > 0, self.rate_with, self.rate_against)
+        out = (self.head - rate * ay + (self.a - 0.5) * (log_held - self.log_ks)
+               + _log_kve(abs(self.a - 0.5), held.ravel()).reshape(x.shape))
+        if self.a < 0.5:  # below the floor, hold the smooth factor f / |y|^(2a - 1)
+            with np.errstate(divide="ignore"):
+                out += (2.0 * self.a - 1.0) * (np.log(x) - log_held)
+        return np.where(y == 0.0, self.log_cusp, out)
+
+    def pdf(self, y: np.ndarray) -> np.ndarray:
+        out = np.where(np.isnan(y), np.nan, 0.0)
+        finite = np.isfinite(y)
+        with np.errstate(over="ignore"):  # +inf within a few ulps of a singular cusp
+            out[finite] = np.exp(self.log_pdf(y[finite]))
+        return out
+
+    def _gl(self, lo: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Integral of f over [lo, lo + d], one Gauss-Legendre rule per point."""
+        return d * (np.exp(self.log_pdf(lo[:, None] + d[:, None] * _GL_R)) @ _GL_W)
+
+    def _log_g(self, u: np.ndarray, side) -> np.ndarray:
+        """log of the smooth factor f(side u) / u^(2a - 1) of a singular cusp, at u > 0."""
+        return self.log_pdf(side * u) - (2.0 * self.a - 1.0) * np.log(u)
+
+    def _cusp_factor(self, s: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """H(s) with mass s^(2a) H(s) between 0 and side * s, by Gauss-Jacobi."""
+        r, weights = self.cusp_rule
+        u = np.maximum(s[:, None] * r, self.floor)
+        return np.exp(self._log_g(u, side[:, None])) @ weights
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(panel edges, mass left of each edge, index of the cusp edge y = 0)."""
+        s, step = self.scale, 0.5 * self.scale
+        halves = s * 0.5 ** (0.5 * np.arange(_VG_LEVELS, -1, -1.0))
+        n_lo = math.ceil((max(-self.mean, 0.0) + _VG_REACH * s - s) / step)
+        n_hi = math.ceil((max(self.mean, 0.0) + _VG_REACH * s - s) / step)
+        edges = np.concatenate([-(s + step * np.arange(n_lo, 0, -1.0)), -halves[::-1], [0.0],
+                                halves, s + step * np.arange(1.0, n_hi + 1)])
+        cusp = n_lo + _VG_LEVELS + 1
+        mass = self._gl(edges[:-1], np.diff(edges))
+        if self.cusp_rule is not None:
+            h, sides = np.full(2, halves[0]), np.array([-1.0, 1.0])
+            mass[cusp - 1:cusp + 1] = h ** (2.0 * self.a) * self._cusp_factor(h, sides)
+        cum = np.concatenate([[0.0], np.cumsum(mass)])
+        if not abs(cum[-1] - 1.0) <= 1e-10:
+            raise NumericError(f"VG marginal law at t={self.t}: table mass {cum[-1]!r} is not 1",
+                               achieved=abs(cum[-1] - 1.0))
+        return edges, cum, cusp
+
+    def _in_cusp(self, k: np.ndarray, cusp: int) -> np.ndarray:
+        return (k == cusp) | (k == cusp - 1) if self.cusp_rule is not None else np.zeros(k.shape, bool)
+
+    def cdf(self, y: np.ndarray) -> np.ndarray:
+        """F_t at 1-d y; round-off reversals between close points are removed by a
+        running maximum along sorted y, so F is non-decreasing in floating point."""
+        edges, cum, cusp = self.table
+        order = np.argsort(y, kind="stable")
+        ys = y[order]
+        k = np.searchsorted(edges, ys, side="right") - 1
+        out = np.where(k < 0, 0.0, cum[-1])
+        inside = np.flatnonzero((k >= 0) & (k < edges.size - 1))
+        at = self._in_cusp(k[inside], cusp)
+        i, ki = inside[~at], k[inside[~at]]
+        out[i] = cum[ki] + self._gl(edges[ki], ys[i] - edges[ki])
+        if at.any():
+            i = inside[at]
+            side, s = np.where(k[i] == cusp, 1.0, -1.0), np.abs(ys[i])
+            out[i] = cum[cusp] + side * s ** (2.0 * self.a) * self._cusp_factor(s, side)
+        out = np.clip(np.maximum.accumulate(out), 0.0, 1.0)
+        result = np.empty_like(out)
+        result[order] = out
+        return np.where(np.isnan(y), np.nan, result)
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """F_t^{-1} at 1-d levels in (0, 1): bracket by the table, then safeguarded Newton."""
+        edges, cum, cusp = self.table
+        k = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, edges.size - 2)
+        at = self._in_cusp(k, cusp)
+        y = np.empty_like(u)
+        ki = k[~at]
+        lo, width, base = edges[ki], edges[ki + 1] - edges[ki], cum[ki]
+        target = u[~at] - base
+        guess = width * np.clip(np.divide(target, cum[ki + 1] - base, out=np.full_like(target, 0.5),
+                                          where=cum[ki + 1] > base), 0.0, 1.0)
+        y[~at] = lo + _solve_increasing(
+            target, width, np.abs(lo), lambda w, i: (self._gl(lo[i], w), np.exp(self.log_pdf(lo[i] + w))),
+            guess)
+        if at.any():
+            # in w = |y|^(2a) the mass from the cusp is w H(|y|), nearly linear
+            side = np.where(k[at] == cusp, 1.0, -1.0)
+            power = 2.0 * self.a
+            top = edges[cusp + 1] ** power
+            target = np.maximum(side * (u[at] - cum[cusp]), 0.0)
+            mass = np.where(side > 0, cum[cusp + 1] - cum[cusp], cum[cusp] - cum[cusp - 1])
+            guess = top * np.clip(target / mass, 0.0, 1.0)
+
+            def curve(w, i):
+                s = w ** (1.0 / power)
+                return (w * self._cusp_factor(s, side[i]),
+                        np.exp(self._log_g(np.maximum(s, self.floor), side[i])) / power)
+
+            w = _solve_increasing(target, np.full_like(target, top), np.zeros_like(target), curve, guess)
+            y[at] = side * w ** (1.0 / power)
+        return y
+
+
 @dataclass(frozen=True, eq=False)
 class VarianceGamma(Driver):
     """Variance-gamma driver with drift ``mu_vg``, volatility ``sigma_vg``, variance rate ``nu``.
@@ -275,6 +498,17 @@ class VarianceGamma(Driver):
     Paths are generated as the difference of two independent gamma
     subordinators; the time-changed Brownian representation is kept as an
     alternative sampler for cross-validation.
+
+    The marginal law is exact.  With a = t/nu and c = 2 sigma^2/nu + mu^2, the
+    density is the Bessel-K closed form of Madan, Carr and Chang (1998),
+
+        f_t(y) = 2 e^{mu y / sigma^2} (y^2 / c)^{a/2 - 1/4} K_{a - 1/2}(sqrt(c) |y| / sigma^2)
+                 / (nu^a sqrt(2 pi) sigma Gamma(a)),
+
+    evaluated in log space.  It has a cusp at y = 0: there it takes the finite
+    limit Gamma(a - 1/2) (2 sigma^2 / c)^{a - 1/2} / (nu^a sqrt(2 pi) sigma Gamma(a))
+    when a > 1/2, and +inf when a <= 1/2.  The CDF and quantile integrate the
+    density on a panel table built once per time and cached.
     """
 
     mu_vg: float = 0.0
@@ -285,6 +519,8 @@ class VarianceGamma(Driver):
     kind = "VarianceGamma"
 
     def validate(self) -> None:
+        if not math.isfinite(self.mu_vg):
+            raise ParameterError(f"VG mu must be finite, got {self.mu_vg}")
         _check_positive("VG sigma", self.sigma_vg)
         _check_positive("VG nu", self.nu)
 
@@ -306,57 +542,25 @@ class VarianceGamma(Driver):
         dG = rng.gamma(dt / self.nu, self.nu, size=np.shape(states))
         return states + self.mu_vg * dG + self.sigma_vg * np.sqrt(dG) * rng.standard_normal(np.shape(states))
 
-    # gamma-mixture quadrature nodes on a log grid, cached per time ---------
-    def _mixture_nodes(self, t: float, n: int = 1601) -> tuple[np.ndarray, np.ndarray]:
-        key = (t, n)
+    def _law(self, t: float) -> _VGLaw:
+        key = ("law", t)
         if key not in self._cache:
-            a = t / self.nu
-            log_scale = math.log(self.nu)
-
-            def logw(w):  # log of gamma density times e^w (log-substitution Jacobian)
-                return a * w - np.exp(w) / self.nu - special.gammaln(a) - a * log_scale
-
-            w_peak = math.log(a * self.nu)  # = log t, the subordinator mean scale
-            peak = logw(w_peak)
-            lo, hi = w_peak, w_peak
-            while logw(lo) > peak - 40.0:
-                lo -= 0.5
-            while logw(hi) > peak - 40.0:
-                hi += 0.5
-            w = np.linspace(lo, hi, n)
-            dens = np.exp(logw(w))
-            step = w[1] - w[0]
-            wts = np.full(n, step)
-            wts[0] = wts[-1] = step / 2.0  # trapezoid; integrand vanishes at both ends
-            self._cache[key] = (np.exp(w), dens * wts)
+            _check_time(t)
+            self.validate()
+            self._cache[key] = _VGLaw(self.mu_vg, self.sigma_vg, self.nu, t)
         return self._cache[key]
 
     def marginal_cdf(self, t, y):
-        u, wts = self._mixture_nodes(t)
         yv = np.asarray(y, dtype=float)
-        z = (yv[..., None] - self.mu_vg * u) / (self.sigma_vg * np.sqrt(u))
-        out = special.ndtr(z) @ wts
-        total = wts.sum()
-        return np.clip(out / total, 0.0, 1.0)
+        return self._law(t).cdf(yv.ravel()).reshape(yv.shape)[()]
 
     def marginal_pdf(self, t, y):
-        u, wts = self._mixture_nodes(t)
         yv = np.asarray(y, dtype=float)
-        z = (yv[..., None] - self.mu_vg * u) / (self.sigma_vg * np.sqrt(u))
-        kern = np.exp(-0.5 * z * z) / (self.sigma_vg * np.sqrt(2.0 * math.pi * u))
-        return (kern @ wts) / wts.sum()
+        return self._law(t).pdf(yv.ravel()).reshape(yv.shape)[()]
 
     def marginal_quantile(self, t, u):
-        from scipy.optimize import brentq
-
-        uv = np.atleast_1d(np.asarray(u, dtype=float))
-        sd = math.sqrt((self.sigma_vg ** 2 + self.nu * self.mu_vg ** 2) * t)
-        lo, hi = self.mu_vg * t - 60 * sd, self.mu_vg * t + 60 * sd
-        out = np.array([
-            brentq(lambda y, q=q: float(self.marginal_cdf(t, y)) - q, lo, hi, xtol=1e-12)
-            for q in clip_unit(uv)
-        ])
-        return out if np.ndim(u) else float(out[0])
+        uv = np.asarray(u, dtype=float)
+        return self._law(t).quantile(clip_unit(uv).ravel()).reshape(uv.shape)[()]
 
     def transition_pdf(self, s, t, state, y):
         # VG has stationary independent increments

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from quantproc import drivers as d
 from quantproc.errors import (CapabilityError, MappingError, ParameterError,
@@ -138,6 +140,138 @@ def test_vg_cdf_against_direct_double_integral():
             lambda u: stats.norm.cdf((y - vg.mu_vg * u) / (vg.sigma_vg * math.sqrt(u)))
             * stats.gamma.pdf(u, a, scale=vg.nu), 0, np.inf, limit=400)
         assert float(vg.marginal_cdf(t, y)) == pytest.approx(direct, abs=1e-8)
+
+
+def _vg_cdf_by_gamma_mixture(vg, t, y):
+    """F(y) = E Phi((y - mu G) / (sigma sqrt G)), G ~ Gamma(t/nu, scale nu), by quadrature in log G.
+
+    Below u0 the normal factor sits at its G -> 0 limit (1/2 at y = 0) to 1e-15,
+    and the mass there is the gamma CDF at u0; small shapes put most of it there.
+    """
+    a = t / vg.nu
+    limit, u0 = (0.5, 1e-30) if y == 0 else (float(y > 0), (abs(y) / (10.0 * vg.sigma_vg)) ** 2)
+    log_dens = lambda v: a * v - math.exp(v) / vg.nu - special.gammaln(a) - a * math.log(vg.nu)
+    body, _ = integrate.quad(
+        lambda v: stats.norm.cdf((y - vg.mu_vg * math.exp(v)) / (vg.sigma_vg * math.exp(0.5 * v)))
+        * math.exp(log_dens(v)), math.log(u0), math.log(vg.nu * (a + 80.0)), epsabs=1e-13, limit=400)
+    return limit * special.gammainc(a, u0 / vg.nu) + body
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3])
+def test_vg_cdf_at_small_times(t):
+    # the small-shape regime (t/nu = 2e-5 and 2e-3), where most of the mass sits
+    # within 1e-100 of the cusp
+    vg = d.VarianceGamma(0.1, 0.3, 0.5)
+    ys = np.array([-0.05, -1e-2, -1e-3, -1e-6, 0.0, 1e-9, 1e-3, 1e-2, 0.05])
+    cdf = vg.marginal_cdf(t, ys)
+    assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) > 0)
+    for y, got in zip(ys, cdf):
+        assert got == pytest.approx(_vg_cdf_by_gamma_mixture(vg, t, y), abs=1e-8)
+    grid = vg.marginal_cdf(t, np.sort(np.concatenate([np.linspace(-1, 1, 201), np.geomspace(1e-300, 1, 50),
+                                                       -np.geomspace(1e-300, 1, 50)])))
+    assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) >= 0)
+
+
+def test_vg_transition_pdf_over_a_short_step():
+    # t - s = 1e-3: the increment law is singular at 0 when (t - s)/nu <= 1/2
+    vg = d.VarianceGamma(0.1, 0.3, 0.5)
+    dens = vg.transition_pdf(0.5, 0.501, 0.0, [0.0, 1e-3])
+    assert dens[0] == np.inf
+    assert np.isfinite(dens[1]) and dens[1] == pytest.approx(vg.marginal_pdf(1e-3, 1e-3), rel=1e-12)
+    flat = d.VarianceGamma(0.1, 0.3, 1.5e-3)  # (t - s)/nu = 2/3: a finite cusp
+    assert np.all(np.isfinite(flat.transition_pdf(0.5, 0.501, 0.0, [0.0, 1e-3])))
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 10.0])
+def test_vg_quantile_inverts_cdf(t):
+    vg = d.VarianceGamma(0.1, 0.3, 0.5)
+    u = np.linspace(1e-6, 1 - 1e-6, 1001)
+    q = vg.marginal_quantile(t, u)
+    assert np.all(np.diff(q) >= 0)
+    # F crosses u between the floats either side of Q(u): at t = 1e-3 the law puts
+    # a few percent of its mass within the smallest subnormal of the cusp
+    lower = vg.marginal_cdf(t, np.nextafter(q, -np.inf))
+    upper = vg.marginal_cdf(t, np.nextafter(q, np.inf))
+    assert np.all((lower - 1e-10 <= u) & (u <= upper + 1e-10))
+    resolved = upper - lower <= 1e-10
+    assert resolved.all() if t >= 1.0 else resolved.mean() > 0.9
+    assert np.all(np.abs(vg.marginal_cdf(t, q[resolved]) - u[resolved]) <= 1e-10)
+
+
+def test_vg_pdf_cusp_value():
+    mu, sigma, nu = 0.1, 0.3, 0.5
+    vg = d.VarianceGamma(mu, sigma, nu)
+    c = 2.0 * sigma ** 2 / nu + mu ** 2
+    # t/nu <= 1/2: the density is infinite at the cusp and finite beside it
+    for t in (0.2, 0.25):
+        dens = vg.marginal_pdf(t, np.array([0.0, 1e-12, 1e-6]))
+        assert dens[0] == np.inf and np.isfinite(dens[1]) and dens[1] > dens[2] > 0
+    # t/nu > 1/2: the finite limit Gamma(a - 1/2) (2 sigma^2/c)^(a - 1/2) / (nu^a sqrt(2 pi) sigma Gamma(a));
+    # at t = 50 the Bessel order is 99.5, where kve overflows beside the cusp
+    for t in (0.35, 0.5, 2.0, 50.0):
+        a = t / nu
+        want = (special.gamma(a - 0.5) * (2.0 * sigma ** 2 / c) ** (a - 0.5)
+                / (nu ** a * math.sqrt(2.0 * math.pi) * sigma * special.gamma(a)))
+        assert vg.marginal_pdf(t, 0.0) == pytest.approx(want, rel=1e-13)
+        assert vg.marginal_pdf(t, [-1e-14, 1e-14]) == pytest.approx([want, want], rel=1e-4)
+    assert vg.marginal_pdf(0.5, 0.0) == pytest.approx(1.0 / (nu * math.sqrt(c)), rel=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(-1.0, 1.0), sigma=st.floats(0.05, 2.0), nu=st.floats(0.05, 2.0),
+       log_t=st.floats(-5.0, 1.0))
+def test_vg_law_properties(mu, sigma, nu, log_t):
+    t = 10.0 ** log_t
+    vg = d.VarianceGamma(mu, sigma, nu)
+    lo, hi = vg.marginal_quantile(t, [1e-15, 1 - 1e-15])
+    # the CDF is finite, in [0, 1] and monotone; 1/kappa is the scale of the Bessel argument
+    width = sigma ** 2 / math.sqrt(2.0 * sigma ** 2 / nu + mu ** 2)
+    ys = np.sort(np.concatenate([np.linspace(lo, hi, 301), width * np.geomspace(1e-12, 1.0, 40),
+                                 -width * np.geomspace(1e-12, 1.0, 40), [0.0]]))
+    cdf = vg.marginal_cdf(t, ys)
+    assert np.all(np.isfinite(cdf)) and cdf.min() >= 0.0 and cdf.max() <= 1.0
+    assert np.all(np.diff(cdf) >= 0)
+    # the density integrates to one; near the cusp its singular factor
+    # |y|^(2t/nu - 1) is the quadrature's algebraic weight
+    a = t / nu
+    b = min(width, 0.5 * min(-lo, hi)) if lo < 0 < hi else width
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    pdf = lambda y: float(vg.marginal_pdf(t, y))
+    mass = 0.0
+    if lo < -b:
+        mass += integrate.quad(pdf, lo, -b, **opts)[0]
+    if hi > b:
+        mass += integrate.quad(pdf, b, hi, **opts)[0]
+    for side in (-1.0, 1.0):
+        if a <= 0.5:
+            beta = 2.0 * a - 1.0
+            smooth = lambda u: pdf(side * max(u, 1e-300)) / max(u, 1e-300) ** beta
+            mass += integrate.quad(smooth, 0.0, b, weight="alg", wvar=(beta, 0.0), **opts)[0]
+        else:
+            mass += integrate.quad(lambda u: pdf(side * u), 0.0, b, **opts)[0]
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    # Q is increasing
+    assert np.all(np.diff(vg.marginal_quantile(t, np.linspace(1e-6, 1 - 1e-6, 101))) >= 0)
+
+
+def test_vg_rejects_non_finite_drift():
+    vg = d.VarianceGamma(float("nan"), 0.3, 0.5)
+    with pytest.raises(ParameterError):
+        vg.validate()
+    with pytest.raises(ParameterError):
+        vg.marginal_cdf(1.0, [0.1])
+
+
+def test_marginal_laws_reject_times_below_min_time():
+    for driver in (d.Brownian(), d.InhomogeneousOU(1.0, 0.0, 1.0, 0.0), d.VarianceGamma(0.1, 0.3, 0.5)):
+        for t in (0.0, 0.5 * d.MIN_TIME, float("nan")):
+            with pytest.raises(ParameterError):
+                driver.marginal_cdf(t, [0.1, 0.0])
+            with pytest.raises(ParameterError):
+                driver.marginal_pdf(t, [0.1, 0.0])
+            with pytest.raises(ParameterError):
+                driver.marginal_quantile(t, [0.5])
+    assert np.isfinite(d.Brownian().marginal_cdf(d.MIN_TIME, [0.1, 0.0])).all()
 
 
 def test_gamma_process_marginal_moments():
