@@ -35,10 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-REPRODUCE_KINDS = ("crossing-table", "crossing-curves", "sosd-split-g", "pivot-moments")
-KINDS = ("simulate", "dominance", "price", "tariff") + tuple(
-    f"reproduce-{name}" for name in REPRODUCE_KINDS)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -290,8 +286,7 @@ def _run_dominance(cfg: dict, out: Path) -> list[Path]:
 
 def _run_price(cfg: dict, out: Path) -> list[Path]:
     payoff = _build_payoff(cfg["payoff"])
-    mc = va.MCSettings(n_paths=int(cfg.get("n_paths", 100_000)), seed=int(cfg["seed"]),
-                       n_inner=int(cfg.get("n_inner", 1000)))
+    mc = va.MCSettings(n_paths=int(cfg.get("n_paths", 100_000)), seed=int(cfg["seed"]))
     if "copula" in cfg:
         # multidimensional premium: one driver per copula margin
         copula = _build_copula(cfg["copula"])
@@ -445,6 +440,9 @@ _RUNNERS = {
     "reproduce-sosd-split-g": _run_sosd_split_g,
     "reproduce-pivot-moments": _run_pivot_moments,
 }
+#: every experiment kind, and the names that the ``reproduce`` subcommand takes
+KINDS = tuple(_RUNNERS)
+REPRODUCE_KINDS = tuple(k.removeprefix("reproduce-") for k in KINDS if k.startswith("reproduce-"))
 
 
 def run(cfg: dict, out_dir: str = "out") -> list[Path]:
@@ -473,7 +471,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    for name in ("simulate", "dominance", "price", "tariff", "validate"):
+    for name in [k for k in KINDS if not k.startswith("reproduce-")] + ["validate"]:
         common(sub.add_parser(name))
     rp = sub.add_parser("reproduce")
     rp.add_argument("name", choices=REPRODUCE_KINDS)

@@ -1,9 +1,10 @@
 """Multidimensional quantile processes through copulas.
 
 An m-variate driver vector enters the composite map through a copula: the
-output Z_t = Q(C(t, F_1(Y^1), ..., F_m(Y^m))) stays univariate.  Under the
-true joint law the distorted CDF collapses to the Kendall distribution
-function of the copula evaluated at the quantile family's CDF.
+output Z_t = Q(C(t, F_1(Y^1), ..., F_m(Y^m))) stays univariate.  Its CDF is
+the copula's Kendall function at the quantile family's CDF, K_C(t, F_Q(t, z)):
+exact for independence, comonotone and bivariate Archimedean copulas, else
+estimated from copula draws.  The density ratio needs K_C's exact derivative.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
 
 from . import drivers as drv
-from . import measures as me
 from . import transforms as tr
 from . import valuation as va
 from ._util import TimeParam, as_time_fn, clip_unit, substream
@@ -488,33 +488,26 @@ def apply_multi_composite(mmap: MultiCompositeMap,
 
 def multi_distorted_cdf(mmap: MultiCompositeMap, t: float, z, n_samples: int = 100_000,
                         seed: int = 0):
-    """CDF of the multidimensional quantile process at z.
+    """CDF of the multidimensional quantile process at z: K_C(t, F_quantile(z)).
 
-    True-joint-law maps use the closed form K_C(t, F_quantile(z)); false-law
-    maps estimate by Monte Carlo frequency of copula draws.
+    Both modes take the level C(U_1, ..., U_m) of uniform U_i under the map's
+    copula C, so both evaluate ``kendall_function``; only copulas without a
+    closed form use ``n_samples`` and ``seed``.
     """
     mmap.validate(t)
-    zv = np.asarray(z, dtype=float)
-    u = np.asarray(mmap.quantile.cdf(t, zv), dtype=float)
-    if mmap.mode == MultiMode.TRUE_JOINT_LAW:
-        return kendall_function(mmap.copula, t, u, n_samples=n_samples, seed=seed)
-    rng = substream(seed, 72)
-    draws = mmap.copula.sample(t, n_samples, rng)
-    c = mmap.copula.cdf(t, draws)
-    return np.searchsorted(np.sort(c), u, side="right") / float(n_samples)
+    u = np.asarray(mmap.quantile.cdf(t, np.asarray(z, dtype=float)), dtype=float)
+    return kendall_function(mmap.copula, t, u, n_samples=n_samples, seed=seed)
 
 
 def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
                         risk_index: int, payoff: va.Payoff, t: float, u: float,
-                        rate: TimeParam, mc: va.MCSettings,
-                        driver_copula: Optional[CopulaSpec] = None) -> va.ValuationResult:
+                        rate: TimeParam, mc: va.MCSettings) -> va.ValuationResult:
     """Premium of a layer-type payoff under the multidimensional distorted law.
 
     Computed as discount * E[V(Z_u)] with Z from the multi-composite of the
-    jointly drawn drivers; the auxiliary margins (indices other than
-    ``risk_index``) influence the premium only through the copula coupling.
-    The drivers' own dependence is ``driver_copula`` (their implicit copula);
-    it defaults to the map's copula, which true-joint-law mode requires.
+    drivers drawn jointly at u under the map's copula; the auxiliary margins
+    (indices other than ``risk_index``) influence the premium only through
+    the copula coupling.
     """
     if payoff.kind not in ("Layer", "StopLoss", "Linear"):
         raise RequestError("multidimensional premiums support Layer, StopLoss, Linear payoffs")
@@ -522,13 +515,8 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     mc.validate()
     if not 0 <= risk_index < len(drivers):
         raise RequestError("risk_index out of range")
-    if driver_copula is None:
-        driver_copula = mmap.copula
-    elif mmap.mode == MultiMode.TRUE_JOINT_LAW and driver_copula is not mmap.copula:
-        raise RequestError("true-joint-law premiums require the drivers' implicit "
-                           "copula to equal the map's copula")
-    disc = me.money_market(rate, t) / me.money_market(rate, u)
-    ensembles = simulate_joint_terminal(drivers, driver_copula, u, mc.n_paths, mc.seed)
+    disc = va._discount(rate, t, u)
+    ensembles = simulate_joint_terminal(drivers, mmap.copula, u, mc.n_paths, mc.seed)
     z = apply_multi_composite(mmap, ensembles).paths[:, 0]
     price, se = va._mean_se(payoff(z), disc)
     raw = disc * float(np.mean(ensembles[risk_index].paths[:, 0]))
@@ -538,43 +526,33 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
 
 
 def kendall_table_csv(spec: CopulaSpec, path: str, t: float = 1.0,
-                      grid: Optional[np.ndarray] = None, n_samples: int = 100_000,
-                      seed: int = 0) -> None:
+                      grid: Optional[np.ndarray] = None) -> None:
     """Write a (v, K(t, v)) table to CSV for plotting."""
     vs = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
-    kv = np.asarray(kendall_function(spec, t, vs, n_samples=n_samples, seed=seed),
-                    dtype=float)
+    kv = np.asarray(kendall_function(spec, t, vs), dtype=float)
     lines = ["v,kendall"] + [f"{v:.9g},{k:.9g}" for v, k in zip(vs, kv)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.DistributionSpec,
-                        n_samples: int = 200_000, seed: int = 0):
+def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.DistributionSpec):
     """Density of the multidimensional distorted law against the insured margin.
 
-    The pushforward density differentiates K_C(t, F_quantile(z)); Archimedean
-    and product copulas use the analytic Kendall derivative, other families a
-    kernel-free central difference of the empirical Kendall function.  Points
-    at the quantile range's edges are flagged by returning zero mass; NaN
-    states give NaN.
+    The pushforward density differentiates K_C(t, F_quantile(z)) by the
+    copula's analytic Kendall derivative (independence, comonotone and
+    bivariate Archimedean copulas); any other copula raises
+    ``CapabilityError``.  Points at the quantile range's edges are flagged by
+    returning zero mass; NaN states give NaN.
     """
     mmap.validate(t)
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    q = mmap.quantile
-    u, fz = (np.asarray(a, dtype=float) for a in q.cdf_pdf(t, yv))
     dK = mmap.copula.kendall_derivative(t)
-    ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
+    if dK is None:
+        raise CapabilityError("the density ratio needs an exact Kendall derivative, which "
+                              f"{mmap.copula.family} in {mmap.copula.dim} dimensions lacks")
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    u, fz = (np.asarray(a, dtype=float) for a in mmap.quantile.cdf_pdf(t, yv))
     out = np.where(np.isnan(u), np.nan, 0.0)
-    if dK is not None:
-        kd = np.zeros_like(u)
-        kd[ok] = dK(u[ok])
-    else:
-        h = 5e-4
-        K = lambda v: kendall_function(mmap.copula, t, v, n_samples=n_samples, seed=seed)
-        kd = np.zeros_like(u)
-        kd[ok] = (K(np.minimum(u[ok] + h, 1.0)) - K(np.maximum(u[ok] - h, 0.0))) / (2 * h)
     base = np.asarray(base_law.pdf(t, yv), dtype=float)
-    good = ok & (base > 0)
-    out[good] = kd[good] * fz[good] / base[good]
+    good = (u > 0.0) & (u < 1.0) & (fz > 0.0) & (base > 0)
+    out[good] = dK(u[good]) * fz[good] / base[good]
     return out if np.ndim(y) else float(out[0])

@@ -37,7 +37,7 @@ __all__ = [
     "TOL",
 ]
 
-#: numerical strictness threshold: "strict at one point" means exceeding this
+#: the tolerance of every check: "strict at one point" means exceeding this
 TOL = 1e-8
 
 
@@ -71,12 +71,13 @@ class DominanceReport:
 
 #: beyond this |ndtri| argument, ndtr(x) is indistinguishable from {0, 1} in float64
 _X_RESOLVABLE = 8.2
+#: points of the crossing scan, uniform in x = ndtri(u) on [-_X_RESOLVABLE, _X_RESOLVABLE]
+_N_SCAN = 4096
 
 
-def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float,
-                    x_max: float, n_scan: int) -> tuple[list[float], np.ndarray, np.ndarray]:
-    x_max = min(x_max, _X_RESOLVABLE)
-    xs = np.linspace(-x_max, x_max, n_scan)
+def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
+                    t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
+    xs = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
     us = special.ndtr(xs)
 
     def diff_x(x: float) -> float:
@@ -97,14 +98,13 @@ def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float,
         roots.append(float(r))
     # exact zeros on the scan grid count as touch points
     for i in np.nonzero(s == 0)[0]:
-        if 0 < i < n_scan - 1 and s[i - 1] * s[i + 1] < 0:
+        if 0 < i < _N_SCAN - 1 and s[i - 1] * s[i + 1] < 0:
             roots.append(float(xs[i]))
     roots.sort()
     return roots, us, d
 
 
-def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
-                    x_max: float = _X_RESOLVABLE, n_scan: int = 4096) -> Optional[float]:
+def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) -> Optional[float]:
     """Largest quantile level where the two quantile curves cross.
 
     Returns the largest u* in [0, 1) with Q1(u*) = Q2(u*) such that one curve
@@ -115,11 +115,10 @@ def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     The scan runs on a grid uniform in x = ndtri(u) so crossings pushed far
     into either tail (u within 1e-9 of 0 or 1) are still resolved.
     """
-    return crossing_report(q1, q2, t, x_max, n_scan).u_star
+    return crossing_report(q1, q2, t).u_star
 
 
-def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
-                    x_max: float = _X_RESOLVABLE, n_scan: int = 4096) -> DominanceReport:
+def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) -> DominanceReport:
     """Crossing level plus dominance direction and domain bound for the pair.
 
     The reported domain lower bound is z0 = Q1(u*) = Q2(u*); the dominating
@@ -127,7 +126,7 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
     """
     q1.validate(t)
     q2.validate(t)
-    roots, us, d = _crossing_roots(q1, q2, t, x_max, n_scan)
+    roots, us, d = _crossing_roots(q1, q2, t)
     evidence = {"u_grid": us, "quantile_diff": d}
     if roots:
         x_star = roots[-1]
@@ -158,17 +157,17 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0,
 # CDF-based checks
 # ---------------------------------------------------------------------------
 
-def _verdict(order: str, d: np.ndarray, at: np.ndarray, tol: float, none_note: str,
+def _verdict(order: str, d: np.ndarray, at: np.ndarray, none_note: str,
              notes: str = "", **fields) -> DominanceReport:
     """The strict-witness rule shared by every check.
 
-    Direction +1 when d >= -tol everywhere and d > tol somewhere, -1 for the
+    Direction +1 when d >= -TOL everywhere and d > TOL somewhere, -1 for the
     mirror case, otherwise a report with no verdict.  The witness is the point
     of ``at`` where the dominating side leads most.
     """
     for direction in (1, -1):
         signed = direction * d
-        if np.min(signed) >= -tol and np.max(signed) > tol:
+        if np.min(signed) >= -TOL and np.max(signed) > TOL:
             return DominanceReport(order=order, direction=direction, notes=notes,
                                    strictness_witness=float(at[int(np.argmax(signed))]),
                                    **fields)
@@ -179,10 +178,9 @@ def _verdict(order: str, d: np.ndarray, at: np.ndarray, tol: float, none_note: s
 _EDGES = 4.0 ** np.arange(21)
 
 
-def _truncate_domain(F1, F2, domain: tuple[float, float],
-                     tail: float = 1e-10) -> tuple[float, float]:
+def _truncate_domain(F1, F2, domain: tuple[float, float]) -> tuple[float, float]:
     """Cut each infinite domain bound at the first edge where both CDFs are
-    within ``tail`` of 0 (lower bound) or 1 (upper bound), else at the last."""
+    within 1e-10 of 0 (lower bound) or 1 (upper bound), else at the last."""
     lo, hi = float(domain[0]), float(domain[1])
 
     def first(ok: np.ndarray) -> float:
@@ -190,9 +188,9 @@ def _truncate_domain(F1, F2, domain: tuple[float, float],
         return float(_EDGES[int(np.argmax(ok))])
 
     if not math.isfinite(lo):
-        lo = -first(np.maximum(F1(-_EDGES), F2(-_EDGES)) < tail)
+        lo = -first(np.maximum(F1(-_EDGES), F2(-_EDGES)) < 1e-10)
     if not math.isfinite(hi):
-        hi = first(np.minimum(F1(_EDGES), F2(_EDGES)) > 1.0 - tail)
+        hi = first(np.minimum(F1(_EDGES), F2(_EDGES)) > 1.0 - 1e-10)
     return lo, hi
 
 
@@ -212,33 +210,31 @@ def _cdf_grid(F1, F2, domain: tuple[float, float],
     return lo, hi, zs, f2 - f1
 
 
-def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512,
-               tol: float = TOL) -> DominanceReport:
+def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512) -> DominanceReport:
     """First-order check: does one CDF sit below the other on the domain?
 
-    F2 - F1 >= -tol everywhere with one point above tol means the first
+    F2 - F1 >= -TOL everywhere with one point above TOL means the first
     process dominates; the swapped inequality means the second does.  The
     reported domain_lower is the lower edge of the (truncated) domain.
     """
     lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
-    return _verdict("FOSD", diff, zs, tol, "CDFs cross or coincide: no first-order verdict",
+    return _verdict("FOSD", diff, zs, "CDFs cross or coincide: no first-order verdict",
                     domain_lower=lo, evidence={"z": zs, "cdf_diff": diff},
                     truncation=(lo, hi))
 
 
-def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024,
-               tol: float = TOL) -> DominanceReport:
+def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024) -> DominanceReport:
     """Second-order check via the running integral of the CDF difference.
 
     The integral of (F2 - F1) from the domain's lower edge must stay above
-    -tol with a strict positive witness (first process dominates), or the
+    -TOL with a strict positive witness (first process dominates), or the
     sign-swapped statement for the second.  When the difference has not
     decayed at the truncation edge the verdict is flagged inconclusive.
     """
     lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
     cum = integrate.cumulative_trapezoid(diff, zs, initial=0.0)
     tail_live = bool(abs(diff[-1]) > 1e-6)
-    return _verdict("SOSD", cum, zs, tol, "running integral changes sign: no second-order verdict",
+    return _verdict("SOSD", cum, zs, "running integral changes sign: no second-order verdict",
                     notes="CDF difference still materially nonzero at the truncation bound"
                     if tail_live else "",
                     domain_lower=lo, evidence={"z": zs, "cdf_diff": diff, "cum_integral": cum},
@@ -264,8 +260,7 @@ class SufficientConditionsResult:
 
 def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: float,
                                z_grid: Sequence[float],
-                               base1=None, base2=None,
-                               tol: float = TOL) -> SufficientConditionsResult:
+                               base1=None, base2=None) -> SufficientConditionsResult:
     """Evaluate the derivative/ratio conditions that force second-order dominance.
 
     At each z the three alternatives are, writing D_i(z) for the derivative
@@ -298,11 +293,11 @@ def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: 
     usable = np.isfinite(d1) & np.isfinite(d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(F1 > 0, F2 / np.where(F1 > 0, F1, 1.0), np.inf)
-        rhs_ii = (d1 - 1.0) / np.where(np.abs(d2 - 1.0) > tol, d2 - 1.0, np.nan)
-        rhs_iii = (1.0 - d1) / np.where(np.abs(1.0 - d2) > tol, 1.0 - d2, np.nan)
-    cond_i = usable & (d2 <= 1.0 + tol) & (d1 >= 1.0 - tol)
-    cond_ii = usable & (d1 >= 1.0 - tol) & (d2 >= 1.0 - tol) & (ratio <= rhs_ii + tol)
-    cond_iii = usable & (d1 <= 1.0 + tol) & (d2 <= 1.0 + tol) & (ratio >= rhs_iii - tol)
+        rhs_ii = (d1 - 1.0) / np.where(np.abs(d2 - 1.0) > TOL, d2 - 1.0, np.nan)
+        rhs_iii = (1.0 - d1) / np.where(np.abs(1.0 - d2) > TOL, 1.0 - d2, np.nan)
+    cond_i = usable & (d2 <= 1.0 + TOL) & (d1 >= 1.0 - TOL)
+    cond_ii = usable & (d1 >= 1.0 - TOL) & (d2 >= 1.0 - TOL) & (ratio <= rhs_ii + TOL)
+    cond_iii = usable & (d1 <= 1.0 + TOL) & (d2 <= 1.0 + TOL) & (ratio >= rhs_iii - TOL)
     some = cond_i | cond_ii | cond_iii
     return SufficientConditionsResult(z=z, cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii,
                                       indeterminate=~usable,
@@ -337,13 +332,12 @@ def state_dependent_tukey_g_cdf(g_below: float, g_above: float) -> Callable:
     return cdf
 
 
-def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float,
-                           integrand_floor: float = 1e-12) -> tuple[float, float]:
+def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float) -> tuple[float, float]:
     """The two error-function integrals comparing a state-dependent-skew
     process with a constant-skew one.
 
     The left integral runs over (-1/g2, 0], the right over (0, infinity)
-    truncated where the integrand falls below ``integrand_floor``.  Second-
+    truncated where the integrand falls below 1e-12.  Second-
     order dominance of the state-dependent process holds iff left >= right.
 
     Convention: where the state-dependent process has no support (below
@@ -372,10 +366,9 @@ def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float,
     def right_integrand(x: float) -> float:
         return erf_term(x, g1_above) - erf_term(x, g2)
 
-    # truncate the upper integral where both error functions are within the
-    # floor of 1
+    # truncate the upper integral where both error functions are within 1e-12 of 1
     hi = 1.0
-    while 1.0 - erf_term(hi, max(g1_above, g2)) > integrand_floor and hi < 1e9:
+    while 1.0 - erf_term(hi, max(g1_above, g2)) > 1e-12 and hi < 1e9:
         hi *= 2.0
 
     points = [edge] if lo < edge < 0.0 else None
@@ -392,15 +385,15 @@ def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float,
 # Kendall ordering
 # ---------------------------------------------------------------------------
 
-def kendall_order_check(K1, K2, grid_size: int = 512, tol: float = TOL) -> DominanceReport:
+def kendall_order_check(K1, K2) -> DominanceReport:
     """Kendall stochastic order: the first copula dominates iff K1 <= K2 on (0, 1).
 
-    Strict inequality at one grid point is required, mirroring the
+    Strict inequality at one of 512 grid points is required, mirroring the
     first-order check but on Kendall distribution functions.
     """
-    vs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    vs = np.linspace(0.0, 1.0, 514)[1:-1]
     k1 = np.asarray([float(K1(v)) for v in vs])
     k2 = np.asarray([float(K2(v)) for v in vs])
     diff = k2 - k1
-    return _verdict("Kendall", diff, vs, tol, "Kendall functions cross or coincide",
+    return _verdict("Kendall", diff, vs, "Kendall functions cross or coincide",
                     domain_lower=0.0, evidence={"v": vs, "kendall_diff": diff})

@@ -182,12 +182,18 @@ class GaussianDriver(Driver):
         return _norm_ppf(u, *self.marginal_mean_std(t))
 
     def transition_pdf(self, s, t, state, y):
+        _check_step(s, t)
         return _norm_pdf(y, *self._transition_mean_std(s, t, np.asarray(state, dtype=float)))
 
 
 def _check_time(t: float) -> None:
     if not MIN_TIME <= t < math.inf:
         raise ParameterError(f"marginal laws are defined on finite t >= {MIN_TIME}, got t = {t}")
+
+
+def _check_step(s: float, t: float) -> None:
+    if not 0.0 <= s < t < math.inf:
+        raise ParameterError(f"transition laws need finite 0 <= s < t, got s = {s}, t = {t}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -592,18 +598,22 @@ class GammaProcess(Driver):
         return states + scale * special.gammaincinv(shape, clip_unit(u))
 
     def marginal_cdf(self, t, y):
+        _check_time(t)
         shape, scale = self._shape_scale(t)
         return stats.gamma.cdf(np.asarray(y, dtype=float), shape, scale=scale)
 
     def marginal_pdf(self, t, y):
+        _check_time(t)
         shape, scale = self._shape_scale(t)
         return stats.gamma.pdf(np.asarray(y, dtype=float), shape, scale=scale)
 
     def marginal_quantile(self, t, u):
+        _check_time(t)
         shape, scale = self._shape_scale(t)
         return stats.gamma.ppf(np.asarray(u, dtype=float), shape, scale=scale)
 
     def transition_pdf(self, s, t, state, y):
+        _check_step(s, t)
         shape, scale = self._shape_scale(t - s)
         return stats.gamma.pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float),
                                shape, scale=scale)
@@ -677,10 +687,12 @@ class InhomogeneousPoisson(Driver):
             raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
 
     def marginal_cdf(self, t, y):
+        _check_time(t)
         mean = self.cumulative_intensity(t)
         return stats.poisson.cdf(np.floor(np.asarray(y, dtype=float)), mean)
 
     def marginal_pmf(self, t, k):
+        _check_time(t)
         mean = self.cumulative_intensity(t)
         return stats.poisson.pmf(np.asarray(k), mean)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -493,32 +493,6 @@ def canonical_brownian_law() -> GaussianLaw:
 
 
 @dataclass(frozen=True)
-class DriverLaw(DistributionSpec):
-    """The true marginal law of a driver, F_Y(t, y)."""
-
-    driver: drv.Driver
-
-    family = "DriverLaw"
-
-    def cdf(self, t, y):
-        return self.driver.marginal_cdf(t, y)
-
-    def score(self, t, y):
-        if self.driver.is_gaussian:
-            return _standardize(self.driver, t, y)
-        return super().score(t, y)
-
-    def pdf(self, t, y):
-        return self.driver.marginal_pdf(t, y)
-
-    def quantile(self, t, u):
-        return self.driver.marginal_quantile(t, u)
-
-    def is_true_law_of(self, driver):
-        return self.driver == driver
-
-
-@dataclass(frozen=True)
 class ShiftedDriverLaw(DistributionSpec):
     """A driver's law evaluated on shifted arguments, F(t, y) = F_Y(t, y - shift).
 
@@ -552,6 +526,15 @@ class ShiftedDriverLaw(DistributionSpec):
 
     def is_true_law_of(self, driver):
         return self.shift == 0.0 and self.driver == driver
+
+
+@dataclass(frozen=True)
+class DriverLaw(ShiftedDriverLaw):
+    """The true marginal law of a driver, F_Y(t, y): the shifted law at shift 0."""
+
+    shift: float = field(default=0.0, init=False)
+
+    family = "DriverLaw"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, special
@@ -21,7 +21,7 @@ from . import dominance as dom
 from . import drivers as drv
 from . import measures as me
 from . import transforms as tr
-from ._util import TimeParam, as_time_fn, substream
+from ._util import TimeParam, substream
 from .errors import ParameterError, RequestError
 
 __all__ = [
@@ -256,7 +256,7 @@ def qpvp_price(req: ValuationRequest) -> ValuationResult:
                                         "discount": disc})
 
 
-def quantile_integral_price(req: ValuationRequest, tol: float = 1e-10) -> float:
+def quantile_integral_price(req: ValuationRequest) -> float:
     """Quadrature oracle for t = 0 prices of true-law maps.
 
     For a true-law composite the quantile level is uniform, so
@@ -276,7 +276,7 @@ def quantile_integral_price(req: ValuationRequest, tol: float = 1e-10) -> float:
         z = float(q.eval(req.u, p))
         return float(req.payoff(np.asarray(z))) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
-    val, err = integrate.quad(f, -10.0, 10.0, epsabs=tol, limit=400)
+    val, err = integrate.quad(f, -10.0, 10.0, epsabs=1e-10, limit=400)
     return disc * float(val)
 
 
@@ -303,7 +303,7 @@ def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) ->
         lo, hi = req.map.quantile.support(req.u)
         rep = dom.fosd_check(lambda z: me.distorted_cdf(law, req.u, z),
                              lambda z: req.risk.marginal_cdf(req.u, z),
-                             (max(lo, -np.inf), hi))
+                             (lo, hi))
         out["fosd"] = rep
     return out
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,16 @@ def test_multi_distorted_cdf_matches_ensemble():
     assert got == pytest.approx(want, abs=0.005)
 
 
+def test_false_law_multi_cdf_is_the_exact_kendall_function():
+    # both modes evaluate the Kendall function of the map's copula: no Monte Carlo
+    mm, _ = two_margin_map(cp.ClaytonCopula(1.5, 2), tr.TukeyGH(0, 1, 0.3, 0.1))
+    mm_false = replace(mm, mode=cp.MultiMode.FALSE_LAW)
+    want = float(mm.copula.kendall_closed_form(1.0)(mm.quantile.cdf(1.0, 0.2)))
+    got = [float(cp.multi_distorted_cdf(mm_false, 1.0, 0.2, seed=s)) for s in (0, 1)]
+    assert got == [want, want]
+    assert want == pytest.approx(0.792942, abs=1e-6)
+
+
 def test_true_joint_law_mode_checks_margins():
     bm = d.Brownian()
     mm = cp.MultiCompositeMap(margins=(tr.GaussianLaw(0.3, 1.0), tr.DriverLaw(bm)),
@@ -414,6 +425,16 @@ def test_multi_ratio_matches_cdf_finite_differences():
         want = num / float(base.pdf(1.0, y))
         got = float(cp.multi_rn_derivative(mm, 1.0, y, base))
         assert got == pytest.approx(want, rel=1e-4)
+
+
+@pytest.mark.parametrize("copula", [cp.GaussianCopula(np.array([[1.0, 0.5], [0.5, 1.0]])),
+                                    cp.ClaytonCopula(1.5, 3)], ids=["gaussian", "clayton-3d"])
+def test_multi_ratio_refuses_copulas_without_an_exact_kendall_derivative(copula):
+    bm = d.Brownian()
+    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm),) * copula.dim, copula=copula,
+                              quantile=tr.TukeyGH(0, 1, 0.3, 0.1))
+    with pytest.raises(CapabilityError):
+        cp.multi_rn_derivative(mm, 1.0, 0.0, tr.GaussianLaw(0.0, 1.0))
 
 
 def test_kendall_order_implies_fosd_of_true_joint_law_outputs():

@@ -274,6 +274,31 @@ def test_marginal_laws_reject_times_below_min_time():
     assert np.isfinite(d.Brownian().marginal_cdf(d.MIN_TIME, [0.1, 0.0])).all()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: d.GammaProcess().marginal_cdf(0.0, [0.1, 1.0]),
+    lambda: d.GammaProcess().marginal_pdf(0.0, [0.1, 1.0]),
+    lambda: d.GammaProcess().marginal_quantile(0.5 * d.MIN_TIME, [0.5]),
+    lambda: d.InhomogeneousPoisson().marginal_cdf(-1.0, [0.0, 1.0]),
+    lambda: d.InhomogeneousPoisson().marginal_pmf(-1.0, [0, 1]),
+    lambda: d.InhomogeneousOU().transition_pdf(0.5, 0.5, 0.0, [0.1]),
+    lambda: d.Brownian().transition_pdf(0.6, 0.5, 0.0, [0.1]),
+    lambda: d.GammaProcess().transition_pdf(0.5, 0.5, 0.0, [0.1]),
+    lambda: d.GammaProcess().transition_pdf(-0.5, 0.5, 0.0, [0.1]),
+], ids=["gamma-cdf", "gamma-pdf", "gamma-quantile", "poisson-cdf", "poisson-pmf",
+        "ou-transition-empty-step", "brownian-transition-backward", "gamma-transition-empty-step",
+        "gamma-transition-negative-start"])
+def test_laws_off_the_time_domain_raise_a_typed_error(call):
+    # each returned NaN, a silent value, or an untyped ValueError
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_gamma_steps_below_min_time_still_sample():
+    # the time check sits on the marginal laws, not on the gamma step
+    ens = d.simulate(d.GammaProcess(), d.TimeGrid(np.array([1.0, 1.0 + 1e-8])), 10, 1)
+    assert np.all(np.diff(ens.paths, axis=1) >= 0)
+
+
 def test_gamma_process_marginal_moments():
     gp = d.GammaProcess(mean_rate=1.4, variance_rate=0.6)
     ens = d.simulate(gp, d.TimeGrid(np.array([2.0])), 300_000, 5)

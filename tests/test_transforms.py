@@ -393,6 +393,25 @@ def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
         assert np.array_equal(z[:, k], q.eval(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
 
 
+def test_driver_law_takes_no_shift():
+    with pytest.raises(TypeError):
+        tr.DriverLaw(_BM, 0.3)
+
+
+@pytest.mark.parametrize("drv", [_BM, _OU, _VG], ids=["Brownian", "OU", "VG"])
+def test_driver_law_is_the_shifted_law_at_zero(drv):
+    # forward and inverse composites agree bit for bit
+    q = tr.TukeyGH(0.1, 1.0, 0.5, 0.1)
+    laws = (tr.DriverLaw(drv), tr.ShiftedDriverLaw(drv, 0.0))
+    ens = d.simulate(drv, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
+    fwd = [tr.apply_composite(tr.CompositeMap(dist=law, quantile=q), ens).paths for law in laws]
+    assert np.array_equal(*fwd)
+    zs = np.linspace(-3.0, 6.0, 41)
+    inv = [tr.preimage(q, law, 1.0, zs) for law in laws]
+    for a, b in zip(*inv):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # pivot construction
 # ---------------------------------------------------------------------------
