@@ -59,14 +59,19 @@ def clip_unit(u: np.ndarray) -> np.ndarray:
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
+def _norm_score(y, m, sd):
+    """Normal score (y - m) / sd."""
+    return (np.asarray(y, dtype=float) - m) / sd
+
+
 def _norm_cdf(y, m, sd):
     """Normal CDF ndtr((y - m) / sd), relatively accurate in the lower tail too."""
-    return special.ndtr((np.asarray(y, dtype=float) - m) / sd)
+    return special.ndtr(_norm_score(y, m, sd))
 
 
 def _norm_pdf(y, m, sd):
     """Normal density."""
-    z = (np.asarray(y, dtype=float) - m) / sd
+    z = _norm_score(y, m, sd)
     return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
 
 

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import drivers as drv
 from . import transforms as tr
@@ -550,9 +550,10 @@ def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.Distr
         raise CapabilityError("the density ratio needs an exact Kendall derivative, which "
                               f"{mmap.copula.family} in {mmap.copula.dim} dimensions lacks")
     yv = np.atleast_1d(np.asarray(y, dtype=float))
-    u, fz = (np.asarray(a, dtype=float) for a in mmap.quantile.cdf_pdf(t, yv))
-    out = np.where(np.isnan(u), np.nan, 0.0)
+    x, fz = (np.asarray(a, dtype=float) for a in mmap.quantile.score_pdf(t, yv))
+    u = special.ndtr(x)
+    out = np.where(np.isnan(x), np.nan, 0.0)
     base = np.asarray(base_law.pdf(t, yv), dtype=float)
-    good = (u > 0.0) & (u < 1.0) & (fz > 0.0) & (base > 0)
+    good = (u > 0.0) & np.isfinite(x) & (fz > 0.0) & (base > 0)
     out[good] = dK(u[good]) * fz[good] / base[good]
     return out if np.ndim(y) else float(out[0])

@@ -284,10 +284,10 @@ def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: 
         dist = cmap.dist_for(base) if base is not None else cmap.dist
         if dist is None:
             raise ParameterError("both maps need a distribution spec (or pass base drivers)")
-        u, w, fz, fd, ok = tr.preimage(cmap.quantile, dist, t, z)
+        x, w, fz, fd, ok = tr.preimage(cmap.quantile, dist, t, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             D.append(np.where(ok, fz / fd, np.nan))
-        F.append(np.where(ok, base.marginal_cdf(t, w), 0.0) if general else u)
+        F.append(np.where(ok, base.marginal_cdf(t, w), 0.0) if general else special.ndtr(x))
     (d1, d2), (F1, F2) = D, F
 
     usable = np.isfinite(d1) & np.isfinite(d2)

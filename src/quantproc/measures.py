@@ -1,11 +1,12 @@
 """Distorted probability measures induced by quantile processes.
 
 The pushforward law of Z_t = Q(F(t, Y_t)) has distribution function F_Y(t, w)
-at the preimage w = Q_dist(t, F_quantile(t, z)) of ``transforms.preimage``;
-its density is f_Y(w) f_quantile(z) / f_dist(w), and its density ratio against
-the driver's law divides that by f_Y(z).  Chaining conditional density ratios
-with money-market discounting yields a pricing-kernel process whose
-discounted value is a martingale.
+at the preimage w = Q_dist(t, F_quantile(t, z)) of ``transforms.preimage``,
+reached from the family's normal score x at z by the law's ``from_score``, so a
+normal law never forms the level ndtr(x); its density is f_Y(w) f_quantile(z) /
+f_dist(w), and its density ratio against the driver's law divides that by
+f_Y(z).  Chaining conditional density ratios with money-market discounting
+yields a pricing-kernel process whose discounted value is a martingale.
 """
 
 from __future__ import annotations
@@ -47,30 +48,26 @@ class DistortedLaw:
 def distorted_cdf(law: DistortedLaw, t: float, z):
     """F_Z(t, z): probability the quantile process sits at or below z.
 
+    F_Y(t, w) at w = dist.from_score(t, x) for the family's score x at z.
     Events below the quantile family's range get probability 0, above it 1;
     a NaN z gives NaN.
     """
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    zv = np.asarray(z, dtype=float)
-    u = np.asarray(law.map.quantile.cdf(t, zv), dtype=float)
-    dist = law.dist()
-    inner = u > 0.0
-    out = np.where(np.isnan(u), np.nan, 0.0)
-    out[u >= 1.0] = 1.0
-    mid = inner & (u < 1.0)
+    x = law.map.quantile.score(t, np.atleast_1d(np.asarray(z, dtype=float)))
+    out = np.where(np.isnan(x), np.nan, x > 0.0)
+    mid = np.isfinite(x)
     if np.any(mid):
-        y = dist.quantile(t, u[mid])
-        out[mid] = law.base.marginal_cdf(t, y)
-    return out if np.ndim(z) else float(out)
+        out[mid] = law.base.marginal_cdf(t, law.dist().from_score(t, x[mid]))
+    return out if np.ndim(z) else float(out[0])
 
 
 def distorted_pdf(law: DistortedLaw, t: float, z):
     """Density of the quantile process at z (zero off the family's range, NaN at NaN)."""
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    u, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
-    out = np.where(np.isnan(u), np.nan, 0.0)
+    x, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
+    out = np.where(np.isnan(x), np.nan, 0.0)
     if np.any(ok):
         out[ok] = law.base.marginal_pdf(t, w[ok]) * fz[ok] / fd[ok]
     return out if np.ndim(z) else float(out[0])
@@ -79,8 +76,8 @@ def distorted_pdf(law: DistortedLaw, t: float, z):
 def _ratio(cmap: tr.CompositeMap, base: drv.Driver, t: float, y,
            density: Callable[[np.ndarray, np.ndarray], np.ndarray]):
     """f(w) f_quantile(y) / (f_dist(w) f(y)) at the preimage w; f(x) = density(x, ok)."""
-    u, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
-    out = np.where(np.isnan(u), np.nan, 0.0)
+    x, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
+    out = np.where(np.isnan(x), np.nan, 0.0)
     if np.any(ok):
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         num = density(w[ok], ok) * fz[ok]

@@ -3,10 +3,11 @@
 The composite map sends a driver value y to Q(F(t, y)): a distribution
 function F (the driver's true law, a deliberately different law, or a law on
 a standardized pivot) followed by a quantile function Q.  Applied path-wise
-it turns a driver ensemble into a quantile-process ensemble.  Families that
-are closed form in the normal score x = ndtri(u) compose through the law's
-score ndtri(F(t, y)), which is exact and affine for Gaussian laws, so no
-probability is formed or clamped on that route.
+it turns a driver ensemble into a quantile-process ensemble.  Both directions
+run in the normal score x = ndtri(u): ``compose`` feeds a family closed form in
+x the law's ``score``, and ``preimage`` maps a family's score back through the
+law's ``from_score``.  A normal law gives its (m, sd) once, by ``normal_at``,
+and all its maps follow, affine in x, so no probability is formed or clamped.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, as_time_fn, clip_unit
+from ._util import (TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, _norm_score, as_time_fn,
+                    clip_unit)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -80,12 +82,14 @@ class QuantileSpec:
     def pdf(self, t: float, z) -> np.ndarray:
         raise NotImplementedError
 
-    def cdf_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
-        """(cdf, pdf) at z: the one place a family's CDF and density are read together.
+    def score(self, t: float, z) -> np.ndarray:
+        """Normal score ndtri(cdf) of z, +-inf off the family's range; TukeyGH and the
+        Gaussian family reach it without the level."""
+        return special.ndtri(self.cdf(t, z))
 
-        Families whose two share work (one inversion for TukeyGH) override it.
-        """
-        return self.cdf(t, z), self.pdf(t, z)
+    def score_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
+        """(score, pdf) at z; TukeyGH reads both off one inversion."""
+        return self.score(t, z), self.pdf(t, z)
 
     def compose(self, t: float, dist: DistributionSpec, y) -> np.ndarray:
         """Q(t, F(t, y)) for the law ``dist``: the composite map at one time.
@@ -204,9 +208,9 @@ class TukeyGH(NormalScoreQuantile):
             return out
         # h > 0: strictly increasing onto all of R.  Newton runs on
         # asinh(core(x)), which grows only quadratically in x, with bracket
-        # safeguarding and a forced bisection every third sweep.  A NaN z
-        # stays out of the convergence test and comes back as a NaN x.
-        nan = np.isnan(zc)
+        # safeguarding and a forced bisection every third sweep.  A NaN or
+        # infinite z stays out of the convergence test and comes back as itself.
+        off = ~np.isfinite(zc)
         x = np.zeros_like(zc)
         lo = np.full_like(zc, -_X_MAX)
         hi = np.full_like(zc, _X_MAX)
@@ -225,26 +229,28 @@ class TukeyGH(NormalScoreQuantile):
             if it % 3 == 2:
                 bad = bad | (np.abs(f) > 1.0)
             x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-            done = (np.abs(x_new - x) <= 1e-14 * (1.0 + np.abs(x_new))) | nan
+            done = (np.abs(x_new - x) <= 1e-14 * (1.0 + np.abs(x_new))) | off
             x = x_new
             if np.all(done):
                 break
         else:
             with np.errstate(over="ignore"):
-                resid = np.max(np.abs(np.arcsinh(_gh_core(x, g, h)) - target_s)[~nan], initial=0.0)
+                resid = np.max(np.abs(np.arcsinh(_gh_core(x, g, h)) - target_s)[~off], initial=0.0)
             if resid > 1e-9:
                 raise NumericError("g-and-h inversion did not converge", achieved=float(resid))
-        return np.where(nan, np.nan, x)
+        return np.where(off, zc, x)
+
+    def score(self, t, z):
+        return self.x_from_z(t, z)
 
     def cdf(self, t, z):
-        x = self.x_from_z(t, z)
-        return special.ndtr(x)
+        return special.ndtr(self.x_from_z(t, z))
 
     def pdf(self, t, z):
-        return self.cdf_pdf(t, z)[1]
+        return self.score_pdf(t, z)[1]
 
-    def cdf_pdf(self, t, z):
-        """ndtr(x) and phi(x) / (B core'(x)) from one solve x = x_from_z(t, z)."""
+    def score_pdf(self, t, z):
+        """x and phi(x) / (B core'(x)) from one solve x = x_from_z(t, z)."""
         _, b, g, h = self.params_at(t)
         x = self.x_from_z(t, z)
         dens = np.where(np.isnan(x), np.nan, 0.0)
@@ -252,7 +258,7 @@ class TukeyGH(NormalScoreQuantile):
         phi = np.exp(-0.5 * x[ok] ** 2) / math.sqrt(2.0 * math.pi)
         with np.errstate(over="ignore"):  # the slope overflows in the far tails, where phi is 0
             dens[ok] = phi / (b * _gh_core_slope(x[ok], g, h)[1])
-        return special.ndtr(x), dens
+        return x, dens
 
 
 @dataclass(frozen=True)
@@ -269,36 +275,6 @@ class TukeyG(TukeyGH):
         g = as_time_fn(self.g)(t)
         if g == 0.0:
             raise ParameterError("TukeyG requires g != 0 (use TukeyGH for the g = 0 limit)")
-
-
-@dataclass(frozen=True)
-class GaussianQuantile(NormalScoreQuantile):
-    """Normal quantile family m(t) + sqrt(v(t)) * ndtri(u)."""
-
-    m: TimeParam = 0.0
-    v: TimeParam = 1.0
-
-    family = "Gaussian"
-
-    def params_at(self, t: float) -> tuple[float, float]:
-        return as_time_fn(self.m)(t), as_time_fn(self.v)(t)
-
-    def validate(self, t: float = 1.0) -> None:
-        _, v = self.params_at(t)
-        if not v > 0:
-            raise ParameterError(f"Gaussian quantile requires v > 0, got {v}")
-
-    def eval_score(self, t, x):
-        m, v = self.params_at(t)
-        return m + math.sqrt(v) * np.asarray(x, dtype=float)
-
-    def cdf(self, t, z):
-        m, v = self.params_at(t)
-        return _norm_cdf(z, m, math.sqrt(v))
-
-    def pdf(self, t, z):
-        m, v = self.params_at(t)
-        return _norm_pdf(z, m, math.sqrt(v))
 
 
 @dataclass(frozen=True)
@@ -416,21 +392,36 @@ class DistributionSpec:
     family: str = "abstract"
 
     def validate(self, t: float = 1.0) -> None:
-        pass
+        self.normal_at(t)
+
+    def normal_at(self, t: float) -> Optional[tuple[float, float]]:
+        """(m, sd) when the law at t is N(m, sd^2), else None; all the maps below follow."""
+        return None
 
     def cdf(self, t: float, y) -> np.ndarray:
-        raise NotImplementedError
+        return _norm_cdf(y, *self.normal_at(t))
 
     def pdf(self, t: float, y) -> np.ndarray:
-        raise NotImplementedError
+        return _norm_pdf(y, *self.normal_at(t))
 
     def quantile(self, t: float, u) -> np.ndarray:
-        raise NotImplementedError
+        return _norm_ppf(u, *self.normal_at(t))
 
     def score(self, t: float, y) -> np.ndarray:
-        """Normal score ndtri(F(t, y)); exact and affine for Gaussian laws, else from
+        """Normal score ndtri(F(t, y)); exact and affine for normal laws, else from
         the CDF clamped into (0, 1)."""
-        return special.ndtri(clip_unit(self.cdf(t, y)))
+        normal = self.normal_at(t)
+        if normal is None:
+            return special.ndtri(clip_unit(self.cdf(t, y)))
+        return _norm_score(y, *normal)
+
+    def from_score(self, t: float, x) -> np.ndarray:
+        """The inverse of ``score``: m + sd x for normal laws, else quantile(ndtr(x))."""
+        normal = self.normal_at(t)
+        if normal is None:
+            return self.quantile(t, special.ndtr(x))
+        m, sd = normal
+        return m + sd * np.asarray(x, dtype=float)
 
     def is_true_law_of(self, driver: drv.Driver) -> bool:
         return False
@@ -452,26 +443,11 @@ class GaussianLaw(DistributionSpec):
     def params_at(self, t: float) -> tuple[float, float]:
         return as_time_fn(self.m)(t), as_time_fn(self.v)(t)
 
-    def validate(self, t: float = 1.0) -> None:
-        _, v = self.params_at(t)
-        if not v > 0:
-            raise ParameterError(f"Gaussian law requires v > 0, got {v}")
-
-    def cdf(self, t, y):
+    def normal_at(self, t):
         m, v = self.params_at(t)
-        return _norm_cdf(y, m, math.sqrt(v))
-
-    def score(self, t, y):
-        m, v = self.params_at(t)
-        return (np.asarray(y, dtype=float) - m) / math.sqrt(v)
-
-    def pdf(self, t, y):
-        m, v = self.params_at(t)
-        return _norm_pdf(y, m, math.sqrt(v))
-
-    def quantile(self, t, u):
-        m, v = self.params_at(t)
-        return _norm_ppf(u, m, math.sqrt(v))
+        if not 0.0 < v < math.inf:
+            raise ParameterError(f"Gaussian law requires 0 < v < inf, got v = {v} at t = {t}")
+        return m, math.sqrt(v)
 
     def is_true_law_of(self, driver):
         if isinstance(driver, drv.Brownian):
@@ -481,10 +457,19 @@ class GaussianLaw(DistributionSpec):
         return False
 
 
-def _standardize(driver: drv.Driver, t: float, y) -> np.ndarray:
-    """(y - m_t)/sd_t by the driver's Gaussian marginal mean and standard deviation."""
+@dataclass(frozen=True)
+class GaussianQuantile(GaussianLaw, NormalScoreQuantile):
+    """The normal law N(m(t), v(t)) read as a quantile family m(t) + sqrt(v(t)) * ndtri(u)."""
+
+    eval_score = DistributionSpec.from_score
+
+
+def _driver_normal(driver: drv.Driver, t: float) -> tuple[float, float]:
+    """The Gaussian driver's marginal (m_t, sd_t); ParameterError unless 0 < sd_t < inf."""
     m, sd = driver.marginal_mean_std(t)
-    return (np.asarray(y, dtype=float) - m) / sd
+    if not 0.0 < sd < math.inf:
+        raise ParameterError(f"{driver.kind} marginal law at t = {t} needs 0 < sd < inf, got {sd}")
+    return m, sd
 
 
 def canonical_brownian_law() -> GaussianLaw:
@@ -510,13 +495,14 @@ class ShiftedDriverLaw(DistributionSpec):
         if not 0.0 <= self.shift <= 1.0:
             raise ParameterError(f"shift must lie in [0, 1], got {self.shift}")
 
+    def normal_at(self, t):
+        if not self.driver.is_gaussian:
+            return None
+        m, sd = _driver_normal(self.driver, t)
+        return m + self.shift, sd
+
     def cdf(self, t, y):
         return self.driver.marginal_cdf(t, np.asarray(y, dtype=float) - self.shift)
-
-    def score(self, t, y):
-        if self.driver.is_gaussian:
-            return _standardize(self.driver, t, np.asarray(y, dtype=float) - self.shift)
-        return super().score(t, y)
 
     def pdf(self, t, y):
         return self.driver.marginal_pdf(t, np.asarray(y, dtype=float) - self.shift)
@@ -555,18 +541,22 @@ class PivotLaw(DistributionSpec):
         self.reference.validate(t)
 
     def cdf(self, t, y):
-        return self.reference.cdf(t, _standardize(self.driver, t, y))
+        return self.reference.cdf(t, _norm_score(y, *_driver_normal(self.driver, t)))
 
     def score(self, t, y):
-        return self.reference.score(t, _standardize(self.driver, t, y))
+        return self.reference.score(t, _norm_score(y, *_driver_normal(self.driver, t)))
 
     def pdf(self, t, y):
-        m, sd = self.driver.marginal_mean_std(t)
-        return self.reference.pdf(t, (np.asarray(y, dtype=float) - m) / sd) / sd
+        m, sd = _driver_normal(self.driver, t)
+        return self.reference.pdf(t, _norm_score(y, m, sd)) / sd
 
     def quantile(self, t, u):
-        m, sd = self.driver.marginal_mean_std(t)
+        m, sd = _driver_normal(self.driver, t)
         return m + sd * self.reference.quantile(t, u)
+
+    def from_score(self, t, x):
+        m, sd = _driver_normal(self.driver, t)
+        return m + sd * self.reference.from_score(t, x)
 
 
 @dataclass(frozen=True)
@@ -664,22 +654,25 @@ def canonical_map(quantile: QuantileSpec) -> CompositeMap:
 
 
 def preimage(quantile: QuantileSpec, dist: DistributionSpec, t: float, z):
-    """(u, w, fz, fd, ok) for the inverse composite w = Q_dist(t, F_quantile(t, z)).
+    """(x, w, fz, fd, ok) for the inverse composite w = Q_dist(t, F_quantile(t, z)).
 
-    u and fz are the family's CDF and density at z, as 1-d or wider arrays,
-    read together by one ``quantile.cdf_pdf`` call, so TukeyGH inverts each z
-    once.  On its range ok = (0 < u < 1) & (fz > 0), w = dist.quantile(t, u)
-    and fd = dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.  A NaN
-    z gives NaN u and fz and is never ``ok``.
+    x and fz are the family's normal score and density at z, as 1-d or wider
+    arrays, from one ``quantile.score_pdf`` call (one TukeyGH inversion).  On
+    ok = (x, w finite) & (fz > 0), w = dist.from_score(t, x) and fd =
+    dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.  A normal law
+    forms no level and keeps the upper tail; a law read through ndtr(x) may
+    send x past 8.3 to its support's end, which is not ``ok``.  NaN z gives NaN x.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    u, fz = (np.asarray(a, dtype=float) for a in quantile.cdf_pdf(t, zv))
-    ok = (u > 0.0) & (u < 1.0) & (fz > 0.0)
-    w, fd = np.zeros_like(u), np.zeros_like(u)
+    x, fz = (np.asarray(a, dtype=float) for a in quantile.score_pdf(t, zv))
+    ok = np.isfinite(x) & (fz > 0.0)
+    w, fd = np.zeros_like(x), np.zeros_like(x)
     if np.any(ok):
-        w[ok] = dist.quantile(t, u[ok])
+        w[ok] = dist.from_score(t, x[ok])
+        ok &= np.isfinite(w)
+        w[~ok] = 0.0
         fd[ok] = dist.pdf(t, w[ok])
-    return u, w, fz, fd, ok
+    return x, w, fz, fd, ok
 
 
 def apply_composite(cmap: CompositeMap, ensemble: drv.PathEnsemble) -> drv.PathEnsemble:

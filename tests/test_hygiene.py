@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every import in src/quantproc is used."""
+"""Source hygiene of the package: every import in src/quantproc is used, and so is
+every module-level private function, class and constant."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """Module-level private names (one leading underscore) that no module reads.
+
+    ``sources`` maps module names to source text.  A name counts as read where
+    any module loads it, reads it as an attribute (``va._discount``) or
+    imports it.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_detector_finds_an_unread_private_name():
+    sources = {"a.py": "_X, _Y = 1, 2\n_Z: int = 3\n\ndef _f():\n    return _Y\n\n"
+                       "class _C:\n    pass\n",
+               "b.py": "from a import _C\nimport a\nv = a._Z\n__all__ = []\n"}
+    assert unread_private_names(sources) == ["a.py: _X", "a.py: _f"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from quantproc import copulas as cp
 from quantproc import dominance as dm
@@ -139,11 +139,41 @@ def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
     central = (me.distorted_cdf(law, t, zs + eps) - me.distorted_cdf(law, t, zs - eps)) / (2 * eps)
     assert np.allclose(central, pdf, rtol=1e-5, atol=1e-7)
     dist = cm.dist_for(base)
-    u, w, _, _, ok = tr.preimage(q, dist, t, zs)
+    x, w, _, _, ok = tr.preimage(q, dist, t, zs)
     # the Gaussian CDF keeps ~1e-16 absolute, not relative, accuracy as it nears 1,
     # hence the level cut and the tolerance
-    sel = ok & (np.abs(special.ndtri(u)) < 7.0)
+    sel = ok & (np.abs(x) < 7.0)
     assert np.allclose(q.eval(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
+
+
+# a false-law map whose narrow law sends the family's score x to y = 0.2 x: at these
+# scores the level ndtr(x) rounds to 1, and the inverse path must not pass through it
+_FALSE_Q = tr.TukeyGH(0.0, 1.0, 0.2, 0.1)
+_FALSE_LAW = me.DistortedLaw(tr.CompositeMap(dist=tr.GaussianLaw(0.0, 0.04), quantile=_FALSE_Q),
+                             d.Brownian())
+
+
+@pytest.mark.parametrize("x", [8.0, 8.25, 8.3, 9.0])
+def test_false_law_keeps_the_upper_tail(x):
+    # Z = Q(Y / 0.2) for Y ~ N(0, 1), so F_Z(Q(x)) = Phi(0.2 x) and f_Z = phi(0.2 x) 0.2 / Q'(x)
+    z = float(_FALSE_Q.eval_score(1.0, x))
+    g, h = 0.2, 0.1
+    slope = math.exp(0.5 * h * x * x) * (math.exp(g * x) + h * x * math.expm1(g * x) / g)
+    want = stats.norm.cdf(0.2 * x)
+    assert me.distorted_cdf(_FALSE_LAW, 1.0, z) == pytest.approx(want, rel=1e-12)
+    assert me.distorted_pdf(_FALSE_LAW, 1.0, z) == pytest.approx(
+        stats.norm.pdf(0.2 * x) * 0.2 / slope, rel=1e-12)
+
+
+def test_false_law_density_integrates_to_one():
+    # the CDF ends at 0 and 1, and 64-node Gauss-Legendre panels between Q at the
+    # scores -38, -36, ..., 38 hold the mass; the mass beyond them, 2 Phi(-7.6), is 3e-14
+    assert np.array_equal(me.distorted_cdf(_FALSE_LAW, 1.0, [-np.inf, np.inf]), [0.0, 1.0])
+    edges = _FALSE_Q.eval_score(1.0, np.arange(-38.0, 39.0, 2.0))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    mass = sum((b - a) / 2.0 * np.sum(weights * me.distorted_pdf(
+        _FALSE_LAW, 1.0, (a + b) / 2.0 + (b - a) / 2.0 * nodes)) for a, b in zip(edges[:-1], edges[1:]))
+    assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_one_inversion_per_call(monkeypatch):

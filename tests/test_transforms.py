@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from quantproc import drivers as d
+from quantproc import measures as me
 from quantproc import transforms as tr
 from quantproc._util import clip_unit
 from quantproc.errors import CapabilityError, NumericError, ParameterError
@@ -137,12 +138,16 @@ def _families(draw, kinds=("gh", "g", "gaussian", "table")):
 @settings(max_examples=80, deadline=None)
 @given(q=_families(), zs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20),
        t=st.floats(0.1, 3.0))
-def test_cdf_pdf_is_cdf_and_pdf_bit_for_bit(q, zs, t):
+def test_score_pdf_is_score_and_pdf_bit_for_bit(q, zs, t):
     # both tails, and the support edge of TukeyG and the table with points beyond it
     edges = [e for e in q.support(t) if np.isfinite(e)]
     z = np.array(zs + [-np.inf, np.inf] + [e + s for e in edges for s in (-1.0, 0.0, 1.0)])
-    cdf, pdf = q.cdf_pdf(t, z)
-    assert np.array_equal(cdf, q.cdf(t, z)) and np.array_equal(pdf, q.pdf(t, z))
+    x, pdf = q.score_pdf(t, z)
+    assert np.array_equal(x, q.score(t, z)) and np.array_equal(pdf, q.pdf(t, z))
+    # the score families' CDF is the level of their score; the table's score is ndtri of its CDF
+    cdf = q.cdf(t, z)
+    assert (np.array_equal(x, special.ndtri(cdf)) if q is _TABLE
+            else np.array_equal(special.ndtr(x), cdf))
 
 
 @pytest.mark.parametrize("q", [tr.TukeyGH(0.0, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.5)],
@@ -151,9 +156,9 @@ def test_nan_value_stays_nan(q, monkeypatch):
     calls = _count_core_slope(monkeypatch)
     z = np.array([-2.5, 0.3, 4.0])
     zn = np.insert(z, 1, np.nan)
-    want = (q.cdf(1.0, z), q.pdf(1.0, z), *q.cdf_pdf(1.0, z))
+    want = (q.cdf(1.0, z), q.pdf(1.0, z), *q.score_pdf(1.0, z))
     clean_calls = len(calls)
-    got = (q.cdf(1.0, zn), q.pdf(1.0, zn), *q.cdf_pdf(1.0, zn))
+    got = (q.cdf(1.0, zn), q.pdf(1.0, zn), *q.score_pdf(1.0, zn))
     # a NaN level neither reads as a plausible number nor holds the others' Newton loop
     assert len(calls) == 2 * clean_calls
     for g_, w_ in zip(got, want):
@@ -167,7 +172,7 @@ def test_piecewise_density_is_nan_at_nan():
     z = np.array([-5.0, -1.0, 0.5, 2.0, 9.0])
     zn = np.insert(z, 1, np.nan)
     # the density is NaN where the matching CDF is, and unchanged elsewhere
-    for pdf in (lambda x: table.pdf(1.0, x), lambda x: table.cdf_pdf(1.0, x)[1],
+    for pdf in (lambda x: table.pdf(1.0, x), lambda x: table.score_pdf(1.0, x)[1],
                 lambda x: emp.pdf(1.0, x)):
         got = pdf(zn)
         assert np.isnan(got[1]) and np.array_equal(np.delete(got, 1), pdf(z))
@@ -183,6 +188,18 @@ def test_validation_rules():
         tr.TukeyG(0.0, 1.0, 0.0).validate()
     with pytest.raises(ParameterError):
         tr.GaussianQuantile(0.0, -1.0).validate()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tr.canonical_brownian_law().cdf(0.0, [0.1, -0.1, 0.0]),
+    lambda: tr.canonical_brownian_law().pdf(0.0, [0.1, 0.0]),
+    lambda: tr.PivotLaw(d.Brownian()).cdf(0.0, [0.1, 0.0]),
+    lambda: tr.GaussianQuantile(0.0, -1.0).eval(1.0, [0.3]),
+], ids=["brownian-law-cdf", "brownian-law-pdf", "pivot-cdf", "gaussian-quantile-eval"])
+def test_degenerate_normal_law_is_a_parameter_error(call):
+    # a normal law without 0 < sd < inf gives neither silent NaNs nor an untyped math error
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_quantile_cdf_inverse_examples():
@@ -410,6 +427,54 @@ def test_driver_law_is_the_shifted_law_at_zero(drv):
     inv = [tr.preimage(q, law, 1.0, zs) for law in laws]
     for a, b in zip(*inv):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# score maps
+# ---------------------------------------------------------------------------
+
+#: the empirical law inverts between its outermost knot levels 0.5/n and 1 - 0.5/n
+_EMPIRICAL_REACH = float(special.ndtri(1.0 - 0.5 / _EMPIRICAL.samples.size))
+#: (name, law, its driver, the reach |x| of the score round trip, exact): the maps of
+#: a normal law are affine; a law read through its level ndtr(x) carries the round-off
+#: of the level, eps / phi(x), and of its value w, eps |w| f(w) / phi(x), into x
+_SCORE_LAWS = [
+    ("gaussian", tr.GaussianLaw(lambda t: 0.3 * t, lambda t: 0.5 + t), _BM, 30.0, True),
+    ("driver-bm", tr.DriverLaw(_BM), _BM, 30.0, True),
+    ("shifted-bm", tr.ShiftedDriverLaw(_BM, 0.4), _BM, 30.0, True),
+    ("driver-ou", tr.DriverLaw(_OU), _OU, 30.0, True),
+    ("shifted-ou", tr.ShiftedDriverLaw(_OU, 0.7), _OU, 30.0, True),
+    ("pivot-normal", tr.PivotLaw(_OU, tr.GaussianLaw(0.2, 1.5)), _OU, 30.0, True),
+    ("driver-vg", tr.DriverLaw(_VG), _VG, 7.0, False),
+    ("shifted-vg", tr.ShiftedDriverLaw(_VG, 0.3), _VG, 7.0, False),
+    ("driver-gamma", tr.DriverLaw(_GAMMA), _GAMMA, 7.0, False),
+    ("shifted-gamma", tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA, 7.0, False),
+    ("pivot-empirical", tr.PivotLaw(_BM, _EMPIRICAL), _BM, _EMPIRICAL_REACH, False),
+    ("empirical", _EMPIRICAL, _BM, _EMPIRICAL_REACH, False),
+]
+_score_laws = st.sampled_from(_SCORE_LAWS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_score_laws, fracs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
+       t=st.floats(0.2, 3.0))
+def test_from_score_inverts_score(case, fracs, t):
+    _, law, _, reach, exact = case
+    x = reach * np.array(fracs)
+    w = law.from_score(t, x)
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    tol = 1e-14 * (1.0 + np.abs(x) + (0.0 if exact else (1.0 + np.abs(w) * law.pdf(t, w)) / phi))
+    assert np.all(np.abs(law.score(t, w) - x) <= tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_score_laws, q=_families(kinds=("gh", "g", "gaussian")), t=st.floats(0.2, 3.0))
+def test_distorted_cdf_is_monotone_in_the_unit_interval(case, q, t):
+    _, law, drv, _, _ = case
+    zs = q.eval_score(t, np.linspace(-12.0, 12.0, 97))
+    cdf = me.distorted_cdf(me.DistortedLaw(tr.CompositeMap(dist=law, quantile=q), drv), t, zs)
+    # monotone to round-off: scipy's gamma CDF can step down by an ulp between adjacent floats
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -4.0 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
