@@ -5,6 +5,8 @@ output Z_t = Q(C(t, F_1(Y^1), ..., F_m(Y^m))) stays univariate.  Its CDF is
 the copula's Kendall function at the quantile family's CDF, K_C(t, F_Q(t, z)):
 exact for independence, comonotone and bivariate Archimedean copulas, else
 estimated from copula draws.  The density ratio needs K_C's exact derivative.
+Gaussian-copula joint paths step each driver on the copula's normal scores,
+``sample_scores``; terminal joint draws read the copula's levels.
 """
 
 from __future__ import annotations
@@ -201,9 +203,12 @@ class GaussianCopula(CopulaSpec):
         out = np.where(np.any(pts <= 0.0, axis=1), 0.0, np.clip(out, 0.0, 1.0))
         return float(out[0]) if single else out
 
+    def sample_scores(self, t, n, rng):
+        """n draws of the correlated standard normals whose levels ``sample`` returns."""
+        return rng.standard_normal((n, self.dim)) @ self._chol().T
+
     def sample(self, t, n, rng):
-        z = rng.standard_normal((n, self.dim)) @ self._chol().T
-        return stats.norm.cdf(z)
+        return special.ndtr(self.sample_scores(t, n, rng))
 
 
 class _Archimedean(CopulaSpec):
@@ -397,8 +402,8 @@ def simulate_joint(drivers: Sequence[drv.Driver], copula: CopulaSpec, grid: drv.
 
     Comonotone feeds every component the same uniform stream; independence
     uses independent substreams; a Gaussian copula correlates the per-step
-    innovation uniforms (supported for drivers whose exact transition needs a
-    single innovation per step: Brownian, OU, gamma).
+    normal innovations each driver steps on (supported for drivers whose exact
+    transition needs a single innovation per step: Brownian, OU, gamma).
     """
     m = len(drivers)
     if m != copula.dim:
@@ -412,12 +417,11 @@ def simulate_joint(drivers: Sequence[drv.Driver], copula: CopulaSpec, grid: drv.
             rng = substream(seed, 11, 0 if isinstance(copula, ComonotoneCopula) else i)
             paths.append(drv.step_grid(grid.times, starts[i], partial(dr.sample_transition, rng)))
     elif isinstance(copula, GaussianCopula):
-        chol = copula._chol()
         rng = substream(seed, 11)
 
         def step(s, t, states):
-            u_steps = stats.norm.cdf(rng.standard_normal((n_paths, m)) @ chol.T)
-            return np.array([dr.transition_from_uniform(s, t, states[i], u_steps[:, i])
+            x = copula.sample_scores(t, n_paths, rng)
+            return np.array([dr.transition_from_score(s, t, states[i], x[:, i])
                              for i, dr in enumerate(drivers)])
         paths = drv.step_grid(grid.times, starts, step)
     else:

@@ -7,7 +7,9 @@ for second order, each with a strict witness (Shaked & Shanthikumar,
 where both CDFs leave {0, 1}; the grid on it is uniform in asinh(z), so a
 domain widened to millions by a heavy tail keeps its points dense where the
 CDFs cross.  Quantile crossing levels u* delimit the dominance domain for
-composite-map pairs sharing a driver law.  The sufficient conditions read
+composite-map pairs sharing a driver law; the crossing scan reads both
+families at normal scores x through ``eval_score`` and forms only the level
+u* = ndtr(x*) it reports.  The sufficient conditions read
 their derivatives and CDFs off ``transforms.preimage``, the inverse composite
 w = Q_dist(t, F_quantile(t, z)); this module does not import ``measures``.
 """
@@ -69,30 +71,29 @@ class DominanceReport:
 # quantile crossing levels
 # ---------------------------------------------------------------------------
 
-#: beyond this |ndtri| argument, ndtr(x) is indistinguishable from {0, 1} in float64
+#: the crossing scan's reach in x: u* = ndtr(x*) must stay a level resolvable from {0, 1}
 _X_RESOLVABLE = 8.2
-#: points of the crossing scan, uniform in x = ndtri(u) on [-_X_RESOLVABLE, _X_RESOLVABLE]
+#: points of the crossing scan, uniform in x on [-_X_RESOLVABLE, _X_RESOLVABLE]
 _N_SCAN = 4096
 
 
 def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
                     t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Scores x where Q1 - Q2 changes sign, the scan's levels ndtr(x) and Q1 - Q2 on them."""
     xs = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
-    us = special.ndtr(xs)
 
-    def diff_x(x: float) -> float:
-        u = special.ndtr(np.asarray(x))
-        return float(q1.eval(t, u) - q2.eval(t, u))
+    def diff(x):
+        return q1.eval_score(t, x) - q2.eval_score(t, x)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        d = np.asarray(q1.eval(t, us), dtype=float) - np.asarray(q2.eval(t, us), dtype=float)
+        d = diff(xs)
     d = np.where(np.isfinite(d), d, 0.0)
     s = np.sign(d)
     roots: list[float] = []
     flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
     for i in flips:
         try:
-            r = optimize.brentq(diff_x, xs[i], xs[i + 1], xtol=1e-13, maxiter=200)
+            r = optimize.brentq(diff, xs[i], xs[i + 1], xtol=1e-13, maxiter=200)
         except (ValueError, RuntimeError) as exc:
             raise NumericError(f"crossing root-finding failed near x={xs[i]:.3f}: {exc}")
         roots.append(float(r))
@@ -101,7 +102,7 @@ def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
         if 0 < i < _N_SCAN - 1 and s[i - 1] * s[i + 1] < 0:
             roots.append(float(xs[i]))
     roots.sort()
-    return roots, us, d
+    return roots, special.ndtr(xs), d
 
 
 def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) -> Optional[float]:
@@ -130,10 +131,10 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) ->
     evidence = {"u_grid": us, "quantile_diff": d}
     if roots:
         x_star = roots[-1]
-        u_star = float(special.ndtr(np.asarray(x_star)))
-        z0 = float(q1.eval(t, u_star))
-        above = special.ndtr(np.asarray(x_star + max(1e-6, 1e-6 * abs(x_star))))
-        sign_after = float(q1.eval(t, above) - q2.eval(t, above))
+        u_star = float(special.ndtr(x_star))
+        z0 = float(q1.eval_score(t, x_star))
+        above = x_star + max(1e-6, 1e-6 * abs(x_star))
+        sign_after = float(q1.eval_score(t, above) - q2.eval_score(t, above))
         boundary = ""
         if u_star > 1.0 - 1e-6:
             boundary = ("crossing sits at the u -> 1 boundary: the first curve dominates "

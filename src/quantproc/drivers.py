@@ -139,9 +139,9 @@ class Driver:
     def transition_pdf(self, s: float, t: float, state, y) -> np.ndarray:
         raise NotImplementedError
 
-    def transition_from_uniform(self, s: float, t: float, states: np.ndarray,
-                                u: np.ndarray) -> np.ndarray:
-        """Exact transition of ``states`` from s to t driven by one innovation uniform each."""
+    def transition_from_score(self, s: float, t: float, states: np.ndarray,
+                              x: np.ndarray) -> np.ndarray:
+        """Exact transition of ``states`` from s to t, one standard normal innovation x each."""
         raise CapabilityError(
             f"{self.kind} transitions need more than one innovation per step and cannot "
             f"be coupled through a Gaussian innovation copula")
@@ -163,11 +163,11 @@ class GaussianDriver(Driver):
         raise NotImplementedError
 
     def sample_transition(self, rng, s, t, states):
-        mean, sd = self._transition_mean_std(s, t, states)
-        return mean + sd * rng.standard_normal(np.shape(states))
+        return self.transition_from_score(s, t, states, rng.standard_normal(np.shape(states)))
 
-    def transition_from_uniform(self, s, t, states, u):
-        return _norm_ppf(clip_unit(u), *self._transition_mean_std(s, t, states))
+    def transition_from_score(self, s, t, states, x):
+        mean, sd = self._transition_mean_std(s, t, states)
+        return mean + sd * x
 
     def marginal_cdf(self, t, y):
         _check_time(t)
@@ -593,9 +593,9 @@ class GammaProcess(Driver):
         shape, scale = self._shape_scale(t - s)
         return states + rng.gamma(shape, scale, size=np.shape(states))
 
-    def transition_from_uniform(self, s, t, states, u):
+    def transition_from_score(self, s, t, states, x):
         shape, scale = self._shape_scale(t - s)
-        return states + scale * special.gammaincinv(shape, clip_unit(u))
+        return states + scale * special.gammaincinv(shape, clip_unit(special.ndtr(x)))
 
     def marginal_cdf(self, t, y):
         _check_time(t)

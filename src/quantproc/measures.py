@@ -116,26 +116,19 @@ def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y
     if not getattr(cmap.quantile, "is_discrete", False):
         raise CapabilityError(
             "discrete density ratios need a discrete quantile family (Poisson pivot)")
-    dist = cmap.dist_for(base)
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.floor(yv).astype(int)
+    ks = np.arange(0, 4 * int(base.cumulative_intensity(t)) + 200)
+    cdfs = np.asarray(cmap.dist_for(base).cdf(t, ks.astype(float)), dtype=float)
 
-    def mass_z_at(j: np.ndarray) -> np.ndarray:
-        # P(Z <= j) = P(F(N) <= F_quantile(j)) = P(N <= count_level(F_quantile(j)))
-        def level(c: np.ndarray) -> np.ndarray:
-            # largest count with dist CDF at or below c (-1 when none)
-            ks = np.arange(0, 4 * int(base.cumulative_intensity(t)) + 200)
-            cdfs = np.asarray(dist.cdf(t, ks.astype(float)), dtype=float)
-            idx = np.searchsorted(cdfs, np.asarray(c) * (1 + 1e-12), side="right") - 1
-            return idx
+    def cdf_z(j: np.ndarray) -> np.ndarray:
+        # P(Z <= j) = P(F(N) <= F_quantile(j)) = P(N <= n) for the largest count n
+        # whose dist CDF is at or below F_quantile(j) (none: probability 0)
+        n = np.searchsorted(cdfs, np.asarray(cmap.quantile.cdf(t, j)) * (1 + 1e-12),
+                            side="right") - 1
+        return np.where(n >= 0, base.marginal_cdf(t, n.astype(float)), 0.0)
 
-        hi = level(np.asarray(cmap.quantile.cdf(t, j.astype(float))))
-        lo = level(np.asarray(cmap.quantile.cdf(t, j.astype(float) - 1.0)))
-        cdf_hi = np.where(hi >= 0, base.marginal_cdf(t, hi.astype(float)), 0.0)
-        cdf_lo = np.where(lo >= 0, base.marginal_cdf(t, lo.astype(float)), 0.0)
-        return cdf_hi - cdf_lo
-
-    mass_z = mass_z_at(k)
+    mass_z = cdf_z(k.astype(float)) - cdf_z(k.astype(float) - 1.0)
     mass_y = base.marginal_pmf(t, k)
     out = np.where(mass_y > 0, mass_z / np.where(mass_y > 0, mass_y, 1.0), 0.0)
     return out if np.ndim(y) else float(out[0])

@@ -75,6 +75,11 @@ class QuantileSpec:
     def eval(self, t: float, u) -> np.ndarray:
         raise NotImplementedError
 
+    def eval_score(self, t: float, x) -> np.ndarray:
+        """Q(t, ndtr(x)) at normal scores x: the one place a level-native family
+        forms the level; NormalScoreQuantile families read x in closed form."""
+        return self.eval(t, special.ndtr(x))
+
     def cdf(self, t: float, z) -> np.ndarray:
         """Generalized inverse of ``eval`` in its second argument."""
         raise NotImplementedError
@@ -106,12 +111,8 @@ class QuantileSpec:
 class NormalScoreQuantile(QuantileSpec):
     """A family Q(t, u) = T(t, ndtri(u)) given in closed form in the normal score.
 
-    ``compose`` feeds T the law's score ndtri(F(t, y)) directly.
+    ``eval_score`` is T, and ``compose`` feeds it the law's score ndtri(F(t, y)).
     """
-
-    def eval_score(self, t: float, x) -> np.ndarray:
-        """T(t, x) at normal scores x."""
-        raise NotImplementedError
 
     def eval(self, t, u):
         u = np.asarray(u, dtype=float)
@@ -586,6 +587,13 @@ class EmpiricalLaw(DistributionSpec):
         xs, ps = self._knots()
         return np.interp(np.asarray(u, dtype=float), ps, xs)
 
+    def from_score(self, t, x):
+        """quantile(ndtr(x)) inside the CDF's range [ps[0], ps[-1]]; -inf below it and
+        +inf from its top on, so Q(F(Y)) keeps its atoms at both ends."""
+        xs, ps = self._knots()
+        u = special.ndtr(x)
+        return np.where(u < ps[0], -np.inf, np.where(u >= ps[-1], np.inf, np.interp(u, ps, xs)))
+
     def pdf(self, t, y):
         xs, ps = self._knots()
         return _segment_slope(y, xs, np.diff(ps) / np.diff(xs))
@@ -761,14 +769,6 @@ class TukeyGMoments:
     variance: float
     skewness: float
     kurtosis_excess: float
-
-    @property
-    def central_third(self) -> float:
-        return self.skewness * self.variance ** 1.5
-
-    @property
-    def central_fourth(self) -> float:
-        return (self.kurtosis_excess + 3.0) * self.variance ** 2
 
 
 def tukey_g_gaussian_moments(a: float, b: float, g: float, m: float, v: float) -> TukeyGMoments:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from . import dominance as dom
 from . import drivers as drv
@@ -260,8 +260,8 @@ def quantile_integral_price(req: ValuationRequest) -> float:
     """Quadrature oracle for t = 0 prices of true-law maps.
 
     For a true-law composite the quantile level is uniform, so
-    E[V(Z_u)] = integral over (0, 1) of V(Q(u, p)) dp, computed here through
-    the substitution p = ndtr(x).  Independent of any Monte Carlo path.
+    E[V(Z_u)] = integral over (0, 1) of V(Q(u, p)) dp, computed here through p = ndtr(x)
+    with Q read at the score x.  Independent of any Monte Carlo path.
     """
     if req.t != 0:
         raise RequestError("the quantile-integral oracle prices at t = 0 only")
@@ -272,9 +272,8 @@ def quantile_integral_price(req: ValuationRequest) -> float:
     q = req.map.quantile
 
     def f(x: float) -> float:
-        p = special.ndtr(np.asarray(x))
-        z = float(q.eval(req.u, p))
-        return float(req.payoff(np.asarray(z))) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        z = q.eval_score(req.u, np.asarray(x))
+        return float(req.payoff(z)) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
     val, err = integrate.quad(f, -10.0, 10.0, epsabs=1e-10, limit=400)
     return disc * float(val)
@@ -416,18 +415,14 @@ def carbon_tariff_table(exporters: Sequence[Exporter], unit_cost: float,
 # nested (time-consistency) pricing
 # ---------------------------------------------------------------------------
 
-def nested_price(req: ValuationRequest, mid: float, n_outer: int,
-                 n_inner: Optional[int] = None) -> tuple[float, float]:
+def nested_price(req: ValuationRequest, mid: float, n_outer: int) -> tuple[float, float]:
     """Price at t through intermediate prices at ``mid``: outer states at mid,
-    inner re-simulation to u, discounted back.
+    inner re-simulation of ``req.mc.n_inner`` paths each to u, discounted back.
 
     Returns (nested price, standard error over outer states).  Matching the
     direct price within Monte Carlo error is the time-consistency property of
-    conditional-expectation valuation.  ``n_inner`` defaults to the request's
-    Monte Carlo settings.
+    conditional-expectation valuation.
     """
-    if n_inner is None:
-        n_inner = req.mc.n_inner
     if not req.t < mid < req.u:
         raise RequestError("need t < mid < u for nested pricing")
     req.validate()
@@ -436,7 +431,7 @@ def nested_price(req: ValuationRequest, mid: float, n_outer: int,
                                      substream(req.mc.seed, 101))
     inner_vals = np.empty(n_outer)
     disc_mid_u = _discount(req.rate, mid, req.u)
-    inner_mc = replace(req.mc, n_paths=n_inner)
+    inner_mc = replace(req.mc, n_paths=req.mc.n_inner)
     for i, s in enumerate(outer):
         _, z_u = _terminal_draws(replace(req, t=mid, state=s, mc=inner_mc), stream=(202, i))
         inner_vals[i] = disc_mid_u * float(np.mean(req.payoff(z_u)))

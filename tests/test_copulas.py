@@ -13,6 +13,7 @@ from quantproc import dominance as dom
 from quantproc import measures as me
 from quantproc import transforms as tr
 from quantproc import valuation as va
+from quantproc._util import substream
 from quantproc.errors import CapabilityError, ParameterError, RequestError
 
 from conftest import ks_critical
@@ -303,6 +304,22 @@ def test_gaussian_coupled_innovations(second):
         u_sorted = np.sort(u)
         emp = np.arange(1, u.size + 1) / u.size
         assert float(np.max(np.abs(u_sorted - emp))) < ks_critical(u.size)
+
+
+def test_gaussian_copula_step_moves_brownian_margins_by_its_scores():
+    # each step adds sqrt(t - s) times the copula's correlated scores, drawn in turn from
+    # the joint simulation's substream: bit for bit, with no level formed on the way
+    gc = cp.GaussianCopula(np.array([[1.0, 0.6], [0.6, 1.0]]))
+    drivers_ = [d.Brownian(), d.Brownian(origin=0.5)]
+    times = np.array([0.25, 1.0, 1.5])
+    ens = cp.simulate_joint(drivers_, gc, d.TimeGrid(times), 1_000, 5)
+    rng = substream(5, 11)
+    states, prev = np.array([[0.0], [0.5]]), 0.0
+    for k, t in enumerate(times):
+        states = states + math.sqrt(t - prev) * gc.sample_scores(t, 1_000, rng).T
+        for e, want in zip(ens, states):
+            assert np.array_equal(e.paths[:, k], want)
+        prev = t
 
 
 def test_terminal_joint_sampling_keeps_margins_and_dependence():

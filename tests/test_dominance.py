@@ -82,6 +82,29 @@ def test_crossing_consistency_with_quantile_value():
         assert z1 == pytest.approx(z2, rel=1e-6)
 
 
+# domain bounds Q1(x*) = Q2(x*) solved in 40-digit arithmetic; at these crossings the
+# level ndtr(x*) is within 1e-8 of 1 and keeps few digits of x*
+
+@pytest.mark.parametrize("g1, g2, h1, h2, want", [(2.0, 0.8, 0.05, 0.4, 196110.81441188508),
+                                                  (2.0, 1.5, 0.05, 0.2, 214900.76336581291)],
+                         ids=["row3", "row4"])
+def test_crossing_table_far_tail_rows_domain_bound(g1, g2, h1, h2, want):
+    rep = dom.crossing_report(gh(g1, h1), gh(g2, h2))
+    assert rep.direction == -1
+    assert rep.domain_lower == pytest.approx(want, rel=1e-12)
+
+
+# b2 = core_1(x*) / core_2(x*) puts the crossing of gh(0.2, 0.1) and
+# TukeyGH(0, b2, 0.3, 0.05) at x* = 7.8 and 8.1, where 1 - ndtr(x*) is 3e-15 and 3e-16
+@pytest.mark.parametrize("b2, want", [(2.7507096520546512, 393.68193907312036),
+                                      (3.0263292477587074, 538.83938727524648)],
+                         ids=["x7.8", "x8.1"])
+def test_crossing_deep_in_the_upper_tail(b2, want):
+    rep = dom.crossing_report(gh(0.2, 0.1), tr.TukeyGH(0.0, b2, 0.3, 0.05))
+    assert rep.direction == 1
+    assert rep.domain_lower == pytest.approx(want, rel=1e-12)
+
+
 def test_reference_pair_with_heavier_second_tail():
     # the (2, 1.5, 0.05, 0.4) pair reproduces the reference crossing level
     # 0.985 and domain bound 42.36

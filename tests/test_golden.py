@@ -62,11 +62,11 @@ GOLDEN = {
     "price": (["price"], PRICE_YAML, {
         "price.json": "28d1faa142499a9ef633fee12f75ddbc5d7bb0c260a5cb48faa05a9d33ae46a3"}),
     "dom": (["dominance"], DOM_YAML, {
-        "dominance.json": "d99c8cecbc21c232ebd95df51f54863e7444ffe31786adb8ecb4fcc336394c9d",
+        "dominance.json": "21e73a0756a1e60e5902ccf32c7d4cbe8e1ae6b621c1abda74dd19aa1d92531e",
         "dominance_evidence.csv":
             "d0779b859ef023eddf56807e08dd75d27e3e21f675826897ebd9e6d58f0ac47d"}),
     "crossing-table": (["reproduce", "crossing-table", "--seed", "1"], None, {
-        "crossing_table.csv": "e8bbdf355e7cff6d4754ad15bfb1013bbc036809e5a03de5f02f4f572a60befc"}),
+        "crossing_table.csv": "9871e78849961559a9d1c9016bb0275952ee235d30fefe4f14371ea7240d70da"}),
     "crossing-curves": (["reproduce", "crossing-curves", "--seed", "1"], None, {
         "crossing_curves.csv":
             "cd6e8aadc8358c18a5d59fc44688f301638daf83193372af0c3d825ae176a3d8"}),

@@ -1,7 +1,9 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
-every module-level private function, class and constant."""
+every module-level private function, class and constant; and no quantile family is
+evaluated at a level ndtr(x) formed outside ``QuantileSpec.eval_score``."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,61 @@ def test_detector_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def level_round_trips(source: str) -> list[str]:
+    """``.eval(`` calls fed a level built by ``ndtr``: in an argument, or through a name
+    that the function, nested functions included, assigns from an expression holding
+    ``ndtr``.  ``QuantileSpec.eval_score`` is the one place a level may be formed."""
+    tree = ast.parse(source)
+
+    def holds(node, names) -> bool:
+        return any((isinstance(n, ast.Call) and "ndtr" in (getattr(n.func, "id", None),
+                                                           getattr(n.func, "attr", None)))
+                   or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
+
+    scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    scopes += [(f"{c.name}.{n.name}", n) for c in tree.body if isinstance(c, ast.ClassDef)
+               for n in c.body if isinstance(n, ast.FunctionDef)]
+    found = []
+    for name, fn in scopes:
+        if name == "QuantileSpec.eval_score":
+            continue
+        levels = {t.id for a in ast.walk(fn)
+                  if isinstance(a, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                  and a.value is not None and holds(a.value, ())
+                  for target in (a.targets if isinstance(a, ast.Assign) else [a.target])
+                  for t in ast.walk(target) if isinstance(t, ast.Name)}
+        found += [(call.lineno, f"{name} (line {call.lineno})") for call in ast.walk(fn)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "eval"
+                  and any(holds(arg, levels)
+                          for arg in call.args + [k.value for k in call.keywords])]
+    return [label for _, label in sorted(found)]
+
+
+def test_detector_finds_a_level_round_trip():
+    source = textwrap.dedent("""\
+        class QuantileSpec:
+            def eval_score(self, t, x):
+                return self.eval(t, special.ndtr(x))
+
+        class Family(QuantileSpec):
+            def eval_score(self, t, x):
+                return self.eval(t, ndtr(x))
+
+        def scan(q, xs):
+            us = special.ndtr(xs)
+
+            def one(x):
+                u: float = float(ndtr(x))
+                return q.eval(1.0, u=u)
+            return q.eval(1.0, us), q.eval(1.0, xs), q.eval_score(1.0, xs), one(0.0)
+        """)
+    assert level_round_trips(source) == ["Family.eval_score (line 7)", "scan (line 14)",
+                                         "scan (line 15)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_level_round_trips(path):
+    assert level_round_trips(path.read_text()) == []

@@ -176,6 +176,24 @@ def test_false_law_density_integrates_to_one():
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
+#: 200 N(0, 1) samples: the empirical CDF ranges over [0.5/200, 1 - 0.5/200], so
+#: Z = Q(F(Y)) lives on [Q(-2.807), Q(2.807)] with an atom at each end
+_EMPIRICAL = tr.EmpiricalLaw(np.random.default_rng(0).standard_normal(200))
+_EMPIRICAL_Q = tr.TukeyGH(0.1, 1.0, 0.3, 0.1)
+
+
+@pytest.mark.parametrize("mode", [tr.MapMode.FALSE_LAW, tr.MapMode.PIVOT])
+def test_empirical_law_keeps_the_atoms_of_the_composite(mode):
+    law = me.DistortedLaw(tr.CompositeMap(dist=_EMPIRICAL, quantile=_EMPIRICAL_Q, mode=mode),
+                          d.Brownian())
+    below = _EMPIRICAL_Q.eval_score(1.0, np.array([-30.0, -12.0, -8.5, -2.9]))
+    above = _EMPIRICAL_Q.eval_score(1.0, np.array([2.9, 8.5, 12.0, 30.0]))
+    assert np.array_equal(me.distorted_cdf(law, 1.0, below), np.zeros(4))
+    assert np.array_equal(me.distorted_cdf(law, 1.0, above), np.ones(4))
+    cdf = me.distorted_cdf(law, 1.0, np.linspace(below[-1], above[0], 20001))
+    assert np.all(np.diff(cdf) >= 0.0) and 0.0 <= cdf[0] and cdf[-1] <= 1.0
+
+
 def test_one_inversion_per_call(monkeypatch):
     # F_Q and f_Q come from one x_from_z solve per call on the whole inverse path
     calls = []

@@ -433,8 +433,9 @@ def test_driver_law_is_the_shifted_law_at_zero(drv):
 # score maps
 # ---------------------------------------------------------------------------
 
-#: the empirical law inverts between its outermost knot levels 0.5/n and 1 - 0.5/n
-_EMPIRICAL_REACH = float(special.ndtri(1.0 - 0.5 / _EMPIRICAL.samples.size))
+#: the empirical law inverts strictly between its outermost knot levels 0.5/n and
+#: 1 - 0.5/n; from_score sends the scores at and past them to -inf and +inf
+_EMPIRICAL_REACH = float(special.ndtri(1.0 - 0.5 / _EMPIRICAL.samples.size)) * (1.0 - 1e-12)
 #: (name, law, its driver, the reach |x| of the score round trip, exact): the maps of
 #: a normal law are affine; a law read through its level ndtr(x) carries the round-off
 #: of the level, eps / phi(x), and of its value w, eps |w| f(w) / phi(x), into x

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ def test_oracle_rejects_false_law_and_positive_t():
                                 quantile=tr.TukeyG(0, 1, 0.5))
     with pytest.raises(RequestError):
         va.quantile_integral_price(make_req(false_map, va.Linear()))
+
+
+def test_oracle_reads_the_family_at_scores_past_the_level_range():
+    # E[A + B core(X)] = B (exp(g^2 / (2 (1 - h))) - 1) / (g sqrt(1 - h)); read through the
+    # level ndtr(x), which rounds to 1 past x = 8.3, the integrand was the family's +inf
+    g, h, r = 0.3, 0.1, 0.05
+    req = make_req(tr.canonical_map(tr.TukeyGH(0.0, 1.0, g, h)), va.Linear(), rate=r)
+    want = math.exp(-r) * math.expm1(g * g / (2.0 * (1.0 - h))) / (g * math.sqrt(1.0 - h))
+    assert va.quantile_integral_price(req) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +288,8 @@ def test_nested_price_matches_direct():
     cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
     req = make_req(cm, va.Layer(1.0, 2.0), n=200_000, seed=53)
     direct = va.qpvp_price(req)
-    nested, se = va.nested_price(req, mid=0.5, n_outer=400, n_inner=2_000)
+    nested, se = va.nested_price(replace(req, mc=replace(req.mc, n_inner=2_000)), mid=0.5,
+                                 n_outer=400)
     combined = math.hypot(se, direct.std_error)
     assert abs(nested - direct.price) <= 3.0 * combined
 
@@ -287,7 +298,8 @@ def test_nested_price_from_positive_t():
     cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
     req = make_req(cm, va.Layer(1.0, 2.0), n=200_000, seed=59, t=0.25, u=1.25, state=0.3)
     direct = va.qpvp_price(req)
-    nested, se = va.nested_price(req, mid=0.75, n_outer=400, n_inner=2_000)
+    nested, se = va.nested_price(replace(req, mc=replace(req.mc, n_inner=2_000)), mid=0.75,
+                                 n_outer=400)
     combined = math.hypot(se, direct.std_error)
     assert abs(nested - direct.price) <= 3.0 * combined
 
@@ -296,4 +308,4 @@ def test_nested_needs_interior_time():
     cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
     req = make_req(cm, va.Layer(1.0, 2.0))
     with pytest.raises(RequestError):
-        va.nested_price(req, mid=1.5, n_outer=10, n_inner=10)
+        va.nested_price(req, mid=1.5, n_outer=10)
