@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 from quantproc import cli
+from quantproc._util import substream
 from quantproc.errors import ConfigError
 
 
@@ -317,6 +319,42 @@ def test_reproduce_pivot_moments(tmp_path):
         vals = [float(x) for x in line.split(",")]
         # formula and Monte Carlo means agree loosely at this budget
         assert vals[3] == pytest.approx(vals[4], abs=0.05)
+
+
+def test_pivot_moment_products_match_powers(tmp_path, monkeypatch):
+    # the runner forms the third and fourth central moments from products; they
+    # match the ``**`` forms, which numpy evaluates through pow, to round-off
+    n = 200_000
+    captured = {}
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, header, rows: captured.update(header=header, rows=rows))
+    cli.run({"kind": "reproduce-pivot-moments", "seed": 1, "n_paths": n}, str(tmp_path))
+    col = captured["header"].index
+    assert len(captured["rows"]) == 5
+    for i, row in enumerate(captured["rows"]):
+        g, v, m = row[:3]
+        x = substream(1, 32, i).standard_normal(n)
+        z = 0.0 + 1.0 / g * np.expm1(g * (x - m) / math.sqrt(v))
+        zc = z - float(np.mean(z))
+        var = float(np.var(z, ddof=1))
+        assert row[col("skew_mc")] == pytest.approx(np.mean(zc ** 3) / var ** 1.5,
+                                                    rel=1e-13, abs=0.0)
+        assert row[col("kurt_excess_mc")] == pytest.approx(np.mean(zc ** 4) / var ** 2 - 3.0,
+                                                           rel=1e-13, abs=0.0)
+
+
+def test_write_csv_formats_floats_as_format_9g(tmp_path):
+    # every float cell is format(x, ".9g") and every other cell str(x), byte for byte
+    rows = [["plain", 1, -0.0, float("nan")],
+            ["50% share", -7, float("inf"), float("-inf")],
+            [True, np.float64(1e-300), 123456789012.0, 0.1 + 0.2],
+            ["%s%d", np.int64(3), 5e-324, -1.2345678949e-7]]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, ["s", "i", "x", "y"], rows)
+    want = "s,i,x,y\n" + "".join(
+        ",".join(format(c, ".9g") if isinstance(c, float) else str(c) for c in row) + "\n"
+        for row in rows)
+    assert path.read_bytes() == want.encode()
 
 
 def test_idempotent_reproduction(tmp_path):
