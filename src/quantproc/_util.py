@@ -1,5 +1,6 @@
 """Small shared helpers: time-dependent parameters, RNG substreams, quadrature,
-and the normal law."""
+and the normal, gamma and Poisson laws.  Module level imports only numpy and
+``scipy.special``; heavier submodules are imported inside their callers."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import warnings
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericError
 
@@ -39,6 +40,7 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, what: str = "integral") -> float:
     """Adaptive Gauss-Kronrod quadrature raising NumericError on tolerance failure."""
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(f, a, b, epsabs=tol, epsrel=1e-11, limit=200)
@@ -78,3 +80,42 @@ def _norm_pdf(y, m, sd):
 def _norm_ppf(u, m, sd):
     """Normal quantile m + sd * ndtri(u)."""
     return m + sd * special.ndtri(np.asarray(u, dtype=float))
+
+
+# the gamma law of shape a and scale s and the Poisson law of mean mu: scipy.stats'
+# own special-function forms, with its values off the support and at the unit edges
+def _gamma_cdf(y, a, s):
+    x = np.asarray(y, dtype=float) / s
+    return np.where(x < 0, 0.0, special.gammainc(a, x))[()]
+
+
+def _gamma_pdf(y, a, s):
+    x = np.asarray(y, dtype=float) / s
+    with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where scipy.stats has NaN too
+        log_pdf = special.xlogy(a - 1.0, x) - x - special.gammaln(a)
+    return np.where(x < 0, 0.0, np.exp(log_pdf) / s)[()]
+
+
+def _gamma_ppf(u, a, s):
+    return special.gammaincinv(a, np.asarray(u, dtype=float)) * s
+
+
+def _poisson_cdf(y, mu):
+    k = np.floor(np.asarray(y, dtype=float))
+    return np.select([k < 0, np.isnan(k)], [0.0, np.nan], special.pdtr(k, mu))[()]
+
+
+def _poisson_pmf(k, mu):
+    k = np.asarray(k, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf at k = inf, where scipy.stats has NaN too
+        log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
+    return np.where((k < 0) | (np.floor(k) < k), 0.0, np.exp(log_pmf))[()]
+
+
+def _poisson_ppf(u, mu):
+    """Smallest integer k with CDF(k) >= u: -1 at u = 0, inf at u = 1, NaN off [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    k = np.ceil(special.pdtrik(u, mu))
+    below = np.maximum(k - 1, 0)
+    k = np.where(special.pdtr(below, mu) >= u, below, k)
+    return np.select([u == 0, u == 1, (u > 0) & (u < 1)], [-1.0, np.inf, k], np.nan)[()]

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import drivers as drv
 from . import transforms as tr
@@ -87,7 +87,7 @@ def _check_u(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != dim:
         raise ParameterError(f"copula argument must have {dim} components")
-    if np.any((u < 0) | (u > 1)):
+    if not np.all((u >= 0) & (u <= 1)):  # NaN fails both comparisons
         raise ParameterError("copula arguments must lie in [0, 1]")
     return u
 
@@ -273,6 +273,7 @@ class GaussianCopula(CopulaSpec):
                 z = np.clip(special.ndtri(pts), -_SCORE_CAP, _SCORE_CAP)
                 out = _bivariate_normal_cdf(z[:, 0], z[:, 1], rho)
         else:
+            from scipy import stats
             z = stats.norm.ppf(clip_unit(pts))
             mvn = stats.multivariate_normal(mean=np.zeros(self.dim), cov=self.corr,
                                             allow_singular=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from . import transforms as tr
 from .errors import NumericError, ParameterError
@@ -80,6 +80,7 @@ _N_SCAN = 4096
 def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
                     t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Scores x where Q1 - Q2 changes sign, the scan's levels ndtr(x) and Q1 - Q2 on them."""
+    from scipy import optimize
     xs = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
 
     def diff(x):
@@ -232,6 +233,7 @@ def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024) -> Do
     sign-swapped statement for the second.  When the difference has not
     decayed at the truncation edge the verdict is flagged inconclusive.
     """
+    from scipy import integrate
     lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
     cum = integrate.cumulative_trapezoid(diff, zs, initial=0.0)
     tail_live = bool(abs(diff[-1]) > 1e-6)
@@ -346,6 +348,7 @@ def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float) -> tuple
     back to the plain distribution-function difference; on the common support
     the difference of error functions (twice the CDF difference) is used.
     """
+    from scipy import integrate
     for name, g in (("g1_below", g1_below), ("g1_above", g1_above), ("g2", g2)):
         if not g > 0:
             raise ParameterError(f"{name} must be positive")

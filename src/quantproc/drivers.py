@@ -20,10 +20,11 @@ from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from ._util import (_SQRT2PI, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, adaptive_quad,
-                    as_time_fn, clip_unit, substream)
+from ._util import (_SQRT2PI, TimeParam, _gamma_cdf, _gamma_pdf, _gamma_ppf, _norm_cdf, _norm_pdf,
+                    _norm_ppf, _poisson_cdf, _poisson_pmf, adaptive_quad, as_time_fn, clip_unit,
+                    substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -600,23 +601,22 @@ class GammaProcess(Driver):
     def marginal_cdf(self, t, y):
         _check_time(t)
         shape, scale = self._shape_scale(t)
-        return stats.gamma.cdf(np.asarray(y, dtype=float), shape, scale=scale)
+        return _gamma_cdf(y, shape, scale)
 
     def marginal_pdf(self, t, y):
         _check_time(t)
         shape, scale = self._shape_scale(t)
-        return stats.gamma.pdf(np.asarray(y, dtype=float), shape, scale=scale)
+        return _gamma_pdf(y, shape, scale)
 
     def marginal_quantile(self, t, u):
         _check_time(t)
         shape, scale = self._shape_scale(t)
-        return stats.gamma.ppf(np.asarray(u, dtype=float), shape, scale=scale)
+        return _gamma_ppf(u, shape, scale)
 
     def transition_pdf(self, s, t, state, y):
         _check_step(s, t)
         shape, scale = self._shape_scale(t - s)
-        return stats.gamma.pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float),
-                               shape, scale=scale)
+        return _gamma_pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float), shape, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,12 +689,12 @@ class InhomogeneousPoisson(Driver):
     def marginal_cdf(self, t, y):
         _check_time(t)
         mean = self.cumulative_intensity(t)
-        return stats.poisson.cdf(np.floor(np.asarray(y, dtype=float)), mean)
+        return _poisson_cdf(y, mean)
 
     def marginal_pmf(self, t, k):
         _check_time(t)
         mean = self.cumulative_intensity(t)
-        return stats.poisson.pmf(np.asarray(k), mean)
+        return _poisson_pmf(k, mean)
 
     def marginal_pdf(self, t, y):
         raise CapabilityError("the Poisson driver is discrete; use marginal_pmf")

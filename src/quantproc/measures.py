@@ -156,10 +156,11 @@ def conditional_rn(cmap: tr.CompositeMap, base: drv.Driver, s: float, t: float,
 
 def money_market(rate: TimeParam, t: float) -> float:
     """Accumulation factor B_t = exp(integral of the short rate to t)."""
-    r = as_time_fn(rate)
     if t == 0.0:
         return 1.0
-    return math.exp(adaptive_quad(r, 0.0, t, tol=1e-12, what="short-rate integral"))
+    if not callable(rate):
+        return math.exp(float(rate) * t)
+    return math.exp(adaptive_quad(rate, 0.0, t, tol=1e-12, what="short-rate integral"))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import (TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, _norm_score, as_time_fn,
-                    clip_unit)
+from ._util import (TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, _norm_score, _poisson_cdf,
+                    _poisson_pmf, _poisson_ppf, as_time_fn, clip_unit)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -297,17 +297,13 @@ class PoissonQuantile(QuantileSpec):
             raise ParameterError("Poisson quantile rate must be positive")
 
     def eval(self, t, u):
-        from scipy import stats
-        u = np.asarray(u, dtype=float)
-        return stats.poisson.ppf(u, self.rate * t)
+        return _poisson_ppf(u, self.rate * t)
 
     def cdf(self, t, z):
-        from scipy import stats
-        return stats.poisson.cdf(np.floor(np.asarray(z, dtype=float)), self.rate * t)
+        return _poisson_cdf(z, self.rate * t)
 
     def pmf(self, t, k):
-        from scipy import stats
-        return stats.poisson.pmf(np.asarray(k), self.rate * t)
+        return _poisson_pmf(k, self.rate * t)
 
     def pdf(self, t, z):
         raise CapabilityError("the Poisson quantile family is discrete; use pmf")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import dominance as dom
 from . import drivers as drv
@@ -263,6 +262,7 @@ def quantile_integral_price(req: ValuationRequest) -> float:
     E[V(Z_u)] = integral over (0, 1) of V(Q(u, p)) dp, computed here through p = ndtr(x)
     with Q read at the score x.  Independent of any Monte Carlo path.
     """
+    from scipy import integrate
     if req.t != 0:
         raise RequestError("the quantile-integral oracle prices at t = 0 only")
     req.map.dist_for(req.risk)

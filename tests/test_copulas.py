@@ -84,6 +84,19 @@ def test_parameter_ranges():
         cp.copula_eval(cp.IndependenceCopula(2), 1.0, np.array([0.5, 1.2]))
 
 
+@pytest.mark.parametrize("spec", [cp.IndependenceCopula(2), cp.ComonotoneCopula(2),
+                                  cp.GaussianCopula(np.array([[1.0, 0.5], [0.5, 1.0]])),
+                                  cp.ClaytonCopula(2.0, 2), cp.GumbelCopula(2.0, 2)],
+                         ids=lambda spec: spec.family)
+@pytest.mark.parametrize("u", [(np.nan, 0.5), (0.3, np.nan), (np.nan, np.nan)])
+def test_copula_cdf_rejects_nan(spec, u):
+    # a NaN level is no value: Clayton and Gumbel once read it as 1
+    with pytest.raises(ParameterError):
+        spec.cdf(1.0, np.array(u))
+    with pytest.raises(ParameterError):
+        spec.cdf(1.0, np.array([[0.2, 0.4], u]))
+
+
 def test_time_dependent_theta():
     c = cp.ClaytonCopula(theta=lambda t: 1.0 + t, dim=2)
     v1 = float(cp.copula_eval(c, 1.0, np.array([0.5, 0.5])))

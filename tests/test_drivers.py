@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from quantproc import drivers as d
+from quantproc._util import (_gamma_cdf, _gamma_pdf, _gamma_ppf, _poisson_cdf, _poisson_pmf,
+                             _poisson_ppf)
 from quantproc.errors import (CapabilityError, MappingError, ParameterError,
                               SimulationError)
 
@@ -306,6 +308,48 @@ def test_gamma_process_marginal_moments():
     assert y.mean() == pytest.approx(2.8, abs=0.02)
     assert y.var() == pytest.approx(1.2, abs=0.03)
     assert np.all(y >= 0)
+
+
+# the gamma and Poisson laws in special functions, against scipy.stats bit for bit:
+# interior draws, and the edges where the bare formulas differ (below the support,
+# non-integer counts, u in {0, 1}, NaN, +-inf, a zero Poisson mean)
+_EDGES = np.array([-np.inf, -3.0, -1.0, -0.5, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.5, 3.0, 50.0,
+                   1e6, np.inf, np.nan])
+_LEVEL_EDGES = np.array([-0.1, 0.0, 1e-300, 1.0, 1.1, np.nan])
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 40.0])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_gamma_law_matches_scipy_stats(shape, scale):
+    rng = np.random.default_rng(11)
+    y = np.concatenate([_EDGES, rng.gamma(shape, scale, 10_000)])
+    u = np.concatenate([_LEVEL_EDGES, rng.uniform(size=10_000)])
+    with np.errstate(invalid="ignore"):  # scipy.stats forms inf - inf at y = inf
+        _same_bits(_gamma_cdf(y, shape, scale), stats.gamma.cdf(y, shape, scale=scale))
+        _same_bits(_gamma_pdf(y, shape, scale), stats.gamma.pdf(y, shape, scale=scale))
+    _same_bits(_gamma_ppf(u, shape, scale), stats.gamma.ppf(u, shape, scale=scale))
+    for y0 in (-1.0, 0.0, 0.7, np.nan):  # scalars stay scalars
+        _same_bits(_gamma_cdf(y0, shape, scale), stats.gamma.cdf(y0, shape, scale=scale))
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 1.0, 3.7, 20.0, 400.0])
+def test_poisson_law_matches_scipy_stats(mean):
+    rng = np.random.default_rng(12)
+    k = np.concatenate([_EDGES, rng.poisson(mean, 10_000).astype(float),
+                        rng.uniform(-2.0, 3.0 * mean + 5.0, 1_000)])
+    u = np.concatenate([_LEVEL_EDGES, [math.exp(-mean)], rng.uniform(size=10_000)])
+    with np.errstate(invalid="ignore"):  # scipy.stats forms inf - inf at k = inf
+        _same_bits(_poisson_cdf(k, mean), stats.poisson.cdf(k, mean))
+        _same_bits(_poisson_pmf(k, mean), stats.poisson.pmf(k, mean))
+    _same_bits(_poisson_ppf(u, mean), stats.poisson.ppf(u, mean))
+    ints = rng.poisson(mean, 100)
+    _same_bits(_poisson_pmf(ints, mean), stats.poisson.pmf(ints, mean))
+    _same_bits(_poisson_pmf(2, mean), stats.poisson.pmf(2, mean))
 
 
 def test_ou_ensemble_matches_erf_marginal_everywhere():

@@ -1,8 +1,13 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
-every module-level private function, class and constant; and no quantile family is
-evaluated at a level ndtr(x) formed outside ``QuantileSpec.eval_score``."""
+every module-level private function, class and constant; no quantile family is
+evaluated at a level ndtr(x) formed outside ``QuantileSpec.eval_score``; and a cold
+start loads none of the heavy scipy submodules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -138,3 +143,40 @@ def test_detector_finds_a_level_round_trip():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_level_round_trips(path):
     assert level_round_trips(path.read_text()) == []
+
+
+#: scipy submodules that cost most of a cold start; the package imports them where called
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+
+def heavy_modules_after(steps: dict) -> dict:
+    """Run each step's code in turn in one fresh interpreter, which the test modules'
+    own scipy imports cannot reach; map each step to the HEAVY modules loaded so far."""
+    script = "import json, sys\nloaded = {}\n" + "".join(
+        f"{code}\nloaded[{label!r}] = [m for m in {HEAVY!r} if m in sys.modules]\n"
+        for label, code in steps.items()) + "print(json.dumps(loaded))\n"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_detector_finds_a_heavy_import():
+    assert heavy_modules_after({"json": "import json", "optimize": "from scipy import optimize",
+                                "special": "from scipy import special"}) \
+        == {"json": [], "optimize": ["scipy.optimize"], "special": ["scipy.optimize"]}
+
+
+def test_cold_start_loads_no_heavy_scipy_module():
+    steps = {
+        "import quantproc.cli": "import quantproc.cli",
+        "qpvp_price": textwrap.dedent("""\
+            from quantproc import drivers, transforms, valuation
+            valuation.qpvp_price(valuation.ValuationRequest(
+                drivers.Brownian(), transforms.canonical_map(transforms.TukeyG(0.0, 1.0, 0.4)),
+                valuation.Layer(0.5, 2.0), 0.0, 1.0, 0.03, valuation.MCSettings(1_000, 1)))"""),
+        "VarianceGamma.marginal_cdf":
+            "drivers.VarianceGamma(-0.1, 0.3, 0.4).marginal_cdf(1.0, [-0.5, 0.0, 0.5])",
+    }
+    assert heavy_modules_after(steps) == {label: [] for label in steps}
