@@ -600,23 +600,20 @@ class GammaProcess(Driver):
 
     def marginal_cdf(self, t, y):
         _check_time(t)
-        shape, scale = self._shape_scale(t)
-        return _gamma_cdf(y, shape, scale)
+        return _gamma_cdf(y, *self._shape_scale(t))
 
     def marginal_pdf(self, t, y):
         _check_time(t)
-        shape, scale = self._shape_scale(t)
-        return _gamma_pdf(y, shape, scale)
+        return _gamma_pdf(y, *self._shape_scale(t))
 
     def marginal_quantile(self, t, u):
         _check_time(t)
-        shape, scale = self._shape_scale(t)
-        return _gamma_ppf(u, shape, scale)
+        return _gamma_ppf(u, *self._shape_scale(t))
 
     def transition_pdf(self, s, t, state, y):
         _check_step(s, t)
-        shape, scale = self._shape_scale(t - s)
-        return _gamma_pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float), shape, scale)
+        return _gamma_pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float),
+                          *self._shape_scale(t - s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,13 +685,11 @@ class InhomogeneousPoisson(Driver):
 
     def marginal_cdf(self, t, y):
         _check_time(t)
-        mean = self.cumulative_intensity(t)
-        return _poisson_cdf(y, mean)
+        return _poisson_cdf(y, self.cumulative_intensity(t))
 
     def marginal_pmf(self, t, k):
         _check_time(t)
-        mean = self.cumulative_intensity(t)
-        return _poisson_pmf(k, mean)
+        return _poisson_pmf(k, self.cumulative_intensity(t))
 
     def marginal_pdf(self, t, y):
         raise CapabilityError("the Poisson driver is discrete; use marginal_pmf")
