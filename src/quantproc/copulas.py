@@ -601,9 +601,11 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     disc = va._discount(rate, t, u)
     ensembles = simulate_joint_terminal(drivers, mmap.copula, u, mc.n_paths, mc.seed)
     z = apply_multi_composite(mmap, ensembles).paths[:, 0]
-    price, se = va._mean_se(payoff(z), disc)
+    moments = va._Moments().add(payoff(z))
+    price = disc * moments.mean
     raw = disc * float(np.mean(ensembles[risk_index].paths[:, 0]))
-    return va.ValuationResult(price=price, std_error=se, risk_loading=price - raw,
+    return va.ValuationResult(price=price, std_error=moments.std_error(disc),
+                              risk_loading=price - raw,
                               diagnostics={"n_effective": mc.n_paths, "seed": mc.seed,
                                            "risk_index": risk_index})
 

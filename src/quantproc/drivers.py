@@ -676,10 +676,15 @@ class InhomogeneousPoisson(Driver):
 
     def sample_transition(self, rng, s, t, states):
         # integrate over (s, t] itself: a difference of cumulative intensities
-        # can come out a round-off below zero where lambda vanishes on the step
+        # can come out a round-off below zero where lambda vanishes on the step;
+        # memoised, so a path count drawn in blocks integrates once
+        key = ("step", s, t)
         try:
-            mean = adaptive_quad(as_time_fn(self.intensity), s, t, what="intensity integral")
-            return np.asarray(states, dtype=float) + rng.poisson(mean, size=np.shape(states))
+            if key not in self._cache:
+                lam = as_time_fn(self.intensity)
+                self._cache[key] = adaptive_quad(lam, s, t, what="intensity integral")
+            return np.asarray(states, dtype=float) + rng.poisson(self._cache[key],
+                                                                 size=np.shape(states))
         except (NumericError, ValueError) as exc:
             raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
 

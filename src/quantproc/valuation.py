@@ -11,6 +11,7 @@ differences of means.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -162,6 +163,9 @@ class MCSettings:
     n_inner: int = 1_000
 
     def validate(self) -> None:
+        for name in ("n_paths", "n_inner"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 1_000:
             raise ParameterError("n_paths must be at least 1000")
         if self.n_inner < 1:
@@ -209,9 +213,47 @@ def _discount(rate: TimeParam, t: float, u: float) -> float:
     return me.money_market(rate, t) / me.money_market(rate, u)
 
 
-def _mean_se(v: np.ndarray, disc: float) -> tuple[float, float]:
-    """Discounted Monte Carlo mean of ``v`` and its standard error."""
-    return disc * float(np.mean(v)), disc * float(np.std(v, ddof=1)) / math.sqrt(v.size)
+#: paths drawn and reduced at a time by the terminal Monte Carlo, so that memory stays
+#: constant in the path count
+_BLOCK = 1 << 16
+
+
+class _Moments:
+    """Count, mean and sum of squared deviations (M2) of a sample seen in blocks.
+
+    The first block is read as ``np.mean`` and ``np.std`` read a whole sample, so
+    a one-block sample gives their floats bit for bit; each later block joins by
+    the pairwise update of Chan, Golub and LeVeque (1979).  With ``spread`` off
+    only the mean is kept.
+    """
+
+    def __init__(self, spread: bool = True):
+        self.spread = spread
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, x: np.ndarray) -> "_Moments":
+        n_b, mean_b = x.size, float(np.mean(x))
+        m2_b = 0.0
+        if self.spread:
+            d = x - mean_b
+            m2_b = float(np.sum(np.square(d, out=d)))
+        if self.n == 0:
+            self.n, self.mean, self.m2 = n_b, mean_b, m2_b
+            return self
+        n = self.n + n_b
+        delta = mean_b - self.mean
+        self.mean += delta * (n_b / n)
+        self.m2 += m2_b + delta * delta * (self.n * n_b / n)
+        self.n = n
+        return self
+
+    def std(self) -> float:
+        """The sample standard deviation (ddof = 1)."""
+        return math.sqrt(self.m2 / (self.n - 1))
+
+    def std_error(self, scale: float) -> float:
+        """Standard error of the mean of the sample scaled by ``scale``."""
+        return scale * self.std() / math.sqrt(self.n)
 
 
 def _start_state(req: ValuationRequest) -> tuple[float, float]:
@@ -221,17 +263,17 @@ def _start_state(req: ValuationRequest) -> tuple[float, float]:
     return 0.0, req.risk.initial_value()
 
 
-def _terminal_draws(req: ValuationRequest,
-                    stream: tuple[int, ...] = (0,)) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate (Y_u, Z_u) from the request's conditioning point, one exact step."""
+def _terminal_blocks(req: ValuationRequest, stream: tuple[int, ...] = (0,)):
+    """Yield (Y_u, Z_u) from the request's conditioning point by one exact step,
+    in consecutive blocks of at most ``_BLOCK`` paths drawn from one substream."""
     rng = substream(req.mc.seed, *stream)
     start_t, start_y = _start_state(req)
-    states = np.full(req.mc.n_paths, start_y)
-    y_u = drv.simulate_conditional(req.risk, start_t, req.u, states, rng)
     grid = drv.TimeGrid(np.array([req.u]))
-    ens = drv.PathEnsemble(grid=grid, paths=y_u[:, None], seed=req.mc.seed, driver=req.risk)
-    z_u = tr.apply_composite(req.map, ens).paths[:, 0]
-    return y_u, z_u
+    for lo in range(0, req.mc.n_paths, _BLOCK):
+        states = np.full(min(_BLOCK, req.mc.n_paths - lo), start_y)
+        y_u = drv.simulate_conditional(req.risk, start_t, req.u, states, rng)
+        ens = drv.PathEnsemble(grid=grid, paths=y_u[:, None], seed=req.mc.seed, driver=req.risk)
+        yield y_u, tr.apply_composite(req.map, ens).paths[:, 0]
 
 
 def qpvp_price(req: ValuationRequest) -> ValuationResult:
@@ -244,13 +286,16 @@ def qpvp_price(req: ValuationRequest) -> ValuationResult:
     """
     req.validate()
     disc = _discount(req.rate, req.t, req.u)
-    y_u, z_u = _terminal_draws(req)
-    v = req.payoff(z_u)
-    if not np.all(np.isfinite(v)):
-        raise RequestError("payoff evaluated to non-finite values")
-    price, se = _mean_se(v, disc)
-    raw = disc * float(np.mean(y_u))
-    return ValuationResult(price=price, std_error=se, risk_loading=price - raw,
+    mv, my = _Moments(), _Moments(spread=False)
+    for y_u, z_u in _terminal_blocks(req):
+        v = req.payoff(z_u)
+        if not np.all(np.isfinite(v)):
+            raise RequestError("payoff evaluated to non-finite values")
+        mv.add(v)
+        my.add(y_u)
+    price = disc * mv.mean
+    return ValuationResult(price=price, std_error=mv.std_error(disc),
+                           risk_loading=price - disc * my.mean,
                            diagnostics={"n_effective": req.mc.n_paths, "seed": req.mc.seed,
                                         "discount": disc})
 
@@ -289,11 +334,13 @@ def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) ->
     """
     req.validate()
     disc = _discount(req.rate, req.t, req.u)
-    y_u, z_u = _terminal_draws(req)
-    v = req.payoff(z_u)
-    price = disc * float(np.mean(v))
-    bench = disc * float(np.mean(y_u))
-    _, se = _mean_se(v - y_u, disc)
+    mv, my, md = _Moments(spread=False), _Moments(spread=False), _Moments()
+    for y_u, z_u in _terminal_blocks(req):
+        v = req.payoff(z_u)
+        mv.add(v)
+        my.add(y_u)
+        md.add(v - y_u)
+    price, bench, se = disc * mv.mean, disc * my.mean, md.std_error(disc)
     gap = price - bench
     out = {"loaded": bool(gap >= -3.0 * se), "gap": gap, "se": se,
            "price": price, "benchmark": bench}
@@ -334,16 +381,20 @@ def price_ordering(req1: ValuationRequest, req2: ValuationRequest) -> PriceOrder
     req1.validate()
     req2.validate()
     disc = _discount(req1.rate, req1.t, req1.u)
-    y1, z1 = _terminal_draws(req1)
-    y2, z2 = _terminal_draws(req2)
-    v1, v2 = req1.payoff(z1), req2.payoff(z2)
-    if req1.risk == req2.risk:  # common random numbers: the SE of the paired difference
-        _, se = _mean_se(v1 - v2, disc)
+    crn = req1.risk == req2.risk  # common random numbers: the SE of the paired difference
+    mv1, mv2, md = _Moments(spread=not crn), _Moments(spread=not crn), _Moments()
+    # the two streams step in lockstep, one block of each at a time
+    for (_, z1), (_, z2) in zip(_terminal_blocks(req1), _terminal_blocks(req2)):
+        v1, v2 = req1.payoff(z1), req2.payoff(z2)
+        mv1.add(v1)
+        mv2.add(v2)
+        if crn:
+            md.add(v1 - v2)
+    if crn:
+        se = md.std_error(disc)
     else:
-        se = disc * math.hypot(float(np.std(v1, ddof=1)),
-                               float(np.std(v2, ddof=1))) / math.sqrt(req1.mc.n_paths)
-    p1 = disc * float(np.mean(v1))
-    p2 = disc * float(np.mean(v2))
+        se = disc * math.hypot(mv1.std(), mv2.std()) / math.sqrt(req1.mc.n_paths)
+    p1, p2 = disc * mv1.mean, disc * mv2.mean
     law1, law2 = me.DistortedLaw(req1.map, req1.risk), me.DistortedLaw(req2.map, req2.risk)
     lo = min(req1.map.quantile.support(req1.u)[0], req2.map.quantile.support(req2.u)[0])
     rep = dom.fosd_check(lambda z: me.distorted_cdf(law1, req1.u, z),
@@ -425,6 +476,8 @@ def nested_price(req: ValuationRequest, mid: float, n_outer: int) -> tuple[float
     """
     if not req.t < mid < req.u:
         raise RequestError("need t < mid < u for nested pricing")
+    if not (isinstance(n_outer, numbers.Integral) and n_outer >= 2):
+        raise ParameterError(f"n_outer must be an integer of at least 2, got {n_outer!r}")
     req.validate()
     start_t, start_y = _start_state(req)
     outer = drv.simulate_conditional(req.risk, start_t, mid, np.full(n_outer, start_y),
@@ -433,6 +486,10 @@ def nested_price(req: ValuationRequest, mid: float, n_outer: int) -> tuple[float
     disc_mid_u = _discount(req.rate, mid, req.u)
     inner_mc = replace(req.mc, n_paths=req.mc.n_inner)
     for i, s in enumerate(outer):
-        _, z_u = _terminal_draws(replace(req, t=mid, state=s, mc=inner_mc), stream=(202, i))
-        inner_vals[i] = disc_mid_u * float(np.mean(req.payoff(z_u)))
-    return _mean_se(inner_vals, _discount(req.rate, req.t, mid))
+        inner = _Moments(spread=False)
+        for _, z_u in _terminal_blocks(replace(req, t=mid, state=s, mc=inner_mc), stream=(202, i)):
+            inner.add(req.payoff(z_u))
+        inner_vals[i] = disc_mid_u * inner.mean
+    moments = _Moments().add(inner_vals)
+    disc = _discount(req.rate, req.t, mid)
+    return disc * moments.mean, moments.std_error(disc)

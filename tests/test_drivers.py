@@ -501,6 +501,26 @@ def test_poisson_mean_beyond_the_sampler_rejected():
         d.simulate(lam, d.TimeGrid(np.array([1.0])), 10, 1)
 
 
+def test_poisson_step_integral_is_memoised(monkeypatch):
+    lam = d.InhomogeneousPoisson(intensity=lambda t: 1.0 + t * t)
+    calls = []
+    quad = d.adaptive_quad
+
+    def counted(f, a, b, **kw):
+        calls.append((a, b))
+        return quad(f, a, b, **kw)
+
+    monkeypatch.setattr(d, "adaptive_quad", counted)
+    states = np.zeros(1000)
+    one = lam.sample_transition(np.random.default_rng(3), 0.25, 1.0, states)
+    rng = np.random.default_rng(3)
+    two = [lam.sample_transition(rng, 0.25, 1.0, states[:400]),
+           lam.sample_transition(rng, 0.25, 1.0, states[400:])]
+    assert calls == [(0.25, 1.0)]
+    assert lam._cache[("step", 0.25, 1.0)] == quad(lambda t: 1.0 + t * t, 0.25, 1.0)
+    assert np.array_equal(np.concatenate(two), one)
+
+
 # ---------------------------------------------------------------------------
 # conditional simulation
 # ---------------------------------------------------------------------------
@@ -514,6 +534,23 @@ def test_conditional_simulation_matches_transition_law(rng):
     assert y.std() == pytest.approx(sd, rel=0.02)
     with pytest.raises(ParameterError):
         d.simulate_conditional(ou, 1.0, 0.5, states, rng)
+
+
+@pytest.mark.parametrize("driver", [
+    d.Brownian(0.3),
+    d.InhomogeneousOU(lambda t: 1.0 + t, 0.2, 0.8, 0.1),
+    d.GammaProcess(1.5, 0.7),
+    d.InhomogeneousPoisson(intensity=3.0),
+], ids=lambda dr: dr.kind)
+def test_transition_drawn_in_chunks_equals_one_draw(driver):
+    # terminal pricing draws its paths in blocks from one generator, which
+    # repeats a one-shot draw only for samplers that are stable under chunking
+    states = np.linspace(0.0, 2.0, 5000)
+    one = driver.sample_transition(np.random.default_rng(11), 0.5, 1.25, states)
+    rng = np.random.default_rng(11)
+    chunks = [driver.sample_transition(rng, 0.5, 1.25, part) for part in (states[:1234],
+                                                                       states[1234:])]
+    assert np.array_equal(np.concatenate(chunks), one)
 
 
 def test_grid_origin_value_consistency():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_request_validation():
         make_req(cm, va.Linear(), t=0.5, u=1.0).validate()  # missing state
     with pytest.raises(ParameterError):
         make_req(cm, va.Linear(), n=10).validate()
+
+
+@pytest.mark.parametrize("mc", [va.MCSettings(2e5, 3), va.MCSettings(n_inner=2.5),
+                                va.MCSettings("5000", 1)], ids=["float-paths", "float-inner",
+                                                               "str-paths"])
+def test_non_integral_path_counts_raise_a_typed_error(mc):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        mc.validate()
+    with pytest.raises(ParameterError):
+        va.qpvp_price(replace(make_req(brownian_identity(), va.Linear()), mc=mc))
+
+
+def test_numpy_integer_path_counts_are_accepted():
+    va.MCSettings(np.int64(2_000), 1, n_inner=np.int32(10)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +140,7 @@ def test_translation_and_homogeneity_exact_in_estimator():
     scaled = va.qpvp_price(make_req(cm, va.Linear(scale=2.5), n=50_000, seed=9)).price
     assert scaled == pytest.approx(2.5 * base, rel=1e-12)
     # translation: adding a constant to the priced risk shifts by discounted c
-    _, z = va._terminal_draws(req)
+    z = np.concatenate([z_u for _, z_u in va._terminal_blocks(req)])
     c = 0.7
     assert float(np.mean(z + c)) == pytest.approx(float(np.mean(z)) + c, abs=1e-12)
     # zero risk prices to zero exactly
@@ -139,6 +154,78 @@ def test_layer_additivity_exact_with_common_paths():
     p_bc = va.qpvp_price(make_req(cm, va.Layer(b, c), seed=11)).price
     p_ac = va.qpvp_price(make_req(cm, va.Layer(a, c), seed=11)).price
     assert p_ab + p_bc == pytest.approx(p_ac, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block-streamed reduction
+# ---------------------------------------------------------------------------
+
+def whole_sample(req):
+    """(Y_u, V(Z_u), discount) over every path of the request's blocked draws."""
+    y, z = (np.concatenate(parts) for parts in zip(*va._terminal_blocks(req)))
+    return y, req.payoff(z), va._discount(req.rate, req.t, req.u)
+
+
+def std_error(x, disc):
+    return disc * float(np.std(x, ddof=1)) / math.sqrt(x.size)
+
+
+def skewed_req(payoff, n, seed):
+    return make_req(tr.canonical_map(tr.TukeyG(0, 1, 0.5)), payoff, n=n, seed=seed, rate=0.05)
+
+
+def same_floats(got, want, n):
+    """Bit for bit in one block; within 1e-13 relative across blocks."""
+    if n <= va._BLOCK:
+        return got == want
+    return got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [1_000, 5_003, va._BLOCK, 3 * va._BLOCK + 17])
+def test_streamed_reduction_matches_the_whole_sample_over_the_same_draws(n):
+    req = skewed_req(va.Layer(0.5, 3.0), n, 61)
+    y, v, disc = whole_sample(req)
+    assert v.size == n
+    res = va.qpvp_price(req)
+    price = disc * float(np.mean(v))
+    assert same_floats([res.price, res.std_error, res.risk_loading],
+                       [price, std_error(v, disc), price - disc * float(np.mean(y))], n)
+    lin = replace(req, payoff=va.Linear())
+    y, v, disc = whole_sample(lin)
+    out = va.risk_loading_check(lin)
+    assert same_floats([out["gap"], out["se"]],
+                       [disc * float(np.mean(v)) - disc * float(np.mean(y)),
+                        std_error(v - y, disc)], n)
+
+
+@pytest.mark.parametrize("n", [20_000, 2 * va._BLOCK + 5])
+def test_price_ordering_under_crn_keeps_the_paired_difference_se(n):
+    r1 = skewed_req(va.Layer(0.5, 3.0), n, 71)
+    r2 = replace(r1, map=tr.canonical_map(tr.TukeyG(0, 1, 0.3)))
+    out = va.price_ordering(r1, r2)
+    _, v1, disc = whole_sample(r1)
+    _, v2, _ = whole_sample(r2)
+    assert same_floats([out.price_1, out.price_2, out.std_error],
+                       [disc * float(np.mean(v1)), disc * float(np.mean(v2)),
+                        std_error(v1 - v2, disc)], n)
+    # the paired SE sits well below the SE of two independent estimates
+    assert out.std_error < 0.5 * math.hypot(std_error(v1, disc), std_error(v2, disc))
+
+
+def test_price_runs_in_constant_memory():
+    def peak(n):
+        req = make_req(brownian_identity(), va.Linear(), n=n, seed=73)
+        tracemalloc.start()
+        try:
+            va.qpvp_price(req)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # build the map's cached laws outside the measurement
+    small, large = peak(1_000_000), peak(4_000_000)
+    assert large <= 1.1 * small
+    assert large < 8e6
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +396,10 @@ def test_nested_needs_interior_time():
     req = make_req(cm, va.Layer(1.0, 2.0))
     with pytest.raises(RequestError):
         va.nested_price(req, mid=1.5, n_outer=10)
+
+
+@pytest.mark.parametrize("n_outer", [0, 1, 2.5])
+def test_nested_needs_an_integral_outer_count_of_two(n_outer):
+    req = make_req(tr.canonical_map(tr.TukeyG(0, 1, 0.5)), va.Layer(1.0, 2.0))
+    with pytest.raises(ParameterError, match="n_outer"):
+        va.nested_price(req, mid=0.5, n_outer=n_outer)
