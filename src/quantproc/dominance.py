@@ -393,11 +393,10 @@ def kendall_order_check(K1, K2) -> DominanceReport:
     """Kendall stochastic order: the first copula dominates iff K1 <= K2 on (0, 1).
 
     Strict inequality at one of 512 grid points is required, mirroring the
-    first-order check but on Kendall distribution functions.
+    first-order check but on Kendall distribution functions.  K1 and K2 take
+    the array of grid points, as ``copulas.kendall_function`` does.
     """
     vs = np.linspace(0.0, 1.0, 514)[1:-1]
-    k1 = np.asarray([float(K1(v)) for v in vs])
-    k2 = np.asarray([float(K2(v)) for v in vs])
-    diff = k2 - k1
+    diff = np.asarray(K2(vs), dtype=float) - np.asarray(K1(vs), dtype=float)
     return _verdict("Kendall", diff, vs, "Kendall functions cross or coincide",
                     domain_lower=0.0, evidence={"v": vs, "kendall_diff": diff})

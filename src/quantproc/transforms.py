@@ -53,7 +53,8 @@ __all__ = [
     "tukey_g_gaussian_moments",
 ]
 
-_X_MAX = 39.0  # |ndtri(u)| stays below this for representable u in (0, 1)
+# Newton start table of TukeyGH.x_from_z: |ndtri(u)| < 39 for representable u in (0, 1)
+_GH_NODES = np.linspace(-39.0, 39.0, 1025)
 # below this the skew branch is numerically identical to its g -> 0 limit and
 # subnormal g would underflow inside exp/expm1
 _G_TINY = 1e-150
@@ -154,6 +155,15 @@ def _gh_core_slope(x: np.ndarray, g: float, h: float) -> tuple[np.ndarray, np.nd
     return m / g * e, e * (egx + h * x * m / g)
 
 
+def _gh_overflow_x(x: float, g: float, h: float) -> float:
+    """The first of x, 2x, 4x, ... at which core overflows, for h > 0; past 2^511, where
+    x^2 nears overflow, h is too small to matter and the doubling stops."""
+    with np.errstate(over="ignore"):
+        while abs(x) < 2.0 ** 511 and np.isfinite(_gh_core(x, g, h)):
+            x *= 2.0
+    return x
+
+
 @dataclass(frozen=True)
 class TukeyGH(NormalScoreQuantile):
     """Tukey g-and-h quantile family A + (B/g)(e^{gX}-1) e^{hX^2/2}, X = ndtri(u).
@@ -208,14 +218,24 @@ class TukeyGH(NormalScoreQuantile):
             out[ok] = np.log1p(arg[ok]) / g  # log1p stays exact as g -> 0
             return out
         # h > 0: strictly increasing onto all of R.  Newton runs on
-        # asinh(core(x)), which grows only quadratically in x, with bracket
-        # safeguarding and a forced bisection every third sweep.  A NaN or
-        # infinite z stays out of the convergence test and comes back as itself.
+        # s(x) = asinh(core(x)), which grows only quadratically in x, from the
+        # linear interpolant of s on a node table (the bracket midpoint where a
+        # node's core overflows), with bracket safeguarding and a forced
+        # bisection every third sweep.  The table's ends reach out to where core
+        # overflows.  A NaN or infinite z stays out of the convergence test and
+        # comes back as itself.
         off = ~np.isfinite(zc)
-        x = np.zeros_like(zc)
-        lo = np.full_like(zc, -_X_MAX)
-        hi = np.full_like(zc, _X_MAX)
         target_s = np.arcsinh(zc)
+        nodes = np.concatenate([[_gh_overflow_x(_GH_NODES[0], g, h)], _GH_NODES,
+                                [_gh_overflow_x(_GH_NODES[-1], g, h)]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            node_s = np.arcsinh(_gh_core(nodes, g, h))
+            k = np.clip(np.searchsorted(node_s, target_s), 1, nodes.size - 1)
+            lo, hi, s0, s1 = nodes[k - 1], nodes[k], node_s[k - 1], node_s[k]
+            w = (target_s - s0) / (s1 - s0)
+            inside = (w >= 0.0) & (w <= 1.0) & np.isfinite(s1 - s0)
+            x = np.where(inside, lo + w * (hi - lo), 0.5 * (lo + hi))
+        del k, s0, s1, w, inside  # freed before the sweeps' own temporaries, so peak memory holds
         for it in range(160):
             with np.errstate(over="ignore", invalid="ignore"):
                 core, dcore = _gh_core_slope(x, g, h)

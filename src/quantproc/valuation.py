@@ -163,9 +163,11 @@ class MCSettings:
     n_inner: int = 1_000
 
     def validate(self) -> None:
-        for name in ("n_paths", "n_inner"):
+        for name in ("n_paths", "n_inner", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.n_paths < 1_000:
             raise ParameterError("n_paths must be at least 1000")
         if self.n_inner < 1:

@@ -282,7 +282,7 @@ def test_kendall_table_csv_export(tmp_path):
 def test_kendall_order_of_comonotone_over_independence():
     K_com = cp.ComonotoneCopula(2).kendall_closed_form(1.0)
     K_ind = cp.IndependenceCopula(2).kendall_closed_form(1.0)
-    rep = dom.kendall_order_check(lambda v: float(K_com(v)), lambda v: float(K_ind(v)))
+    rep = dom.kendall_order_check(K_com, K_ind)
     assert rep.order == "Kendall" and rep.direction == 1
 
 

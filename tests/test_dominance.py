@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from quantproc import dominance as dom
 from quantproc import drivers as d
@@ -337,20 +337,23 @@ def test_sufficient_conditions_not_necessary():
 # Kendall ordering
 # ---------------------------------------------------------------------------
 
+def _kendall_comonotone(v):
+    return v
+
+
+def _kendall_independence(v):
+    return v - special.xlogy(v, v)
+
+
 def test_kendall_comonotone_dominates_independence():
-    K_com = lambda v: v
-    K_ind = lambda v: v - v * math.log(v) if v > 0 else 0.0
-    rep = dom.kendall_order_check(K_com, K_ind)
+    rep = dom.kendall_order_check(_kendall_comonotone, _kendall_independence)
     assert rep.order == "Kendall" and rep.direction == 1
 
 
 def test_kendall_equal_functions_no_verdict():
-    K = lambda v: v
-    assert dom.kendall_order_check(K, K).order is None
+    assert dom.kendall_order_check(_kendall_comonotone, _kendall_comonotone).order is None
 
 
 def test_kendall_reversed_direction():
-    K_com = lambda v: v
-    K_ind = lambda v: v - v * math.log(v) if v > 0 else 0.0
-    rep = dom.kendall_order_check(K_ind, K_com)
+    rep = dom.kendall_order_check(_kendall_independence, _kendall_comonotone)
     assert rep.direction == -1

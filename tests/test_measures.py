@@ -165,6 +165,15 @@ def test_false_law_keeps_the_upper_tail(x):
         stats.norm.pdf(0.2 * x) * 0.2 / slope, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [45.0, 60.0])
+def test_false_law_reads_scores_past_the_start_table(x):
+    # a law of sd 0.01 sends the score x to y = 0.01 x, so F_Z(Q(x)) = Phi(0.01 x);
+    # x_from_z had clamped these scores to 39, giving Phi(0.39)
+    law = me.DistortedLaw(tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1e-4), quantile=_FALSE_Q), d.Brownian())
+    z = float(_FALSE_Q.eval_score(1.0, x))
+    assert me.distorted_cdf(law, 1.0, z) == pytest.approx(stats.norm.cdf(0.01 * x), rel=1e-12)
+
+
 def test_false_law_density_integrates_to_one():
     # the CDF ends at 0 and 1, and 64-node Gauss-Legendre panels between Q at the
     # scores -38, -36, ..., 38 hold the mass; the mass beyond them, 2 Phi(-7.6), is 3e-14

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -92,6 +92,18 @@ def test_gh_newton_stops_on_a_fixed_point(monkeypatch):
     assert float(tr._gh_core(x, 0.8, 0.05)[0]) == pytest.approx(z, rel=1e-12)
 
 
+@pytest.mark.parametrize("g, h", [(0.5, 0.15), (-1.0, 0.3), (2.0, 0.4), (0.8, 0.05)])
+def test_gh_newton_starts_from_the_node_table(monkeypatch, g, h):
+    # the start interpolated on the node table leaves at most 4 full-array sweeps on
+    # 1001 scores in [-8, 8]; a start at x = 0 took 7 to 9
+    calls = _count_core_slope(monkeypatch)
+    q = tr.TukeyGH(0.1, 1.2, g, h)
+    x = np.linspace(-8.0, 8.0, 1001)
+    back = q.x_from_z(1.0, q.eval_score(1.0, x))
+    assert len(calls) <= 4
+    np.testing.assert_allclose(back, x, rtol=1e-13, atol=1e-13)
+
+
 def test_gh_newton_does_not_stop_on_an_overflowed_slope():
     # at x = asinh(1e16) the slope overflows to inf, so the Newton step is 0
     # although the residual is not; that is no fixed point
@@ -102,6 +114,39 @@ def test_gh_newton_does_not_stop_on_an_overflowed_slope():
     assert abs(x[1]) == pytest.approx(8.3332, abs=1e-4)
     assert float(q.cdf(0.0, z)[0]) == pytest.approx(stats.norm.cdf(x[0]), rel=1e-12)
     assert 1e-17 < float(q.cdf(0.0, z)[0]) < 1e-16
+
+
+@pytest.mark.parametrize("x", [45.0, 60.0, -45.0, -60.0])
+def test_gh_inverse_reaches_past_the_start_table(x):
+    # the Newton start table ends at x = +-39; its end brackets reach on to where core
+    # overflows, x = +-156 here, so these scores come back instead of +-39
+    q = tr.TukeyGH(0.0, 1.0, 0.2, 0.1)
+    assert float(q.x_from_z(1.0, q.eval_score(1.0, x))) == pytest.approx(x, rel=1e-12)
+
+
+def test_gh_inverse_with_a_subnormal_h_returns_a_root():
+    # h = 5e-324 leaves core flat at -1/g where g x << 0, and |x| never reaches an
+    # overflow: the end brackets stop doubling at 2^511 and the root stays finite
+    q = tr.TukeyGH(0.0, 1.0, 2.0, 5e-324)
+    z = q.eval_score(1.0, np.linspace(-30.0, 30.0, 13))
+    x = q.x_from_z(1.0, z)
+    assert np.all(np.isfinite(x))
+    np.testing.assert_allclose(q.eval_score(1.0, x), z, rtol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.floats(-3.0, 3.0), h=st.floats(0.0, 1.0, exclude_min=True), x=st.floats(-30.0, 30.0),
+       t=st.floats(0.1, 3.0))
+def test_gh_inverse_roundtrip_property(g, h, x, t):
+    # z pins x to 1e-13 only where core is not flat: 16 ulps of z move x by
+    # 16 eps |core| / core', which is large for tiny h on the side where g x << 0
+    core, slope = tr._gh_core_slope(np.array([x]), g, h)
+    assume(16 * np.finfo(float).eps * abs(core[0]) <= 1e-14 * (1.0 + abs(x)) * slope[0])
+    q = tr.TukeyGH(0.0, 1.0, g, h)
+    back = q.x_from_z(t, q.eval_score(t, np.array([x])))
+    assert abs(back[0] - x) <= 1e-13 * (1.0 + abs(x))
+    odd = np.array([np.nan, np.inf, -np.inf])
+    np.testing.assert_array_equal(q.x_from_z(t, odd), odd)
 
 
 @settings(max_examples=60, deadline=None)

@@ -72,6 +72,17 @@ def test_numpy_integer_path_counts_are_accepted():
     va.MCSettings(np.int64(2_000), 1, n_inner=np.int32(10)).validate()
 
 
+@pytest.mark.parametrize("seed, match", [(-1, "non-negative"), (1.5, "must be an integer"),
+                                         ("x", "must be an integer")],
+                         ids=["negative", "non-integral", "non-numeric"])
+def test_invalid_seeds_raise_a_typed_error(seed, match):
+    mc = va.MCSettings(2_000, seed)
+    with pytest.raises(ParameterError, match=match):
+        mc.validate()
+    with pytest.raises(ParameterError):
+        va.qpvp_price(replace(make_req(brownian_identity(), va.Linear()), mc=mc))
+
+
 # ---------------------------------------------------------------------------
 # pricing
 # ---------------------------------------------------------------------------
