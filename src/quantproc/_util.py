@@ -56,6 +56,46 @@ def clip_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
+def _solve_increasing(resid_slope, lo, hi, x, scale, what: str) -> np.ndarray:
+    """Solve r(x) = 0 for an increasing r by safeguarded Newton in [lo, hi], point by point.
+
+    ``resid_slope(x, idx)`` gives r and r' at the working points ``idx``.  A step that leaves
+    the bracket, or has no finite slope, bisects it, as does every third sweep where |r| > 1.
+    A point has converged once its step is within 1e-14 (scale + |x|), or its finite-slope
+    step is zero; converged points leave the working set once they are half of it.  Points
+    still moving after 160 sweeps raise NumericError.  Returns the roots; lo, hi, x are work arrays.
+    """
+    idx, xa, la, ha, sa = slice(None), x, lo, hi, scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(160):
+            r, slope = resid_slope(xa, idx)
+            np.copyto(la, xa, where=r < 0)
+            np.copyto(ha, xa, where=r > 0)
+            nxt = xa - r / slope
+            bad = ~((nxt > la) & (nxt < ha) | (nxt == xa) & np.isfinite(slope))
+            if it % 3 == 2:
+                bad |= np.abs(r) > 1.0
+            np.copyto(nxt, 0.5 * (la + ha), where=bad)
+            moving = ~(np.abs(nxt - xa) <= 1e-14 * (sa + np.abs(nxt)))
+            xa = nxt
+            n = np.count_nonzero(moving)
+            if n == 0:
+                break
+            if 2 * n <= moving.size:
+                x[idx] = xa
+                keep = np.flatnonzero(moving)
+                idx = keep if isinstance(idx, slice) else idx[keep]
+                xa, la, ha = xa[keep], la[keep], ha[keep]
+                sa = sa[keep] if np.ndim(sa) else sa
+        else:
+            raise NumericError(f"{what}: {n} points did not converge in 160 sweeps",
+                               achieved=float(np.max(np.abs(r[moving]))))
+    if isinstance(idx, slice):
+        return xa
+    x[idx] = xa
+    return x
+
+
 # the normal law N(m, sd^2); m may be an array of per-path means.  Underscored so
 # that perfbench's tracer, which wraps public names, books their time to the calling law.
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -83,7 +123,8 @@ def _norm_ppf(u, m, sd):
 
 
 # the gamma law of shape a and scale s and the Poisson law of mean mu: scipy.stats'
-# own special-function forms, with its values off the support and at the unit edges
+# own special-function forms, with its values off the support and at the unit edges,
+# except that the densities are 0 at +inf, where scipy.stats gives NaN
 def _gamma_cdf(y, a, s):
     x = np.asarray(y, dtype=float) / s
     return np.where(x < 0, 0.0, special.gammainc(a, x))[()]
@@ -91,9 +132,9 @@ def _gamma_cdf(y, a, s):
 
 def _gamma_pdf(y, a, s):
     x = np.asarray(y, dtype=float) / s
-    with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where scipy.stats has NaN too
+    with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where the density is 0
         log_pdf = special.xlogy(a - 1.0, x) - x - special.gammaln(a)
-    return np.where(x < 0, 0.0, np.exp(log_pdf) / s)[()]
+    return np.where((x < 0) | np.isinf(x), 0.0, np.exp(log_pdf) / s)[()]
 
 
 def _gamma_ppf(u, a, s):
@@ -107,9 +148,9 @@ def _poisson_cdf(y, mu):
 
 def _poisson_pmf(k, mu):
     k = np.asarray(k, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf at k = inf, where scipy.stats has NaN too
+    with np.errstate(invalid="ignore"):  # inf - inf at k = inf, where the mass is 0
         log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
-    return np.where((k < 0) | (np.floor(k) < k), 0.0, np.exp(log_pmf))[()]
+    return np.where((k < 0) | (np.floor(k) < k) | np.isinf(k), 0.0, np.exp(log_pmf))[()]
 
 
 def _poisson_ppf(u, mu):

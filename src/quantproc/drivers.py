@@ -23,8 +23,8 @@ import numpy as np
 from scipy import special
 
 from ._util import (_SQRT2PI, TimeParam, _gamma_cdf, _gamma_pdf, _gamma_ppf, _norm_cdf, _norm_pdf,
-                    _norm_ppf, _poisson_cdf, _poisson_pmf, adaptive_quad, as_time_fn, clip_unit,
-                    substream)
+                    _norm_ppf, _poisson_cdf, _poisson_pmf, _solve_increasing, adaptive_quad, as_time_fn,
+                    clip_unit, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -325,32 +325,6 @@ def _log_kve(v: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_increasing(target, width, scale, curve, w):
-    """Solve curve(w) = target for w in [0, width] by safeguarded Newton, point by point.
-
-    ``curve(w, idx)`` returns the increasing function and its slope at the
-    points ``idx``; a step that leaves the bracket bisects it instead.  A point
-    stops once its step is within 4 ulps of ``scale + w``.
-    """
-    lo, hi = np.zeros_like(w), np.asarray(width, dtype=float).copy()
-    active = np.arange(w.size)
-    for _ in range(64):
-        wa = w[active]
-        value, slope = curve(wa, active)
-        resid = value - target[active]
-        lo[active] = np.where(resid < 0, wa, lo[active])
-        hi[active] = np.where(resid > 0, wa, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = wa - resid / slope
-        inside = (nxt > lo[active]) & (nxt < hi[active])
-        nxt = np.where(resid == 0, wa, np.where(inside, nxt, 0.5 * (lo[active] + hi[active])))
-        w[active] = nxt
-        active = active[np.abs(nxt - wa) > 4.0 * np.finfo(float).eps * (scale[active] + nxt)]
-        if active.size == 0:
-            break
-    return w
-
-
 class _VGLaw:
     """The variance-gamma marginal law at one time t (see ``VarianceGamma``).
 
@@ -477,8 +451,8 @@ class _VGLaw:
         guess = width * np.clip(np.divide(target, cum[ki + 1] - base, out=np.full_like(target, 0.5),
                                           where=cum[ki + 1] > base), 0.0, 1.0)
         y[~at] = lo + _solve_increasing(
-            target, width, np.abs(lo), lambda w, i: (self._gl(lo[i], w), np.exp(self.log_pdf(lo[i] + w))),
-            guess)
+            lambda w, i: (self._gl(lo[i], w) - target[i], np.exp(self.log_pdf(lo[i] + w))),
+            np.zeros_like(guess), width, guess, np.abs(lo), "VG quantile")
         if at.any():
             # in w = |y|^(2a) the mass from the cusp is w H(|y|), nearly linear
             side = np.where(k[at] == cusp, 1.0, -1.0)
@@ -488,12 +462,13 @@ class _VGLaw:
             mass = np.where(side > 0, cum[cusp + 1] - cum[cusp], cum[cusp] - cum[cusp - 1])
             guess = top * np.clip(target / mass, 0.0, 1.0)
 
-            def curve(w, i):
+            def resid_slope(w, i):
                 s = w ** (1.0 / power)
-                return (w * self._cusp_factor(s, side[i]),
+                return (w * self._cusp_factor(s, side[i]) - target[i],
                         np.exp(self._log_g(np.maximum(s, self.floor), side[i])) / power)
 
-            w = _solve_increasing(target, np.full_like(target, top), np.zeros_like(target), curve, guess)
+            w = _solve_increasing(resid_slope, np.zeros_like(target), np.full_like(target, top), guess,
+                                  0.0, "VG quantile")
             y[at] = side * w ** (1.0 / power)
         return y
 
@@ -549,12 +524,15 @@ class VarianceGamma(Driver):
         dG = rng.gamma(dt / self.nu, self.nu, size=np.shape(states))
         return states + self.mu_vg * dG + self.sigma_vg * np.sqrt(dG) * rng.standard_normal(np.shape(states))
 
-    def _law(self, t: float) -> _VGLaw:
-        key = ("law", t)
+    def _law(self, t: float, mirrored: bool = False) -> _VGLaw:
+        """The law of Y_t, or when mirrored that of -Y_t, VG(-mu, sigma, nu); keyed by drift,
+        so a driftless law is its own mirror."""
+        mu = -self.mu_vg if mirrored else self.mu_vg
+        key = ("law", t, mu)
         if key not in self._cache:
             _check_time(t)
             self.validate()
-            self._cache[key] = _VGLaw(self.mu_vg, self.sigma_vg, self.nu, t)
+            self._cache[key] = _VGLaw(mu, self.sigma_vg, self.nu, t)
         return self._cache[key]
 
     def marginal_cdf(self, t, y):
@@ -566,8 +544,17 @@ class VarianceGamma(Driver):
         return self._law(t).pdf(yv.ravel()).reshape(yv.shape)[()]
 
     def marginal_quantile(self, t, u):
-        uv = np.asarray(u, dtype=float)
-        return self._law(t).quantile(clip_unit(uv).ravel()).reshape(uv.shape)[()]
+        """F_t^{-1}; a level u > 1/2 reads -Q(1 - u) on the mirrored law, where 1 - u is
+        exact and the table's lower tail resolves it."""
+        uv = clip_unit(np.asarray(u, dtype=float))
+        flat = uv.ravel()
+        lower = ~(flat > 0.5)
+        y = np.empty_like(flat)
+        if lower.any():
+            y[lower] = self._law(t).quantile(flat[lower])
+        if not lower.all():
+            y[~lower] = -self._law(t, mirrored=True).quantile(1.0 - flat[~lower])
+        return y.reshape(uv.shape)[()]
 
     def transition_pdf(self, s, t, state, y):
         # VG has stationary independent increments

@@ -113,7 +113,7 @@ def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y
     """
     if not isinstance(base, drv.InhomogeneousPoisson):
         raise CapabilityError("discrete density ratios are supported for Poisson drivers")
-    if not getattr(cmap.quantile, "is_discrete", False):
+    if not cmap.quantile.is_discrete:
         raise CapabilityError(
             "discrete density ratios need a discrete quantile family (Poisson pivot)")
     yv = np.atleast_1d(np.asarray(y, dtype=float))

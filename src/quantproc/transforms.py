@@ -22,7 +22,7 @@ from scipy import special
 
 from . import drivers as drv
 from ._util import (TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, _norm_score, _poisson_cdf,
-                    _poisson_pmf, _poisson_ppf, as_time_fn, clip_unit)
+                    _poisson_pmf, _poisson_ppf, _solve_increasing, as_time_fn, clip_unit)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -220,12 +220,11 @@ class TukeyGH(NormalScoreQuantile):
         # h > 0: strictly increasing onto all of R.  Newton runs on
         # s(x) = asinh(core(x)), which grows only quadratically in x, from the
         # linear interpolant of s on a node table (the bracket midpoint where a
-        # node's core overflows), with bracket safeguarding and a forced
-        # bisection every third sweep.  The table's ends reach out to where core
-        # overflows.  A NaN or infinite z stays out of the convergence test and
-        # comes back as itself.
+        # node's core overflows).  The table's ends reach out to where core
+        # overflows.  A NaN or infinite z is solved as z = A and comes back as itself.
+        shape, zc = zc.shape, zc.ravel()
         off = ~np.isfinite(zc)
-        target_s = np.arcsinh(zc)
+        target_s = np.arcsinh(np.where(off, 0.0, zc))
         nodes = np.concatenate([[_gh_overflow_x(_GH_NODES[0], g, h)], _GH_NODES,
                                 [_gh_overflow_x(_GH_NODES[-1], g, h)]])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,30 +235,15 @@ class TukeyGH(NormalScoreQuantile):
             inside = (w >= 0.0) & (w <= 1.0) & np.isfinite(s1 - s0)
             x = np.where(inside, lo + w * (hi - lo), 0.5 * (lo + hi))
         del k, s0, s1, w, inside  # freed before the sweeps' own temporaries, so peak memory holds
-        for it in range(160):
-            with np.errstate(over="ignore", invalid="ignore"):
-                core, dcore = _gh_core_slope(x, g, h)
-                f = np.arcsinh(core) - target_s
-                lo = np.where(f < 0, np.maximum(lo, x), lo)
-                hi = np.where(f > 0, np.minimum(hi, x), hi)
-                slope = dcore / np.hypot(1.0, core)
-                x_new = x - f / slope
-            # a zero step has converged, even onto a bracket edge, unless the slope overflowed
-            stuck = (x_new == x) & np.isfinite(slope)
-            bad = ((x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)) & ~stuck
-            if it % 3 == 2:
-                bad = bad | (np.abs(f) > 1.0)
-            x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-            done = (np.abs(x_new - x) <= 1e-14 * (1.0 + np.abs(x_new))) | off
-            x = x_new
-            if np.all(done):
-                break
-        else:
-            with np.errstate(over="ignore"):
-                resid = np.max(np.abs(np.arcsinh(_gh_core(x, g, h)) - target_s)[~off], initial=0.0)
-            if resid > 1e-9:
-                raise NumericError("g-and-h inversion did not converge", achieved=float(resid))
-        return np.where(off, zc, x)
+
+        def resid_slope(x, idx):
+            core, dcore = _gh_core_slope(x, g, h)
+            dcore /= np.hypot(1.0, core)
+            return np.subtract(np.arcsinh(core, out=core), target_s[idx], out=core), dcore
+
+        x = _solve_increasing(resid_slope, lo, hi, x, 1.0, "g-and-h inversion")
+        x[off] = zc[off]
+        return x.reshape(shape)
 
     def score(self, t, z):
         return self.x_from_z(t, z)

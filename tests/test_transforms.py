@@ -9,7 +9,7 @@ from scipy import special, stats
 from quantproc import drivers as d
 from quantproc import measures as me
 from quantproc import transforms as tr
-from quantproc._util import clip_unit
+from quantproc._util import _solve_increasing, clip_unit
 from quantproc.errors import CapabilityError, NumericError, ParameterError
 
 from conftest import ks_critical, ks_statistic_uniform
@@ -74,10 +74,11 @@ def test_gh_roundtrip_property(g, h, b, a, u):
 
 
 def _count_core_slope(monkeypatch) -> list:
-    """Record each _gh_core_slope call: one per Newton sweep, one per density."""
+    """Record the size of each _gh_core_slope call: one per Newton sweep, one per density."""
     calls = []
     core_slope = tr._gh_core_slope
-    monkeypatch.setattr(tr, "_gh_core_slope", lambda *args: calls.append(1) or core_slope(*args))
+    monkeypatch.setattr(tr, "_gh_core_slope",
+                        lambda x, *args: calls.append(np.size(x)) or core_slope(x, *args))
     return calls
 
 
@@ -114,6 +115,35 @@ def test_gh_newton_does_not_stop_on_an_overflowed_slope():
     assert abs(x[1]) == pytest.approx(8.3332, abs=1e-4)
     assert float(q.cdf(0.0, z)[0]) == pytest.approx(stats.norm.cdf(x[0]), rel=1e-12)
     assert 1e-17 < float(q.cdf(0.0, z)[0]) < 1e-16
+
+
+def test_gh_newton_sweeps_a_slow_point_alone(monkeypatch):
+    # at x = 37.544 the slope overflows while core does not, so that point bisects
+    # for about 35 sweeps; the other 1e5 converge in 3 and leave the working set
+    calls = _count_core_slope(monkeypatch)
+    q = tr.TukeyGH(0.1, 1.2, 0.0, 1.0)
+    x = np.append(np.linspace(-8.0, 8.0, 100_000), 37.544)
+    back = q.x_from_z(1.0, q.eval_score(1.0, x))
+    assert calls.count(x.size) <= 4
+    assert back[-1] == pytest.approx(x[-1], rel=1e-12)
+    np.testing.assert_allclose(back[:-1], x[:-1], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("width, converges", [(4.0, True), (1e300, False)])
+def test_solver_bisects_where_the_slope_is_unusable(width, converges):
+    # with a NaN slope every sweep bisects: a bracket of width 4 closes on the roots, and
+    # one of width 1e300 cannot close in 160 sweeps, so the solver raises
+    roots = np.array([0.1, math.pi, 3.9])
+
+    def resid_slope(x, idx):
+        return x - roots[idx], np.full_like(x, np.nan)
+
+    args = (resid_slope, np.zeros(3), np.full(3, width), np.full(3, 0.5 * width), 1.0, "test roots")
+    if converges:
+        np.testing.assert_allclose(_solve_increasing(*args), roots, rtol=2e-14, atol=2e-14)
+    else:
+        with pytest.raises(NumericError, match="did not converge"):
+            _solve_increasing(*args)
 
 
 @pytest.mark.parametrize("x", [45.0, 60.0, -45.0, -60.0])
