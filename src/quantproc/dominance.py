@@ -233,9 +233,8 @@ def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024) -> Do
     sign-swapped statement for the second.  When the difference has not
     decayed at the truncation edge the verdict is flagged inconclusive.
     """
-    from scipy import integrate
     lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
-    cum = integrate.cumulative_trapezoid(diff, zs, initial=0.0)
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(zs) * (diff[1:] + diff[:-1]) / 2.0)])
     tail_live = bool(abs(diff[-1]) > 1e-6)
     return _verdict("SOSD", cum, zs, "running integral changes sign: no second-order verdict",
                     notes="CDF difference still materially nonzero at the truncation bound"
@@ -335,54 +334,46 @@ def state_dependent_tukey_g_cdf(g_below: float, g_above: float) -> Callable:
     return cdf
 
 
+def _tukey_g_cdf_integral(g: float, x: float) -> float:
+    """A_g(x), the integral of the Tukey-g CDF Phi(log(1 + g s) / g) over s in (-1/g, x]:
+    [(1 + g x) Phi(w) - e^{g^2/2} Phi(w - g)] / g with w = log(1 + g x) / g, and 0 below
+    the support.  Past g = 37, where e^{g^2/2} nears overflow, the second term is summed in logs."""
+    if not g * x + 1.0 > 0.0:
+        return 0.0
+    w = math.log1p(g * x) / g
+    tail = (math.exp(0.5 * g * g) * special.ndtr(w - g) if g < 37.0
+            else math.exp(0.5 * g * g + special.log_ndtr(w - g)))
+    return float(((1.0 + g * x) * special.ndtr(w) - tail) / g)
+
+
 def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float) -> tuple[float, float]:
     """The two error-function integrals comparing a state-dependent-skew
-    process with a constant-skew one.
+    process with a constant-skew one, in closed form.
 
-    The left integral runs over (-1/g2, 0], the right over (0, infinity)
-    truncated where the integrand falls below 1e-12.  Second-
-    order dominance of the state-dependent process holds iff left >= right.
+    The left integral runs over (-1/g2, 0], the right over (0, infinity).
+    Second-order dominance of the state-dependent process holds iff left >= right.
 
     Convention: where the state-dependent process has no support (below
     -1/g1_below) its distribution function is zero and the integrand falls
     back to the plain distribution-function difference; on the common support
     the difference of error functions (twice the CDF difference) is used.
+    With A_g from ``_tukey_g_cdf_integral`` and c = max(-1/g1_below, -1/g2),
+    left = A_g2(c) + 2 [A_g2(0) - A_g2(c) - A_g1b(0) + A_g1b(c)] and
+    right = 2 [T(g2) - T(g1_above)], where T(g) = expm1(g^2/2) / g + A_g(0), the
+    Tukey-g mean plus A_g(0), is the integral of 1 - F_g over (0, infinity).
     """
-    from scipy import integrate
     for name, g in (("g1_below", g1_below), ("g1_above", g1_above), ("g2", g2)):
         if not g > 0:
             raise ParameterError(f"{name} must be positive")
-
-    sqrt2 = math.sqrt(2.0)
-
-    def erf_term(x: float, g: float) -> float:
-        return special.erf(math.log(g * x + 1.0) / (g * sqrt2))
-
-    edge = -1.0 / g1_below
-    lo = -1.0 / g2
-
-    def left_integrand(x: float) -> float:
-        e2 = erf_term(x, g2)
-        if g1_below * x + 1.0 > 0.0:
-            return e2 - erf_term(x, g1_below)
-        return 0.5 * (1.0 + e2)  # F2 - F1 with F1 = 0 below the support edge
-
-    def right_integrand(x: float) -> float:
-        return erf_term(x, g1_above) - erf_term(x, g2)
-
-    # truncate the upper integral where both error functions are within 1e-12 of 1
-    hi = 1.0
-    while 1.0 - erf_term(hi, max(g1_above, g2)) > 1e-12 and hi < 1e9:
-        hi *= 2.0
-
-    points = [edge] if lo < edge < 0.0 else None
-    with np.errstate(all="ignore"):
-        left, le = integrate.quad(left_integrand, lo, 0.0, limit=400, points=points)
-        right, re_ = integrate.quad(right_integrand, 0.0, hi, limit=400)
-    for err, what in ((le, "left"), (re_, "right")):
-        if err > 1e-6:
-            raise NumericError(f"{what} integral did not reach tolerance", achieved=err)
-    return float(left), float(right)
+    c, a = max(-1.0 / g1_below, -1.0 / g2), _tukey_g_cdf_integral
+    left = a(g2, c) + 2.0 * (a(g2, 0.0) - a(g2, c) - a(g1_below, 0.0) + a(g1_below, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2, t1 = (np.expm1(0.5 * g * g) / g + _tukey_g_cdf_integral(g, 0.0) for g in (g2, g1_above))
+        right = float(2.0 * (t2 - t1))
+    if not math.isfinite(right):
+        raise NumericError("right integral: a Tukey-g mean exceeds the floating-point range",
+                           achieved=math.inf)
+    return left, right
 
 
 # ---------------------------------------------------------------------------

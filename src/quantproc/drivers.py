@@ -329,8 +329,8 @@ class _VGLaw:
     """The variance-gamma marginal law at one time t (see ``VarianceGamma``).
 
     ``log_pdf`` is the exact density.  The CDF and quantile read a table of the
-    mass left of each panel edge, built on first use; a point then costs its
-    edge mass plus one 8-node integral from the panel edge.  Panels shrink
+    mass left and right of each panel edge, built on first use; a point then
+    costs its edge mass plus one 8-node integral from the panel edge.  Panels shrink
     toward the cusp y = 0 and are uniform beyond the law's scale, the larger of
     its standard deviation and the slower tail's jump scale
     1 / (kappa - |mu| / sigma^2).  When t/nu <= 1/2 the density is singular like
@@ -381,9 +381,9 @@ class _VGLaw:
             out[finite] = np.exp(self.log_pdf(y[finite]))
         return out
 
-    def _gl(self, lo: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Integral of f over [lo, lo + d], one Gauss-Legendre rule per point."""
-        return d * (np.exp(self.log_pdf(lo[:, None] + d[:, None] * _GL_R)) @ _GL_W)
+    def _gl(self, lo: np.ndarray, d: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """Integral of f(sign y) over y in [lo, lo + d], one Gauss-Legendre rule per point."""
+        return d * (np.exp(self.log_pdf(sign * (lo[:, None] + d[:, None] * _GL_R))) @ _GL_W)
 
     def _log_g(self, u: np.ndarray, side) -> np.ndarray:
         """log of the smooth factor f(side u) / u^(2a - 1) of a singular cusp, at u > 0."""
@@ -396,8 +396,9 @@ class _VGLaw:
         return np.exp(self._log_g(u, side[:, None])) @ weights
 
     @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(panel edges, mass left of each edge, index of the cusp edge y = 0)."""
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(panel edges, mass left of each edge, mass right of each edge, index of the
+        cusp edge y = 0); the panel masses are scaled by their total."""
         s, step = self.scale, 0.5 * self.scale
         halves = s * 0.5 ** (0.5 * np.arange(_VG_LEVELS, -1, -1.0))
         n_lo = math.ceil((max(-self.mean, 0.0) + _VG_REACH * s - s) / step)
@@ -409,11 +410,13 @@ class _VGLaw:
         if self.cusp_rule is not None:
             h, sides = np.full(2, halves[0]), np.array([-1.0, 1.0])
             mass[cusp - 1:cusp + 1] = h ** (2.0 * self.a) * self._cusp_factor(h, sides)
-        cum = np.concatenate([[0.0], np.cumsum(mass)])
-        if not abs(cum[-1] - 1.0) <= 1e-10:
-            raise NumericError(f"VG marginal law at t={self.t}: table mass {cum[-1]!r} is not 1",
-                               achieved=abs(cum[-1] - 1.0))
-        return edges, cum, cusp
+        total = mass.sum()
+        if not abs(total - 1.0) <= 1e-10:
+            raise NumericError(f"VG marginal law at t={self.t}: table mass {total!r} is not 1",
+                               achieved=abs(total - 1.0))
+        mass /= total
+        return (edges, np.concatenate([[0.0], np.cumsum(mass)]),
+                np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]), cusp)
 
     def _in_cusp(self, k: np.ndarray, cusp: int) -> np.ndarray:
         return (k == cusp) | (k == cusp - 1) if self.cusp_rule is not None else np.zeros(k.shape, bool)
@@ -421,7 +424,7 @@ class _VGLaw:
     def cdf(self, y: np.ndarray) -> np.ndarray:
         """F_t at 1-d y; round-off reversals between close points are removed by a
         running maximum along sorted y, so F is non-decreasing in floating point."""
-        edges, cum, cusp = self.table
+        edges, cum, _, cusp = self.table
         order = np.argsort(y, kind="stable")
         ys = y[order]
         k = np.searchsorted(edges, ys, side="right") - 1
@@ -439,9 +442,13 @@ class _VGLaw:
         result[order] = out
         return np.where(np.isnan(y), np.nan, result)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        """F_t^{-1} at 1-d levels in (0, 1): bracket by the table, then safeguarded Newton."""
-        edges, cum, cusp = self.table
+    def quantile(self, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """The quantile of sign * Y_t at 1-d levels in (0, 1): bracket by the table, then
+        safeguarded Newton.  For sign = -1 the table is read reflected: edges -e[::-1],
+        the masses right of each edge, and the density at -y."""
+        edges, cum, right, cusp = self.table
+        if sign < 0:
+            edges, cum, cusp = -edges[::-1], right[::-1], edges.size - 1 - cusp
         k = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, edges.size - 2)
         at = self._in_cusp(k, cusp)
         y = np.empty_like(u)
@@ -451,7 +458,7 @@ class _VGLaw:
         guess = width * np.clip(np.divide(target, cum[ki + 1] - base, out=np.full_like(target, 0.5),
                                           where=cum[ki + 1] > base), 0.0, 1.0)
         y[~at] = lo + _solve_increasing(
-            lambda w, i: (self._gl(lo[i], w) - target[i], np.exp(self.log_pdf(lo[i] + w))),
+            lambda w, i: (self._gl(lo[i], w, sign) - target[i], np.exp(self.log_pdf(sign * (lo[i] + w)))),
             np.zeros_like(guess), width, guess, np.abs(lo), "VG quantile")
         if at.any():
             # in w = |y|^(2a) the mass from the cusp is w H(|y|), nearly linear
@@ -464,8 +471,8 @@ class _VGLaw:
 
             def resid_slope(w, i):
                 s = w ** (1.0 / power)
-                return (w * self._cusp_factor(s, side[i]) - target[i],
-                        np.exp(self._log_g(np.maximum(s, self.floor), side[i])) / power)
+                return (w * self._cusp_factor(s, sign * side[i]) - target[i],
+                        np.exp(self._log_g(np.maximum(s, self.floor), sign * side[i])) / power)
 
             w = _solve_increasing(resid_slope, np.zeros_like(target), np.full_like(target, top), guess,
                                   0.0, "VG quantile")
@@ -524,16 +531,12 @@ class VarianceGamma(Driver):
         dG = rng.gamma(dt / self.nu, self.nu, size=np.shape(states))
         return states + self.mu_vg * dG + self.sigma_vg * np.sqrt(dG) * rng.standard_normal(np.shape(states))
 
-    def _law(self, t: float, mirrored: bool = False) -> _VGLaw:
-        """The law of Y_t, or when mirrored that of -Y_t, VG(-mu, sigma, nu); keyed by drift,
-        so a driftless law is its own mirror."""
-        mu = -self.mu_vg if mirrored else self.mu_vg
-        key = ("law", t, mu)
-        if key not in self._cache:
+    def _law(self, t: float) -> _VGLaw:
+        if t not in self._cache:
             _check_time(t)
             self.validate()
-            self._cache[key] = _VGLaw(mu, self.sigma_vg, self.nu, t)
-        return self._cache[key]
+            self._cache[t] = _VGLaw(self.mu_vg, self.sigma_vg, self.nu, t)
+        return self._cache[t]
 
     def marginal_cdf(self, t, y):
         yv = np.asarray(y, dtype=float)
@@ -544,16 +547,14 @@ class VarianceGamma(Driver):
         return self._law(t).pdf(yv.ravel()).reshape(yv.shape)[()]
 
     def marginal_quantile(self, t, u):
-        """F_t^{-1}; a level u > 1/2 reads -Q(1 - u) on the mirrored law, where 1 - u is
-        exact and the table's lower tail resolves it."""
+        """F_t^{-1}; a level u > 1/2 reads -Q(1 - u), the quantile of -Y_t, where 1 - u is
+        exact and the table's right masses resolve it."""
         uv = clip_unit(np.asarray(u, dtype=float))
         flat = uv.ravel()
-        lower = ~(flat > 0.5)
-        y = np.empty_like(flat)
-        if lower.any():
-            y[lower] = self._law(t).quantile(flat[lower])
-        if not lower.all():
-            y[~lower] = -self._law(t, mirrored=True).quantile(1.0 - flat[~lower])
+        y = np.full_like(flat, np.nan)
+        for part, sign in ((flat <= 0.5, 1.0), (flat > 0.5, -1.0)):
+            if part.any():
+                y[part] = sign * self._law(t).quantile((flat if sign > 0 else 1.0 - flat)[part], sign)
         return y.reshape(uv.shape)[()]
 
     def transition_pdf(self, s, t, state, y):

@@ -117,7 +117,8 @@ class NormalScoreQuantile(QuantileSpec):
 
     def eval(self, t, u):
         u = np.asarray(u, dtype=float)
-        out = self.eval_score(t, special.ndtri(clip_unit(u)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.eval_score(t, special.ndtri(u))
         # endpoints follow the family's tails
         lo, hi = self.support(t)
         out = np.where(u <= 0.0, lo, out)

@@ -9,7 +9,7 @@ from scipy import integrate, special, stats
 from quantproc import dominance as dom
 from quantproc import drivers as d
 from quantproc import transforms as tr
-from quantproc.errors import ParameterError
+from quantproc.errors import NumericError, ParameterError
 
 
 def gh(g, h):
@@ -259,6 +259,28 @@ def test_split_g_integrals_reference_values():
     assert left == pytest.approx(0.1341347, abs=1e-4)
     assert right == pytest.approx(0.0660684, abs=1e-4)
     assert left >= right
+
+
+def test_split_g_integrals_match_extended_precision():
+    # references: the integrals at 30 digits (mpmath quadrature)
+    left, right = dom.split_g_sosd_integrals(0.8, 0.2, 0.3)
+    assert abs(left - 0.1341347311533213) <= 1e-15
+    assert abs(right - 0.06606843250359083) <= 1e-15
+    # a right integral whose tail reaches far past any fixed truncation
+    assert dom.split_g_sosd_integrals(3.0, 3.0, 2.5)[1] == pytest.approx(-41.90222722506058, rel=1e-13)
+    # -1/g1_below left of -1/g2: the whole left range is common support
+    assert dom.split_g_sosd_integrals(0.2, 0.8, 0.5)[0] == pytest.approx(-0.1041598078190162,
+                                                                         rel=0.0, abs=1e-15)
+
+
+def test_split_g_integrals_at_large_skew():
+    # e^{g^2/2} overflows past g = 37.7: the left integral stays finite (30-digit reference),
+    # and a right integral holding a Tukey-g mean beyond the float range raises
+    left, right = dom.split_g_sosd_integrals(40.0, 0.2, 0.3)
+    assert left == pytest.approx(0.32228906652321043, rel=1e-14)
+    assert right == pytest.approx(0.06606843250359083, rel=1e-14)
+    with pytest.raises(NumericError):
+        dom.split_g_sosd_integrals(0.8, 40.0, 0.3)
 
 
 def test_split_g_integrals_degenerate_equal_parameters():

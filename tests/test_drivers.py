@@ -258,6 +258,14 @@ def test_vg_law_properties(mu, sigma, nu, log_t):
     assert np.all(np.diff(vg.marginal_quantile(t, np.linspace(1e-6, 1 - 1e-6, 101))) >= 0)
 
 
+def test_vg_quantile_is_nan_at_a_nan_level():
+    vg = d.VarianceGamma(-0.1, 0.3, 0.4)
+    assert math.isnan(vg.marginal_quantile(1.0, float("nan")))
+    y = vg.marginal_quantile(1.0, [0.3, float("nan"), 0.9])
+    assert np.isnan(y[1]) and np.all(np.isfinite(y[[0, 2]]))
+    assert np.allclose(vg.marginal_cdf(1.0, y[[0, 2]]), [0.3, 0.9], rtol=0.0, atol=1e-14)
+
+
 def test_vg_rejects_non_finite_drift():
     vg = d.VarianceGamma(float("nan"), 0.3, 0.5)
     with pytest.raises(ParameterError):

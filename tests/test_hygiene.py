@@ -178,5 +178,11 @@ def test_cold_start_loads_no_heavy_scipy_module():
                 valuation.Layer(0.5, 2.0), 0.0, 1.0, 0.03, valuation.MCSettings(1_000, 1)))"""),
         "VarianceGamma.marginal_cdf":
             "drivers.VarianceGamma(-0.1, 0.3, 0.4).marginal_cdf(1.0, [-0.5, 0.0, 0.5])",
+        "sosd_check": textwrap.dedent("""\
+            from quantproc import dominance
+            q2 = transforms.TukeyG(0.0, 1.0, 0.3)
+            dominance.sosd_check(dominance.state_dependent_tukey_g_cdf(0.8, 0.2),
+                                 lambda z: q2.cdf(1.0, z), (-1.0 / 0.3, float("inf")))"""),
+        "split_g_sosd_integrals": "dominance.split_g_sosd_integrals(0.8, 0.2, 0.3)",
     }
     assert heavy_modules_after(steps) == {label: [] for label in steps}

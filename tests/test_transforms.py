@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -294,6 +294,10 @@ def test_quantile_roundtrip():
         z = tr.quantile_eval(q, 1.0, u)
         back = tr.quantile_cdf(q, 1.0, z)
         assert np.max(np.abs(back - u)) < 1e-9
+        # levels far below 1e-15 are not clamped on the way in
+        tail = np.array([1e-300, 1e-20])
+        back = tr.quantile_cdf(q, 1.0, tr.quantile_eval(q, 1.0, tail))
+        assert np.all(np.abs(back - tail) <= 1e-12 * tail)
 
 
 def test_time_dependent_parameters():
@@ -534,6 +538,8 @@ _score_laws = st.sampled_from(_SCORE_LAWS)
 @settings(max_examples=40, deadline=None)
 @given(case=_score_laws, fracs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
        t=st.floats(0.2, 3.0))
+# x = 7 on the VG law at t = 0.25: its level 1 - 1.3e-12 is read from the upper tail
+@example(case=next(c for c in _SCORE_LAWS if c[0] == "driver-vg"), fracs=[1.0], t=0.25)
 def test_from_score_inverts_score(case, fracs, t):
     _, law, _, reach, exact = case
     x = reach * np.array(fracs)
