@@ -74,7 +74,7 @@ def load_config(path: str) -> dict:
 
 _DRIVERS = (drv.Brownian, drv.InhomogeneousOU, drv.VarianceGamma, drv.GammaProcess,
             drv.InhomogeneousPoisson)
-_QUANTILES = (tr.TukeyG, tr.TukeyGH, tr.GaussianQuantile)
+_QUANTILES = (tr.TukeyG, tr.TukeyGH, tr.GaussianLaw)
 _DISTS = (tr.GaussianLaw, tr.DriverLaw, tr.ShiftedDriverLaw, tr.EmpiricalLaw)
 _PAYOFFS = (va.Linear, va.Layer, va.StopLoss, va.PowerUtility, va.TablePayoff)
 _COPULAS = (cp.IndependenceCopula, cp.ComonotoneCopula, cp.GaussianCopula, cp.ClaytonCopula,
@@ -98,7 +98,7 @@ def _build_driver(spec: dict) -> drv.Driver:
     return _build("driver", "kind", _DRIVERS, spec)
 
 
-def _build_quantile(spec: dict) -> tr.QuantileSpec:
+def _build_quantile(spec: dict) -> tr.Law:
     if spec.get("family") == "TableDriven":
         params = {k: v for k, v in spec.items() if k != "family"}
         if set(params) == {"csv"}:
@@ -109,7 +109,7 @@ def _build_quantile(spec: dict) -> tr.QuantileSpec:
     return _build("quantile", "family", _QUANTILES, spec)
 
 
-def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[tr.DistributionSpec]:
+def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[tr.Law]:
     if spec is None:
         return None
     family = spec.get("family")

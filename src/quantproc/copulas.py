@@ -463,7 +463,7 @@ class MultiCompositeMap:
 
     margins: tuple
     copula: CopulaSpec
-    quantile: tr.QuantileSpec
+    quantile: tr.Law
     mode: str = MultiMode.TRUE_JOINT_LAW
 
     def validate(self, t: float = 1.0) -> None:
@@ -564,7 +564,7 @@ def apply_multi_composite(mmap: MultiCompositeMap,
             for mg, e in zip(mmap.margins, ensembles)
         ])
         c = mmap.copula.cdf(t, np.clip(u, 0.0, 1.0))
-        out[:, k] = mmap.quantile.eval(t, clip_unit(c))
+        out[:, k] = mmap.quantile.quantile(t, clip_unit(c))
     return drv.PathEnsemble(grid=grid, paths=out, seed=ensembles[0].seed,
                             driver=ensembles[0].driver)
 
@@ -620,7 +620,7 @@ def kendall_table_csv(spec: CopulaSpec, path: str, t: float = 1.0,
         fh.write("\n".join(lines) + "\n")
 
 
-def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.DistributionSpec):
+def multi_rn_derivative(mmap: MultiCompositeMap, t: float, y, base_law: tr.Law):
     """Density of the multidimensional distorted law against the insured margin.
 
     The pushforward density differentiates K_C(t, F_quantile(z)) by the

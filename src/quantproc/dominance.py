@@ -7,9 +7,9 @@ for second order, each with a strict witness (Shaked & Shanthikumar,
 where both CDFs leave {0, 1}; the grid on it is uniform in asinh(z), so a
 domain widened to millions by a heavy tail keeps its points dense where the
 CDFs cross.  Quantile crossing levels u* delimit the dominance domain for
-composite-map pairs sharing a driver law; the crossing scan reads both
-families at normal scores x through ``eval_score`` and forms only the level
-u* = ndtr(x*) it reports.  The sufficient conditions read
+composite-map pairs sharing a driver law; the crossing scan reads both laws'
+quantiles at normal scores x through ``Law.from_score`` and forms only the
+level u* = ndtr(x*) it reports.  The sufficient conditions read
 their derivatives and CDFs off ``transforms.preimage``, the inverse composite
 w = Q_dist(t, F_quantile(t, z)); this module does not import ``measures``.
 """
@@ -77,14 +77,13 @@ _X_RESOLVABLE = 8.2
 _N_SCAN = 4096
 
 
-def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
-                    t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
+def _crossing_roots(q1: tr.Law, q2: tr.Law, t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Scores x where Q1 - Q2 changes sign, the scan's levels ndtr(x) and Q1 - Q2 on them."""
     from scipy import optimize
     xs = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
 
     def diff(x):
-        return q1.eval_score(t, x) - q2.eval_score(t, x)
+        return q1.from_score(t, x) - q2.from_score(t, x)
 
     with np.errstate(invalid="ignore", over="ignore"):
         d = diff(xs)
@@ -106,7 +105,7 @@ def _crossing_roots(q1: tr.QuantileSpec, q2: tr.QuantileSpec,
     return roots, special.ndtr(xs), d
 
 
-def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) -> Optional[float]:
+def crossing_u_star(q1: tr.Law, q2: tr.Law, t: float = 1.0) -> Optional[float]:
     """Largest quantile level where the two quantile curves cross.
 
     Returns the largest u* in [0, 1) with Q1(u*) = Q2(u*) such that one curve
@@ -120,7 +119,7 @@ def crossing_u_star(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) ->
     return crossing_report(q1, q2, t).u_star
 
 
-def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) -> DominanceReport:
+def crossing_report(q1: tr.Law, q2: tr.Law, t: float = 1.0) -> DominanceReport:
     """Crossing level plus dominance direction and domain bound for the pair.
 
     The reported domain lower bound is z0 = Q1(u*) = Q2(u*); the dominating
@@ -133,9 +132,9 @@ def crossing_report(q1: tr.QuantileSpec, q2: tr.QuantileSpec, t: float = 1.0) ->
     if roots:
         x_star = roots[-1]
         u_star = float(special.ndtr(x_star))
-        z0 = float(q1.eval_score(t, x_star))
+        z0 = float(q1.from_score(t, x_star))
         above = x_star + max(1e-6, 1e-6 * abs(x_star))
-        sign_after = float(q1.eval_score(t, above) - q2.eval_score(t, above))
+        sign_after = float(q1.from_score(t, above) - q2.from_score(t, above))
         boundary = ""
         if u_star > 1.0 - 1e-6:
             boundary = ("crossing sits at the u -> 1 boundary: the first curve dominates "

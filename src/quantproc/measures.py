@@ -2,10 +2,10 @@
 
 The pushforward law of Z_t = Q(F(t, Y_t)) has distribution function F_Y(t, w)
 at the preimage w = Q_dist(t, F_quantile(t, z)) of ``transforms.preimage``,
-reached from the family's normal score x at z by the law's ``from_score``, so a
-normal law never forms the level ndtr(x); its density is f_Y(w) f_quantile(z) /
-f_dist(w), and its density ratio against the driver's law divides that by
-f_Y(z).  Chaining conditional density ratios with money-market discounting
+reached from the quantile law's normal score x at z by the distribution law's
+``from_score``, so a normal law never forms the level ndtr(x); its density is
+f_Y(w) f_quantile(z) / f_dist(w), and its density ratio against the driver's
+law divides that by f_Y(z).  Chaining conditional density ratios with money-market discounting
 yields a pricing-kernel process whose discounted value is a martingale.
 """
 
@@ -41,7 +41,7 @@ class DistortedLaw:
     map: tr.CompositeMap
     base: drv.Driver
 
-    def dist(self) -> tr.DistributionSpec:
+    def dist(self) -> tr.Law:
         return self.map.dist_for(self.base)
 
 

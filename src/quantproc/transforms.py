@@ -1,13 +1,15 @@
-"""Quantile families, distribution families, and the composite map.
+"""Laws on the real line, and the composite map.
 
 The composite map sends a driver value y to Q(F(t, y)): a distribution
 function F (the driver's true law, a deliberately different law, or a law on
-a standardized pivot) followed by a quantile function Q.  Applied path-wise
-it turns a driver ensemble into a quantile-process ensemble.  Both directions
-run in the normal score x = ndtri(u): ``compose`` feeds a family closed form in
-x the law's ``score``, and ``preimage`` maps a family's score back through the
-law's ``from_score``.  A normal law gives its (m, sd) once, by ``normal_at``,
-and all its maps follow, affine in x, so no probability is formed or clamped.
+a standardized pivot) followed by the quantile function Q of the law an agent
+perceives.  Both halves are one type, a ``Law``, read in opposite directions.
+Applied path-wise the map turns a driver ensemble into a quantile-process
+ensemble.  Both directions run in the normal score x = ndtri(u): ``compose``
+maps F's ``score`` through Q's ``from_score``, and ``preimage`` maps Q's score
+back through F's ``from_score``.  A normal law gives its (m, sd) once, by
+``normal_at``, and all its maps follow, affine in x, so no probability is
+formed or clamped.
 """
 
 from __future__ import annotations
@@ -21,19 +23,16 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import (TimeFn, TimeParam, _norm_cdf, _norm_pdf, _norm_ppf, _norm_score, _poisson_cdf,
-                    _poisson_pmf, _poisson_ppf, _solve_increasing, as_time_fn, clip_unit)
+from ._util import (TimeFn, TimeParam, _norm_pdf, _norm_score, _poisson_cdf, _poisson_pmf,
+                    _poisson_ppf, _solve_increasing, as_time_fn, clip_unit)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
-    "QuantileSpec",
-    "NormalScoreQuantile",
+    "Law",
     "TukeyG",
     "TukeyGH",
-    "GaussianQuantile",
     "PoissonQuantile",
     "TableQuantile",
-    "DistributionSpec",
     "GaussianLaw",
     "canonical_brownian_law",
     "DriverLaw",
@@ -61,72 +60,87 @@ _G_TINY = 1e-150
 
 
 # ---------------------------------------------------------------------------
-# quantile families
+# the law type
 # ---------------------------------------------------------------------------
 
-class QuantileSpec:
-    """A quantile family Q(t, u), strictly increasing in u at every time."""
+class Law:
+    """A law on the real line at each time t, read forward (``cdf``, ``score``) or
+    backward as a quantile function (``quantile``, ``from_score``).
+
+    A law gives one primitive and derives the rest: ``normal_at`` for a normal law;
+    ``score`` and ``from_score`` for a score-native law, whose ``cdf`` is ndtr(score)
+    and ``quantile`` is from_score(ndtri(u)); or ``cdf`` and ``quantile`` for a
+    level-native law, whose scores pass through the level.
+    """
 
     family: str = "abstract"
     is_discrete: bool = False
+    #: ``compose`` reads the clamped level F(t, y) itself, not its score: one ulp of
+    #: ndtr(ndtri(u)) drift would move a step of this law's quantile
+    level_native: bool = False
 
     def validate(self, t: float = 1.0) -> None:
-        """Raise ParameterError on inadmissible parameters."""
+        """Raise ParameterError on inadmissible parameters at t."""
+        self.normal_at(t)
 
-    def eval(self, t: float, u) -> np.ndarray:
-        raise NotImplementedError
-
-    def eval_score(self, t: float, x) -> np.ndarray:
-        """Q(t, ndtr(x)) at normal scores x: the one place a level-native family
-        forms the level; NormalScoreQuantile families read x in closed form."""
-        return self.eval(t, special.ndtr(x))
-
-    def cdf(self, t: float, z) -> np.ndarray:
-        """Generalized inverse of ``eval`` in its second argument."""
-        raise NotImplementedError
-
-    def pdf(self, t: float, z) -> np.ndarray:
-        raise NotImplementedError
+    def normal_at(self, t: float) -> Optional[tuple[float, float]]:
+        """(m, sd) when the law at t is N(m, sd^2), else None; all the maps below follow."""
+        return None
 
     def score(self, t: float, z) -> np.ndarray:
-        """Normal score ndtri(cdf) of z, +-inf off the family's range; TukeyGH and the
-        Gaussian family reach it without the level."""
-        return special.ndtri(self.cdf(t, z))
+        """Normal score ndtri(cdf) of z, +-inf off the law's range; exact and affine
+        for a normal law."""
+        normal = self.normal_at(t)
+        if normal is None:
+            return special.ndtri(self.cdf(t, z))
+        return _norm_score(z, *normal)
+
+    def from_score(self, t: float, x) -> np.ndarray:
+        """The inverse of ``score``: m + sd x for a normal law, else quantile(ndtr(x)),
+        the one place a level is formed from a score."""
+        normal = self.normal_at(t)
+        if normal is None:
+            return self.quantile(t, special.ndtr(x))
+        m, sd = normal
+        return m + sd * np.asarray(x, dtype=float)
+
+    def cdf(self, t: float, z) -> np.ndarray:
+        return special.ndtr(self.score(t, z))
+
+    def quantile(self, t: float, u) -> np.ndarray:
+        """from_score(ndtri(u)) inside (0, 1), the support's ends at u = 0 and u = 1,
+        and NaN off [0, 1] and at NaN."""
+        u = np.asarray(u, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.from_score(t, special.ndtri(u))
+        lo, hi = self.support(t)
+        return np.where(u == 0.0, lo, np.where(u == 1.0, hi, out))
+
+    def pdf(self, t: float, z) -> np.ndarray:
+        return _norm_pdf(z, *self.normal_at(t))
 
     def score_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
         """(score, pdf) at z; TukeyGH reads both off one inversion."""
         return self.score(t, z), self.pdf(t, z)
 
-    def compose(self, t: float, dist: DistributionSpec, y) -> np.ndarray:
-        """Q(t, F(t, y)) for the law ``dist``: the composite map at one time.
-
-        The probability level is clamped into (0, 1); NormalScoreQuantile
-        families override this and never form it.
-        """
-        return self.eval(t, clip_unit(dist.cdf(t, y)))
-
     def support(self, t: float) -> tuple[float, float]:
         return -np.inf, np.inf
 
+    def compose(self, t: float, dist: Law, y) -> np.ndarray:
+        """Q(t, F(t, y)), with Q this law's quantile and F the law ``dist``: the
+        composite map at one time, from_score(dist.score(y)).  A level-native law
+        reads quantile at the level F(t, y) clamped into (0, 1) instead."""
+        if self.level_native:
+            return self.quantile(t, clip_unit(dist.cdf(t, y)))
+        return self.from_score(t, dist.score(t, y))
 
-class NormalScoreQuantile(QuantileSpec):
-    """A family Q(t, u) = T(t, ndtri(u)) given in closed form in the normal score.
+    def is_true_law_of(self, driver: drv.Driver) -> bool:
+        return False
 
-    ``eval_score`` is T, and ``compose`` feeds it the law's score ndtri(F(t, y)).
-    """
 
-    def eval(self, t, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.eval_score(t, special.ndtri(u))
-        # endpoints follow the family's tails
-        lo, hi = self.support(t)
-        out = np.where(u <= 0.0, lo, out)
-        return np.where(u >= 1.0, hi, out)
-
-    def compose(self, t, dist, y):
-        return self.eval_score(t, dist.score(t, y))
-
+# ---------------------------------------------------------------------------
+# laws read as quantile families
+# ---------------------------------------------------------------------------
 
 def _gh_core(x: np.ndarray, g: float, h: float) -> np.ndarray:
     """(exp(gx)-1)/g * exp(h x^2 / 2), with the exact g -> 0 limit x*exp(hx^2/2)."""
@@ -166,7 +180,7 @@ def _gh_overflow_x(x: float, g: float, h: float) -> float:
 
 
 @dataclass(frozen=True)
-class TukeyGH(NormalScoreQuantile):
+class TukeyGH(Law):
     """Tukey g-and-h quantile family A + (B/g)(e^{gX}-1) e^{hX^2/2}, X = ndtri(u).
 
     g controls skewness, h tail weight; h >= 0 keeps the map monotone and
@@ -192,7 +206,7 @@ class TukeyGH(NormalScoreQuantile):
         if h < 0:
             raise ParameterError(f"TukeyGH requires h >= 0, got {h}")
 
-    def eval_score(self, t, x):
+    def from_score(self, t, x):
         """A + B core(x); past the float range, e.g. exp(h x^2 / 2) at large |x|, +-inf."""
         a, b, g, h = self.params_at(t)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -249,9 +263,6 @@ class TukeyGH(NormalScoreQuantile):
     def score(self, t, z):
         return self.x_from_z(t, z)
 
-    def cdf(self, t, z):
-        return special.ndtr(self.x_from_z(t, z))
-
     def pdf(self, t, z):
         return self.score_pdf(t, z)[1]
 
@@ -284,7 +295,7 @@ class TukeyG(TukeyGH):
 
 
 @dataclass(frozen=True)
-class PoissonQuantile(QuantileSpec):
+class PoissonQuantile(Law):
     """Quantile function of a Poisson count with mean rate * t.
 
     The discrete hook of the composite map: step outputs on the integers.
@@ -296,12 +307,13 @@ class PoissonQuantile(QuantileSpec):
 
     family = "PoissonQuantile"
     is_discrete = True
+    level_native = True
 
     def validate(self, t: float = 1.0) -> None:
         if not self.rate > 0:
             raise ParameterError("Poisson quantile rate must be positive")
 
-    def eval(self, t, u):
+    def quantile(self, t, u):
         return _poisson_ppf(u, self.rate * t)
 
     def cdf(self, t, z):
@@ -318,7 +330,7 @@ class PoissonQuantile(QuantileSpec):
 
 
 @dataclass(frozen=True)
-class TableQuantile(QuantileSpec):
+class TableQuantile(Law):
     """Monotone piecewise-linear quantile map from a (u, z) table.
 
     Endpoints clamp: no tail behaviour is invented beyond the table.
@@ -328,6 +340,7 @@ class TableQuantile(QuantileSpec):
     z_knots: np.ndarray
 
     family = "TableDriven"
+    level_native = True
 
     def __post_init__(self):
         u = np.asarray(self.u_knots, dtype=float)
@@ -341,7 +354,7 @@ class TableQuantile(QuantileSpec):
         object.__setattr__(self, "u_knots", u)
         object.__setattr__(self, "z_knots", z)
 
-    def eval(self, t, u):
+    def quantile(self, t, u):
         return np.interp(np.asarray(u, dtype=float), self.u_knots, self.z_knots)
 
     def cdf(self, t, z):
@@ -368,15 +381,15 @@ def _segment_slope(x, knots, slopes) -> np.ndarray:
     return np.where(inside, slopes[idx], np.where(np.isnan(x), np.nan, 0.0))
 
 
-def quantile_eval(spec: QuantileSpec, t: float, u):
+def quantile_eval(spec: Law, t: float, u):
     """Evaluate Q(t, u); u in [0, 1], endpoints map to the family's tails."""
     uv = np.asarray(u, dtype=float)
     if np.any((uv < 0) | (uv > 1)):
         raise ParameterError("quantile level must lie in [0, 1]")
-    return spec.eval(t, u)
+    return spec.quantile(t, u)
 
 
-def quantile_cdf(spec: QuantileSpec, t: float, z):
+def quantile_cdf(spec: Law, t: float, z):
     """Generalized inverse of the quantile family: returns u with Q(t, u) = z.
 
     Values outside the family's range clamp to 0 or 1.
@@ -385,53 +398,13 @@ def quantile_cdf(spec: QuantileSpec, t: float, z):
 
 
 # ---------------------------------------------------------------------------
-# distribution families
+# laws read as distribution functions
 # ---------------------------------------------------------------------------
 
-class DistributionSpec:
-    """A (possibly time-dependent) marginal law used inside composite maps."""
-
-    family: str = "abstract"
-
-    def validate(self, t: float = 1.0) -> None:
-        self.normal_at(t)
-
-    def normal_at(self, t: float) -> Optional[tuple[float, float]]:
-        """(m, sd) when the law at t is N(m, sd^2), else None; all the maps below follow."""
-        return None
-
-    def cdf(self, t: float, y) -> np.ndarray:
-        return _norm_cdf(y, *self.normal_at(t))
-
-    def pdf(self, t: float, y) -> np.ndarray:
-        return _norm_pdf(y, *self.normal_at(t))
-
-    def quantile(self, t: float, u) -> np.ndarray:
-        return _norm_ppf(u, *self.normal_at(t))
-
-    def score(self, t: float, y) -> np.ndarray:
-        """Normal score ndtri(F(t, y)); exact and affine for normal laws, else from
-        the CDF clamped into (0, 1)."""
-        normal = self.normal_at(t)
-        if normal is None:
-            return special.ndtri(clip_unit(self.cdf(t, y)))
-        return _norm_score(y, *normal)
-
-    def from_score(self, t: float, x) -> np.ndarray:
-        """The inverse of ``score``: m + sd x for normal laws, else quantile(ndtr(x))."""
-        normal = self.normal_at(t)
-        if normal is None:
-            return self.quantile(t, special.ndtr(x))
-        m, sd = normal
-        return m + sd * np.asarray(x, dtype=float)
-
-    def is_true_law_of(self, driver: drv.Driver) -> bool:
-        return False
-
-
 @dataclass(frozen=True)
-class GaussianLaw(DistributionSpec):
-    """Normal law with mean m(t) and variance v(t).
+class GaussianLaw(Law):
+    """Normal law with mean m(t) and variance v(t); as a quantile family,
+    m(t) + sqrt(v(t)) * ndtri(u).
 
     ``GaussianLaw(m=0, v=lambda t: t)`` is the law of standard Brownian
     motion, the base of the canonical construction.
@@ -459,11 +432,9 @@ class GaussianLaw(DistributionSpec):
         return False
 
 
-@dataclass(frozen=True)
-class GaussianQuantile(GaussianLaw, NormalScoreQuantile):
-    """The normal law N(m(t), v(t)) read as a quantile family m(t) + sqrt(v(t)) * ndtri(u)."""
-
-    eval_score = DistributionSpec.from_score
+# names that perfbench reads, kept as aliases of the one law type
+QuantileSpec = DistributionSpec = Law
+GaussianQuantile = GaussianLaw
 
 
 def _driver_normal(driver: drv.Driver, t: float) -> tuple[float, float]:
@@ -480,7 +451,7 @@ def canonical_brownian_law() -> GaussianLaw:
 
 
 @dataclass(frozen=True)
-class ShiftedDriverLaw(DistributionSpec):
+class ShiftedDriverLaw(Law):
     """A driver's law evaluated on shifted arguments, F(t, y) = F_Y(t, y - shift).
 
     With shift in [0, 1] this realizes a relativized distortion: larger shifts
@@ -502,6 +473,12 @@ class ShiftedDriverLaw(DistributionSpec):
             return None
         m, sd = _driver_normal(self.driver, t)
         return m + self.shift, sd
+
+    def score(self, t, y):
+        """The base score, from the level clamped into (0, 1) for a non-Gaussian driver."""
+        if self.driver.is_gaussian:
+            return super().score(t, y)
+        return special.ndtri(clip_unit(self.cdf(t, y)))
 
     def cdf(self, t, y):
         return self.driver.marginal_cdf(t, np.asarray(y, dtype=float) - self.shift)
@@ -526,7 +503,7 @@ class DriverLaw(ShiftedDriverLaw):
 
 
 @dataclass(frozen=True)
-class PivotLaw(DistributionSpec):
+class PivotLaw(Law):
     """A law on the standardized pivot of a Gaussian-marginal driver.
 
     F(t, y) = reference.cdf(t, (y - m_t)/sd_t) with (m_t, sd_t) the driver's
@@ -535,7 +512,7 @@ class PivotLaw(DistributionSpec):
     """
 
     driver: drv.Driver
-    reference: DistributionSpec = GaussianLaw(0.0, 1.0)
+    reference: Law = GaussianLaw(0.0, 1.0)
 
     family = "Pivot"
 
@@ -562,12 +539,13 @@ class PivotLaw(DistributionSpec):
 
 
 @dataclass(frozen=True)
-class EmpiricalLaw(DistributionSpec):
+class EmpiricalLaw(Law):
     """Continuous (piecewise-linear) CDF interpolating a sample."""
 
     samples: np.ndarray
 
     family = "Empirical"
+    level_native = True
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -582,7 +560,7 @@ class EmpiricalLaw(DistributionSpec):
 
     def cdf(self, t, y):
         xs, ps = self._knots()
-        return np.clip(np.interp(np.asarray(y, dtype=float), xs, ps), 0.0, 1.0)
+        return np.interp(np.asarray(y, dtype=float), xs, ps)
 
     def quantile(self, t, u):
         xs, ps = self._knots()
@@ -622,8 +600,8 @@ class CompositeMap:
                   (Y - m_t)/sd_t of a Gaussian-marginal driver; see PivotLaw.
     """
 
-    dist: Optional[DistributionSpec]
-    quantile: QuantileSpec
+    dist: Optional[Law]
+    quantile: Law
     mode: MapMode = MapMode.FALSE_LAW
 
     def validate(self, t: float = 1.0) -> None:
@@ -635,7 +613,7 @@ class CompositeMap:
         if self.mode is MapMode.FALSE_LAW and self.dist is None:
             raise ParameterError("a false-law composite map needs a distribution spec")
 
-    def dist_for(self, driver: drv.Driver) -> DistributionSpec:
+    def dist_for(self, driver: drv.Driver) -> Law:
         if self.mode is MapMode.PIVOT:
             if not driver.is_gaussian:
                 raise CapabilityError(
@@ -652,17 +630,17 @@ class CompositeMap:
         return self.dist
 
 
-def true_law_map(driver: drv.Driver, quantile: QuantileSpec) -> CompositeMap:
+def true_law_map(driver: drv.Driver, quantile: Law) -> CompositeMap:
     """Composite map using the driver's own marginal law."""
     return CompositeMap(dist=DriverLaw(driver), quantile=quantile, mode=MapMode.TRUE_LAW)
 
 
-def canonical_map(quantile: QuantileSpec) -> CompositeMap:
+def canonical_map(quantile: Law) -> CompositeMap:
     """Canonical construction on standard Brownian motion: F = N(0, t)."""
     return CompositeMap(dist=canonical_brownian_law(), quantile=quantile, mode=MapMode.TRUE_LAW)
 
 
-def preimage(quantile: QuantileSpec, dist: DistributionSpec, t: float, z):
+def preimage(quantile: Law, dist: Law, t: float, z):
     """(x, w, fz, fd, ok) for the inverse composite w = Q_dist(t, F_quantile(t, z)).
 
     x and fz are the family's normal score and density at z, as 1-d or wider

@@ -319,7 +319,7 @@ def quantile_integral_price(req: ValuationRequest) -> float:
     q = req.map.quantile
 
     def f(x: float) -> float:
-        z = q.eval_score(req.u, np.asarray(x))
+        z = q.from_score(req.u, np.asarray(x))
         return float(req.payoff(z)) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
     val, err = integrate.quad(f, -10.0, 10.0, epsabs=1e-10, limit=400)

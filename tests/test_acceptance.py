@@ -198,7 +198,7 @@ def test_criterion_06_kernel_martingale():
     bm = d.Brownian()
     # a location-scale distortion keeps the conditional density ratio bounded,
     # making the bucket means obey a clean central limit theorem
-    cm = tr.canonical_map(tr.GaussianQuantile(m=0.2, v=lambda t: 0.6 * t))
+    cm = tr.canonical_map(tr.GaussianLaw(m=0.2, v=lambda t: 0.6 * t))
     ens = d.simulate(bm, d.TimeGrid(np.array([0.25, 0.5, 1.0])), 200_000, 101)
     ok = True
     worst = 0.0
@@ -305,7 +305,7 @@ def test_criterion_10_identity_invariance():
     ou = d.InhomogeneousOU(1.0, 0.1, 0.9, 0.3)
     mq = lambda t: ou.marginal_mean_std(t)[0]
     vq = lambda t: ou.marginal_mean_std(t)[1] ** 2
-    ident = tr.true_law_map(ou, tr.GaussianQuantile(m=mq, v=vq))
+    ident = tr.true_law_map(ou, tr.GaussianLaw(m=mq, v=vq))
     ens = d.simulate(ou, d.TimeGrid(np.array([0.5, 1.0])), 100_000, 12)
     z = tr.apply_composite(ident, ens)
     path_err = float(np.max(np.abs(z.paths - ens.paths)))

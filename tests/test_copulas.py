@@ -515,7 +515,7 @@ def test_multi_ratio_comonotone_identity():
     bm = d.Brownian()
     mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
                               copula=cp.ComonotoneCopula(2),
-                              quantile=tr.GaussianQuantile(0.0, 1.0))
+                              quantile=tr.GaussianLaw(0.0, 1.0))
     ys = np.linspace(-2, 2, 9)
     rho = cp.multi_rn_derivative(mm, 1.0, ys, tr.GaussianLaw(0.0, 1.0))
     assert np.max(np.abs(rho - 1.0)) < 1e-9

@@ -76,8 +76,8 @@ def test_crossing_consistency_with_quantile_value():
     # the dominance domain bound is the common quantile value at the crossing
     for q1, q2 in ((gh(2.0, 0.4), gh(0.8, 0.05)), (gh(2.0, 0.05), gh(1.5, 0.4))):
         rep = dom.crossing_report(q1, q2)
-        z1 = float(q1.eval(1.0, rep.u_star))
-        z2 = float(q2.eval(1.0, rep.u_star))
+        z1 = float(q1.quantile(1.0, rep.u_star))
+        z2 = float(q2.quantile(1.0, rep.u_star))
         assert rep.domain_lower == pytest.approx(z1, rel=1e-6)
         assert z1 == pytest.approx(z2, rel=1e-6)
 
@@ -300,7 +300,7 @@ def test_split_g_integrals_validation():
 
 def test_sufficient_conditions_identical_maps():
     cm = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1.0),
-                         quantile=tr.GaussianQuantile(0.0, 1.0))
+                         quantile=tr.GaussianLaw(0.0, 1.0))
     res = dom.sosd_sufficient_conditions(cm, cm, 1.0, np.linspace(-2, 2, 41))
     # ratio bounds hold with equality everywhere: every point satisfies some condition
     assert res.sufficient
@@ -311,16 +311,16 @@ def test_sufficient_conditions_scaled_gaussian_base():
     # identity quantiles over bases with different spreads: the derivative
     # fields d/dz Q_i(F_zeta_i(z)) are constants sigma_i, bracketing 1
     narrow = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 0.25),
-                             quantile=tr.GaussianQuantile(0.0, 1.0))
+                             quantile=tr.GaussianLaw(0.0, 1.0))
     wide = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 4.0),
-                           quantile=tr.GaussianQuantile(0.0, 1.0))
+                           quantile=tr.GaussianLaw(0.0, 1.0))
     z = np.linspace(-3, 3, 61)
     res = dom.sosd_sufficient_conditions(wide, narrow, 1.0, z)
     # d1 = 2 >= 1 >= d2 = 0.5 everywhere: condition (i)
     assert np.all(res.cond_i | res.indeterminate)
     assert res.sufficient
     # finite-difference cross-check of the derivative fields at one point
-    q = tr.GaussianQuantile(0.0, 1.0)
+    q = tr.GaussianLaw(0.0, 1.0)
     eps = 1e-6
     for cm, want in ((wide, 2.0), (narrow, 0.5)):
         f = lambda zz: float(cm.dist.quantile(1.0, q.cdf(1.0, zz)))
@@ -344,9 +344,9 @@ def test_sufficient_conditions_not_necessary():
     # a pair that is second-order ordered although the pointwise conditions fail
     # somewhere is a legal outcome: sufficiency false, dominance true
     m1 = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1.0),
-                         quantile=tr.GaussianQuantile(0.5, 1.0))
+                         quantile=tr.GaussianLaw(0.5, 1.0))
     m2 = tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1.0),
-                         quantile=tr.GaussianQuantile(0.0, 1.0))
+                         quantile=tr.GaussianLaw(0.0, 1.0))
     z = np.linspace(-4, 4, 81)
     res = dom.sosd_sufficient_conditions(m1, m2, 1.0, z)
     sosd = dom.sosd_check(lambda zz: m1.quantile.cdf(1.0, zz),

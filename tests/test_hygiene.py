@@ -1,6 +1,6 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
-every module-level private function, class and constant; no quantile family is
-evaluated at a level ndtr(x) formed outside ``QuantileSpec.eval_score``; and a cold
+every module-level private function, class and constant; no law's quantile is
+evaluated at a level ndtr(x) formed outside ``Law.from_score``; and a cold
 start loads none of the heavy scipy submodules."""
 
 import ast
@@ -88,9 +88,9 @@ def test_every_private_name_is_read():
 
 
 def level_round_trips(source: str) -> list[str]:
-    """``.eval(`` calls fed a level built by ``ndtr``: in an argument, or through a name
-    that the function, nested functions included, assigns from an expression holding
-    ``ndtr``.  ``QuantileSpec.eval_score`` is the one place a level may be formed."""
+    """``.quantile(`` calls fed a level built by ``ndtr``: in an argument, or through a
+    name that the function, nested functions included, assigns from an expression holding
+    ``ndtr``.  ``Law.from_score`` is the one place a level may be formed."""
     tree = ast.parse(source)
 
     def holds(node, names) -> bool:
@@ -103,7 +103,7 @@ def level_round_trips(source: str) -> list[str]:
                for n in c.body if isinstance(n, ast.FunctionDef)]
     found = []
     for name, fn in scopes:
-        if name == "QuantileSpec.eval_score":
+        if name == "Law.from_score":
             continue
         levels = {t.id for a in ast.walk(fn)
                   if isinstance(a, (ast.Assign, ast.AnnAssign, ast.AugAssign))
@@ -112,7 +112,7 @@ def level_round_trips(source: str) -> list[str]:
                   for t in ast.walk(target) if isinstance(t, ast.Name)}
         found += [(call.lineno, f"{name} (line {call.lineno})") for call in ast.walk(fn)
                   if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                  and call.func.attr == "eval"
+                  and call.func.attr == "quantile"
                   and any(holds(arg, levels)
                           for arg in call.args + [k.value for k in call.keywords])]
     return [label for _, label in sorted(found)]
@@ -120,23 +120,23 @@ def level_round_trips(source: str) -> list[str]:
 
 def test_detector_finds_a_level_round_trip():
     source = textwrap.dedent("""\
-        class QuantileSpec:
-            def eval_score(self, t, x):
-                return self.eval(t, special.ndtr(x))
+        class Law:
+            def from_score(self, t, x):
+                return self.quantile(t, special.ndtr(x))
 
-        class Family(QuantileSpec):
-            def eval_score(self, t, x):
-                return self.eval(t, ndtr(x))
+        class Family(Law):
+            def from_score(self, t, x):
+                return self.quantile(t, ndtr(x))
 
         def scan(q, xs):
             us = special.ndtr(xs)
 
             def one(x):
                 u: float = float(ndtr(x))
-                return q.eval(1.0, u=u)
-            return q.eval(1.0, us), q.eval(1.0, xs), q.eval_score(1.0, xs), one(0.0)
+                return q.quantile(1.0, u=u)
+            return q.quantile(1.0, us), q.quantile(1.0, xs), q.from_score(1.0, xs), one(0.0)
         """)
-    assert level_round_trips(source) == ["Family.eval_score (line 7)", "scan (line 14)",
+    assert level_round_trips(source) == ["Family.from_score (line 7)", "scan (line 14)",
                                          "scan (line 15)"]
 
 

@@ -19,7 +19,7 @@ from conftest import ks_critical
 def identity_map(ou):
     mq = lambda t: ou.marginal_mean_std(t)[0]
     vq = lambda t: ou.marginal_mean_std(t)[1] ** 2
-    return tr.true_law_map(ou, tr.GaussianQuantile(m=mq, v=vq))
+    return tr.true_law_map(ou, tr.GaussianLaw(m=mq, v=vq))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
     # the Gaussian CDF keeps ~1e-16 absolute, not relative, accuracy as it nears 1,
     # hence the level cut and the tolerance
     sel = ok & (np.abs(x) < 7.0)
-    assert np.allclose(q.eval(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
+    assert np.allclose(q.quantile(t, dist.cdf(t, w[sel])), zs[sel], rtol=1e-6, atol=1e-9)
 
 
 # a false-law map whose narrow law sends the family's score x to y = 0.2 x: at these
@@ -156,7 +156,7 @@ _FALSE_LAW = me.DistortedLaw(tr.CompositeMap(dist=tr.GaussianLaw(0.0, 0.04), qua
 @pytest.mark.parametrize("x", [8.0, 8.25, 8.3, 9.0])
 def test_false_law_keeps_the_upper_tail(x):
     # Z = Q(Y / 0.2) for Y ~ N(0, 1), so F_Z(Q(x)) = Phi(0.2 x) and f_Z = phi(0.2 x) 0.2 / Q'(x)
-    z = float(_FALSE_Q.eval_score(1.0, x))
+    z = float(_FALSE_Q.from_score(1.0, x))
     g, h = 0.2, 0.1
     slope = math.exp(0.5 * h * x * x) * (math.exp(g * x) + h * x * math.expm1(g * x) / g)
     want = stats.norm.cdf(0.2 * x)
@@ -170,7 +170,7 @@ def test_false_law_reads_scores_past_the_start_table(x):
     # a law of sd 0.01 sends the score x to y = 0.01 x, so F_Z(Q(x)) = Phi(0.01 x);
     # x_from_z had clamped these scores to 39, giving Phi(0.39)
     law = me.DistortedLaw(tr.CompositeMap(dist=tr.GaussianLaw(0.0, 1e-4), quantile=_FALSE_Q), d.Brownian())
-    z = float(_FALSE_Q.eval_score(1.0, x))
+    z = float(_FALSE_Q.from_score(1.0, x))
     assert me.distorted_cdf(law, 1.0, z) == pytest.approx(stats.norm.cdf(0.01 * x), rel=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_false_law_density_integrates_to_one():
     # the CDF ends at 0 and 1, and 64-node Gauss-Legendre panels between Q at the
     # scores -38, -36, ..., 38 hold the mass; the mass beyond them, 2 Phi(-7.6), is 3e-14
     assert np.array_equal(me.distorted_cdf(_FALSE_LAW, 1.0, [-np.inf, np.inf]), [0.0, 1.0])
-    edges = _FALSE_Q.eval_score(1.0, np.arange(-38.0, 39.0, 2.0))
+    edges = _FALSE_Q.from_score(1.0, np.arange(-38.0, 39.0, 2.0))
     nodes, weights = np.polynomial.legendre.leggauss(64)
     mass = sum((b - a) / 2.0 * np.sum(weights * me.distorted_pdf(
         _FALSE_LAW, 1.0, (a + b) / 2.0 + (b - a) / 2.0 * nodes)) for a, b in zip(edges[:-1], edges[1:]))
@@ -195,8 +195,8 @@ _EMPIRICAL_Q = tr.TukeyGH(0.1, 1.0, 0.3, 0.1)
 def test_empirical_law_keeps_the_atoms_of_the_composite(mode):
     law = me.DistortedLaw(tr.CompositeMap(dist=_EMPIRICAL, quantile=_EMPIRICAL_Q, mode=mode),
                           d.Brownian())
-    below = _EMPIRICAL_Q.eval_score(1.0, np.array([-30.0, -12.0, -8.5, -2.9]))
-    above = _EMPIRICAL_Q.eval_score(1.0, np.array([2.9, 8.5, 12.0, 30.0]))
+    below = _EMPIRICAL_Q.from_score(1.0, np.array([-30.0, -12.0, -8.5, -2.9]))
+    above = _EMPIRICAL_Q.from_score(1.0, np.array([2.9, 8.5, 12.0, 30.0]))
     assert np.array_equal(me.distorted_cdf(law, 1.0, below), np.zeros(4))
     assert np.array_equal(me.distorted_cdf(law, 1.0, above), np.ones(4))
     cdf = me.distorted_cdf(law, 1.0, np.linspace(below[-1], above[0], 20001))
@@ -356,7 +356,7 @@ def test_conditional_ratio_monte_carlo_bounded_map():
     # a location-scale distortion keeps the ratio bounded, so the plain
     # Monte Carlo normalization is statistically clean
     bm = d.Brownian()
-    cm = tr.canonical_map(tr.GaussianQuantile(m=0.2, v=lambda t: 0.6 * t))
+    cm = tr.canonical_map(tr.GaussianLaw(m=0.2, v=lambda t: 0.6 * t))
     rng = np.random.default_rng(6)
     for s in rng.uniform(-1.0, 1.0, 10):
         y = s + math.sqrt(0.5) * rng.standard_normal(40_000)
@@ -438,7 +438,7 @@ def test_kernel_martingale_bucketed():
     # bucket means to obey a clean central limit theorem; a location-scale
     # map does (heavy g-and-h maps give the ratio infinite variance)
     bm = d.Brownian()
-    cm = tr.canonical_map(tr.GaussianQuantile(m=0.2, v=lambda t: 0.6 * t))
+    cm = tr.canonical_map(tr.GaussianLaw(m=0.2, v=lambda t: 0.6 * t))
     ens = d.simulate(bm, d.TimeGrid(np.array([0.25, 0.5, 1.0])), 200_000, 101)
     for rate in (0.0, 0.05):
         pk = me.pricing_kernel(cm, bm, ens, rate)

@@ -19,6 +19,46 @@ PHI_M9 = 1.1285884059538406e-19  # standard normal CDF at -9, from the same orac
 
 
 # ---------------------------------------------------------------------------
+# the law type
+# ---------------------------------------------------------------------------
+
+#: a law gives one of these sets of maps; the base derives the others from it
+_PRIMITIVES = (("normal_at",), ("score", "from_score"), ("cdf", "quantile"))
+
+
+def laws_without_a_primitive(laws) -> list[str]:
+    """The laws that give none of the primitive sets, so that the base's derived score
+    and cdf, or from_score and quantile, would call each other."""
+    return sorted(law.__name__ for law in laws
+                  if not any(all(getattr(law, m) is not getattr(tr.Law, m) for m in names)
+                             for names in _PRIMITIVES))
+
+
+def test_detector_finds_a_law_without_a_primitive():
+    class Stub(tr.Law):
+        pass
+
+    class HalfScore(tr.Law):
+        def score(self, t, z): ...
+
+    class Normal(tr.Law):
+        def normal_at(self, t): ...
+
+    class Levels(Stub):
+        def cdf(self, t, z): ...
+
+        def quantile(self, t, u): ...
+
+    assert laws_without_a_primitive([Stub, HalfScore, Normal, Levels]) == ["HalfScore", "Stub"]
+
+
+def test_every_law_defines_a_primitive():
+    laws = {obj for obj in vars(tr).values()
+            if isinstance(obj, type) and issubclass(obj, tr.Law) and obj is not tr.Law}
+    assert len(laws) >= 9 and laws_without_a_primitive(laws) == []
+
+
+# ---------------------------------------------------------------------------
 # quantile families
 # ---------------------------------------------------------------------------
 
@@ -38,6 +78,15 @@ def test_tukey_g_at_phi_one():
     q = tr.TukeyG(0.0, 1.0, 0.3)
     want = math.expm1(0.3) / 0.3  # 1.16619602525...
     assert float(tr.quantile_eval(q, 1.0, PHI_1)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("law", [tr.TukeyGH(0.0, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.5),
+                                 tr.GaussianLaw(0.0, 1.0)], ids=["gh", "g", "gaussian"])
+def test_derived_quantile_is_nan_off_the_unit_interval(law):
+    # the support's ends at u = 0 and u = 1, as _poisson_ppf reads them
+    lo, hi = law.support(1.0)
+    got = law.quantile(1.0, np.array([-0.1, 0.0, 1.0, 1.1, np.nan]))
+    np.testing.assert_array_equal(got, [np.nan, lo, hi, np.nan, np.nan])
 
 
 def test_endpoints_follow_tails():
@@ -100,7 +149,7 @@ def test_gh_newton_starts_from_the_node_table(monkeypatch, g, h):
     calls = _count_core_slope(monkeypatch)
     q = tr.TukeyGH(0.1, 1.2, g, h)
     x = np.linspace(-8.0, 8.0, 1001)
-    back = q.x_from_z(1.0, q.eval_score(1.0, x))
+    back = q.x_from_z(1.0, q.from_score(1.0, x))
     assert len(calls) <= 4
     np.testing.assert_allclose(back, x, rtol=1e-13, atol=1e-13)
 
@@ -123,7 +172,7 @@ def test_gh_newton_sweeps_a_slow_point_alone(monkeypatch):
     calls = _count_core_slope(monkeypatch)
     q = tr.TukeyGH(0.1, 1.2, 0.0, 1.0)
     x = np.append(np.linspace(-8.0, 8.0, 100_000), 37.544)
-    back = q.x_from_z(1.0, q.eval_score(1.0, x))
+    back = q.x_from_z(1.0, q.from_score(1.0, x))
     assert calls.count(x.size) <= 4
     assert back[-1] == pytest.approx(x[-1], rel=1e-12)
     np.testing.assert_allclose(back[:-1], x[:-1], rtol=1e-13, atol=1e-13)
@@ -151,17 +200,17 @@ def test_gh_inverse_reaches_past_the_start_table(x):
     # the Newton start table ends at x = +-39; its end brackets reach on to where core
     # overflows, x = +-156 here, so these scores come back instead of +-39
     q = tr.TukeyGH(0.0, 1.0, 0.2, 0.1)
-    assert float(q.x_from_z(1.0, q.eval_score(1.0, x))) == pytest.approx(x, rel=1e-12)
+    assert float(q.x_from_z(1.0, q.from_score(1.0, x))) == pytest.approx(x, rel=1e-12)
 
 
 def test_gh_inverse_with_a_subnormal_h_returns_a_root():
     # h = 5e-324 leaves core flat at -1/g where g x << 0, and |x| never reaches an
     # overflow: the end brackets stop doubling at 2^511 and the root stays finite
     q = tr.TukeyGH(0.0, 1.0, 2.0, 5e-324)
-    z = q.eval_score(1.0, np.linspace(-30.0, 30.0, 13))
+    z = q.from_score(1.0, np.linspace(-30.0, 30.0, 13))
     x = q.x_from_z(1.0, z)
     assert np.all(np.isfinite(x))
-    np.testing.assert_allclose(q.eval_score(1.0, x), z, rtol=1e-15)
+    np.testing.assert_allclose(q.from_score(1.0, x), z, rtol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +222,7 @@ def test_gh_inverse_roundtrip_property(g, h, x, t):
     core, slope = tr._gh_core_slope(np.array([x]), g, h)
     assume(16 * np.finfo(float).eps * abs(core[0]) <= 1e-14 * (1.0 + abs(x)) * slope[0])
     q = tr.TukeyGH(0.0, 1.0, g, h)
-    back = q.x_from_z(t, q.eval_score(t, np.array([x])))
+    back = q.x_from_z(t, q.from_score(t, np.array([x])))
     assert abs(back[0] - x) <= 1e-13 * (1.0 + abs(x))
     odd = np.array([np.nan, np.inf, -np.inf])
     np.testing.assert_array_equal(q.x_from_z(t, odd), odd)
@@ -207,7 +256,7 @@ def _families(draw, kinds=("gh", "g", "gaussian", "table")):
         return tr.TukeyGH(a, b, g, draw(st.floats(1e-3, 1.0)))
     if kind == "g":
         return tr.TukeyG(a, b, draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
-    return tr.GaussianQuantile(a, b) if kind == "gaussian" else _TABLE
+    return tr.GaussianLaw(a, b) if kind == "gaussian" else _TABLE
 
 
 @settings(max_examples=80, deadline=None)
@@ -262,15 +311,15 @@ def test_validation_rules():
     with pytest.raises(ParameterError):
         tr.TukeyG(0.0, 1.0, 0.0).validate()
     with pytest.raises(ParameterError):
-        tr.GaussianQuantile(0.0, -1.0).validate()
+        tr.GaussianLaw(0.0, -1.0).validate()
 
 
 @pytest.mark.parametrize("call", [
     lambda: tr.canonical_brownian_law().cdf(0.0, [0.1, -0.1, 0.0]),
     lambda: tr.canonical_brownian_law().pdf(0.0, [0.1, 0.0]),
     lambda: tr.PivotLaw(d.Brownian()).cdf(0.0, [0.1, 0.0]),
-    lambda: tr.GaussianQuantile(0.0, -1.0).eval(1.0, [0.3]),
-], ids=["brownian-law-cdf", "brownian-law-pdf", "pivot-cdf", "gaussian-quantile-eval"])
+    lambda: tr.GaussianLaw(0.0, -1.0).quantile(1.0, [0.3]),
+], ids=["brownian-law-cdf", "brownian-law-pdf", "pivot-cdf", "gaussian-law-quantile"])
 def test_degenerate_normal_law_is_a_parameter_error(call):
     # a normal law without 0 < sd < inf gives neither silent NaNs nor an untyped math error
     with pytest.raises(ParameterError):
@@ -290,7 +339,7 @@ def test_quantile_roundtrip():
     rng = np.random.default_rng(2)
     u = rng.uniform(0.001, 0.999, 100)
     for q in (tr.TukeyGH(0.3, 1.5, 2.0, 0.4), tr.TukeyGH(0.0, 1.0, 0.0, 0.3),
-              tr.TukeyG(-1.0, 2.0, -0.6), tr.GaussianQuantile(0.5, 2.0)):
+              tr.TukeyG(-1.0, 2.0, -0.6), tr.GaussianLaw(0.5, 2.0)):
         z = tr.quantile_eval(q, 1.0, u)
         back = tr.quantile_cdf(q, 1.0, z)
         assert np.max(np.abs(back - u)) < 1e-9
@@ -309,21 +358,21 @@ def test_time_dependent_parameters():
 def test_table_quantile_interpolates_and_clamps(tmp_path):
     q = tr.TableQuantile(u_knots=np.array([0.1, 0.5, 0.9]),
                          z_knots=np.array([-1.0, 0.0, 2.0]))
-    assert float(q.eval(1.0, 0.3)) == pytest.approx(-0.5)
-    assert float(q.eval(1.0, 0.05)) == -1.0  # clamped
+    assert float(q.quantile(1.0, 0.3)) == pytest.approx(-0.5)
+    assert float(q.quantile(1.0, 0.05)) == -1.0  # clamped
     assert float(q.cdf(1.0, 1.0)) == pytest.approx(0.7)
     with pytest.raises(ParameterError):
         tr.TableQuantile(u_knots=np.array([0.1, 0.1]), z_knots=np.array([0.0, 1.0]))
     csv = tmp_path / "table.csv"
     csv.write_text("0.1,-1.0\n0.5,0.0\n0.9,2.0\n")
     q2 = tr.TableQuantile.from_csv(str(csv))
-    assert float(q2.eval(1.0, 0.5)) == 0.0
+    assert float(q2.quantile(1.0, 0.5)) == 0.0
 
 
 def test_poisson_quantile_steps():
     q = tr.PoissonQuantile(rate=2.0)
-    assert float(q.eval(1.0, 0.05)) == 0.0
-    assert float(q.eval(1.0, 0.5)) == 2.0
+    assert float(q.quantile(1.0, 0.05)) == 0.0
+    assert float(q.quantile(1.0, 0.5)) == 2.0
     assert float(q.cdf(1.0, 1.0)) == pytest.approx(stats.poisson.cdf(1, 2.0))
 
 
@@ -336,7 +385,7 @@ def test_identity_composite_reproduces_paths():
     ens = d.simulate(ou, d.TimeGrid(np.array([0.5, 1.0])), 5_000, 9)
     mq = lambda t: ou.marginal_mean_std(t)[0]
     vq = lambda t: ou.marginal_mean_std(t)[1] ** 2
-    ident = tr.true_law_map(ou, tr.GaussianQuantile(m=mq, v=vq))
+    ident = tr.true_law_map(ou, tr.GaussianLaw(m=mq, v=vq))
     z = tr.apply_composite(ident, ens)
     assert np.max(np.abs(z.paths - ens.paths)) < 1e-12
     assert z.seed == ens.seed and z.grid is ens.grid
@@ -456,12 +505,12 @@ def test_score_composite_is_the_probability_composite(law, q, t, seed):
     keep = np.abs(x) < 7.0
     x, y = x[keep], y[keep]
     got = q.compose(t, law, y)
-    want = q.eval(t, clip_unit(law.cdf(t, y)))
+    want = q.quantile(t, clip_unit(law.cdf(t, y)))
     # the probability route rounds u near 1 to absolute precision, an error of
     # eps / phi(x) in the score; the bound is that error carried through Q
     phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     dx = 1e-13 * (1.0 + np.abs(x)) + np.where(x > 0, 4.0 * np.finfo(float).eps / phi, 0.0)
-    bound = np.abs(q.eval_score(t, x + dx) - q.eval_score(t, x - dx)) + 1e-12 * (1.0 + np.abs(want))
+    bound = np.abs(q.from_score(t, x + dx) - q.from_score(t, x - dx)) + 1e-12 * (1.0 + np.abs(want))
     assert np.all(np.abs(got - want) <= bound)
 
 
@@ -469,7 +518,7 @@ _TABLE_Q = tr.TableQuantile(np.array([0.0, 0.2, 0.6, 1.0]), np.array([-2.0, -0.5
 _VG, _GAMMA = d.VarianceGamma(-0.1, 0.3, 0.4), d.GammaProcess(1.2, 0.6)
 _EMPIRICAL = tr.EmpiricalLaw(np.random.default_rng(5).normal(size=200))
 _ALL_FAMILIES = [tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.4),
-                 tr.GaussianQuantile(0.2, 2.0), _TABLE_Q, tr.PoissonQuantile(2.5)]
+                 tr.GaussianLaw(0.2, 2.0), _TABLE_Q, tr.PoissonQuantile(2.5)]
 _PROBABILITY_PATH = (
     [(law, drv, q) for law, drv in ((tr.DriverLaw(_VG), _VG), (tr.DriverLaw(_GAMMA), _GAMMA),
                                     (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
@@ -486,7 +535,7 @@ def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
     ens = d.simulate(drv, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
     z = tr.apply_composite(tr.CompositeMap(dist=law, quantile=q), ens).paths
     for k, t in enumerate(ens.grid.times):
-        assert np.array_equal(z[:, k], q.eval(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
+        assert np.array_equal(z[:, k], q.quantile(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
 
 
 def test_driver_law_takes_no_shift():
@@ -531,8 +580,21 @@ _SCORE_LAWS = [
     ("shifted-gamma", tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA, 7.0, False),
     ("pivot-empirical", tr.PivotLaw(_BM, _EMPIRICAL), _BM, _EMPIRICAL_REACH, False),
     ("empirical", _EMPIRICAL, _BM, _EMPIRICAL_REACH, False),
+    # the quantile families are laws too; TukeyG's score log1p(g z) / g loses digits where
+    # g x << 0 and core is flat, so its reach stops at 8; the table resolves levels to 1e-12
+    ("gh", tr.TukeyGH(0.1, 1.0, 0.5, 0.1), _BM, 30.0, True),
+    ("g", tr.TukeyG(0.2, 1.3, -0.4), _BM, 8.0, True),
+    ("gaussian-q", tr.GaussianLaw(0.2, 2.0), _BM, 30.0, True),
+    ("table", _TABLE_Q, _BM, 7.0, False),
 ]
 _score_laws = st.sampled_from(_SCORE_LAWS)
+
+
+def _score_tol(law, t, x, w, exact):
+    """The round-off of the score x = score(w): relative for an exact law, else the
+    level's and the value's round-off carried into x (see _SCORE_LAWS)."""
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return 1e-14 * (1.0 + np.abs(x) + (0.0 if exact else (1.0 + np.abs(w) * law.pdf(t, w)) / phi))
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,16 +606,38 @@ def test_from_score_inverts_score(case, fracs, t):
     _, law, _, reach, exact = case
     x = reach * np.array(fracs)
     w = law.from_score(t, x)
-    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    tol = 1e-14 * (1.0 + np.abs(x) + (0.0 if exact else (1.0 + np.abs(w) * law.pdf(t, w)) / phi))
-    assert np.all(np.abs(law.score(t, w) - x) <= tol)
+    assert np.all(np.abs(law.score(t, w) - x) <= _score_tol(law, t, x, w, exact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_score_laws, fracs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
+       t=st.floats(0.2, 3.0))
+def test_pdf_is_phi_of_score_times_its_slope(case, fracs, t):
+    # score' by a central difference whose step moves the score by about 2e-5: its
+    # truncation error stays below 1e-6 relative, its rounding error is the score's
+    # round-off over the step.  Across a knot of a piecewise-linear law the quotient lies
+    # between the densities at the step's ends; an end past the support, or an infinite
+    # density, leaves no slope to compare.
+    _, law, _, reach, exact = case
+    x = reach * np.array(fracs)
+    w = law.from_score(t, x)
+    s = law.score(t, w)
+    phi = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+    f = law.pdf(t, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 1e-5 * phi / f
+        dens = np.array([law.pdf(t, w - step), f, law.pdf(t, w + step)])
+        slope = phi * (law.score(t, w + step) - law.score(t, w - step)) / (2.0 * step)
+    keep = np.all(np.isfinite(dens) & (dens > 0), axis=0)
+    err = f * (_score_tol(law, t, x, w, exact) / 1e-5 + 1e-6)
+    assert np.all(((slope >= dens.min(0) - err) & (slope <= dens.max(0) + err))[keep])
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=_score_laws, q=_families(kinds=("gh", "g", "gaussian")), t=st.floats(0.2, 3.0))
 def test_distorted_cdf_is_monotone_in_the_unit_interval(case, q, t):
     _, law, drv, _, _ = case
-    zs = q.eval_score(t, np.linspace(-12.0, 12.0, 97))
+    zs = q.from_score(t, np.linspace(-12.0, 12.0, 97))
     cdf = me.distorted_cdf(me.DistortedLaw(tr.CompositeMap(dist=law, quantile=q), drv), t, zs)
     # monotone to round-off: scipy's gamma CDF can step down by an ulp between adjacent floats
     assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -4.0 * np.finfo(float).eps)

@@ -14,7 +14,7 @@ from quantproc.errors import ParameterError, RequestError
 
 
 def brownian_identity():
-    return tr.true_law_map(d.Brownian(), tr.GaussianQuantile(m=0.0, v=lambda t: t))
+    return tr.true_law_map(d.Brownian(), tr.GaussianLaw(m=0.0, v=lambda t: t))
 
 
 def make_req(cmap, payoff, n=100_000, seed=5, t=0.0, u=1.0, rate=0.0, state=None,
