@@ -1,12 +1,13 @@
 """Small shared helpers: time-dependent parameters, RNG substreams, quadrature,
-and the normal, gamma and Poisson laws.  Module level imports only numpy and
-``scipy.special``; heavier submodules are imported inside their callers."""
+the normal, gamma and Poisson laws, and the ``Law`` base that drivers,
+quantile families and distribution laws share.  Module level imports only
+numpy and ``scipy.special``; heavier submodules are imported inside their callers."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import special
@@ -18,6 +19,9 @@ TimeParam = Union[float, int, TimeFn]
 
 #: open-interval clamp used when a probability must stay strictly inside (0, 1)
 U_EPS = 1e-15
+#: the 8-node Gauss-Legendre rule on [0, 1]
+_GL_R, _GL_W = special.roots_legendre(8)
+_GL_R, _GL_W = (_GL_R + 1.0) / 2.0, _GL_W / 2.0
 
 
 def as_time_fn(p: TimeParam) -> TimeFn:
@@ -106,20 +110,10 @@ def _norm_score(y, m, sd):
     return (np.asarray(y, dtype=float) - m) / sd
 
 
-def _norm_cdf(y, m, sd):
-    """Normal CDF ndtr((y - m) / sd), relatively accurate in the lower tail too."""
-    return special.ndtr(_norm_score(y, m, sd))
-
-
 def _norm_pdf(y, m, sd):
     """Normal density."""
     z = _norm_score(y, m, sd)
     return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
-
-
-def _norm_ppf(u, m, sd):
-    """Normal quantile m + sd * ndtri(u)."""
-    return m + sd * special.ndtri(np.asarray(u, dtype=float))
 
 
 # the gamma law of shape a and scale s and the Poisson law of mean mu: scipy.stats'
@@ -160,3 +154,84 @@ def _poisson_ppf(u, mu):
     below = np.maximum(k - 1, 0)
     k = np.where(special.pdtr(below, mu) >= u, below, k)
     return np.select([u == 0, u == 1, (u > 0) & (u < 1)], [-1.0, np.inf, k], np.nan)[()]
+
+
+# ---------------------------------------------------------------------------
+# the law type
+# ---------------------------------------------------------------------------
+
+class Law:
+    """A law on the real line at each time t, read forward (``cdf``, ``score``) or
+    backward as a quantile function (``quantile``, ``from_score``).
+
+    A law gives one primitive and derives the rest: ``normal_at`` for a normal law;
+    ``score`` and ``from_score`` for a score-native law, whose ``cdf`` is ndtr(score)
+    and ``quantile`` is from_score(ndtri(u)); or ``cdf`` and ``quantile`` for a
+    level-native law, whose scores pass through the level.  A driver is the law of
+    its own marginal Y_t; quantile families and distribution laws live in ``transforms``.
+    """
+
+    family: str = "abstract"
+    is_discrete: bool = False
+    #: ``compose`` reads the clamped level F(t, y) itself, not its score: one ulp of
+    #: ndtr(ndtri(u)) drift would move a step of this law's quantile
+    level_native: bool = False
+
+    def validate(self, t: float = 1.0) -> None:
+        """Raise ParameterError on inadmissible parameters at t."""
+        self.normal_at(t)
+
+    def normal_at(self, t: float) -> Optional[tuple[float, float]]:
+        """(m, sd) when the law at t is N(m, sd^2), else None; all the maps below follow."""
+        return None
+
+    def score(self, t: float, z) -> np.ndarray:
+        """Normal score ndtri(cdf) of z, +-inf off the law's range; exact and affine
+        for a normal law."""
+        normal = self.normal_at(t)
+        if normal is None:
+            return special.ndtri(self.cdf(t, z))
+        return _norm_score(z, *normal)
+
+    def from_score(self, t: float, x) -> np.ndarray:
+        """The inverse of ``score``: m + sd x for a normal law, else quantile(ndtr(x)),
+        the one place a level is formed from a score."""
+        normal = self.normal_at(t)
+        if normal is None:
+            return self.quantile(t, special.ndtr(x))
+        m, sd = normal
+        return m + sd * np.asarray(x, dtype=float)
+
+    def cdf(self, t: float, z) -> np.ndarray:
+        return special.ndtr(self.score(t, z))
+
+    def quantile(self, t: float, u) -> np.ndarray:
+        """from_score(ndtri(u)) inside (0, 1), the support's ends at u = 0 and u = 1,
+        and NaN off [0, 1] and at NaN."""
+        u = np.asarray(u, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.from_score(t, special.ndtri(u))
+        lo, hi = self.support(t)
+        return np.where(u == 0.0, lo, np.where(u == 1.0, hi, out))
+
+    def pdf(self, t: float, z) -> np.ndarray:
+        return _norm_pdf(z, *self.normal_at(t))
+
+    def score_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
+        """(score, pdf) at z; TukeyGH reads both off one inversion."""
+        return self.score(t, z), self.pdf(t, z)
+
+    def support(self, t: float) -> tuple[float, float]:
+        return -np.inf, np.inf
+
+    def compose(self, t: float, dist: Law, y) -> np.ndarray:
+        """Q(t, F(t, y)), with Q this law's quantile and F the law ``dist``: the
+        composite map at one time, from_score(dist.score(y)).  A level-native law
+        reads quantile at the level F(t, y) clamped into (0, 1) instead."""
+        if self.level_native:
+            return self.quantile(t, clip_unit(dist.cdf(t, y)))
+        return self.from_score(t, dist.score(t, y))
+
+    def is_true_law_of(self, driver) -> bool:
+        """Whether this law is the marginal law of ``driver``: the driver itself."""
+        return self == driver

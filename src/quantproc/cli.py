@@ -75,7 +75,7 @@ def load_config(path: str) -> dict:
 _DRIVERS = (drv.Brownian, drv.InhomogeneousOU, drv.VarianceGamma, drv.GammaProcess,
             drv.InhomogeneousPoisson)
 _QUANTILES = (tr.TukeyG, tr.TukeyGH, tr.GaussianLaw)
-_DISTS = (tr.GaussianLaw, tr.DriverLaw, tr.ShiftedDriverLaw, tr.EmpiricalLaw)
+_DISTS = (tr.GaussianLaw, tr.ShiftedDriverLaw, tr.EmpiricalLaw)
 _PAYOFFS = (va.Linear, va.Layer, va.StopLoss, va.PowerUtility, va.TablePayoff)
 _COPULAS = (cp.IndependenceCopula, cp.ComonotoneCopula, cp.GaussianCopula, cp.ClaytonCopula,
             cp.GumbelCopula)
@@ -116,10 +116,14 @@ def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[
     if family == "Gaussian":
         spec = dict(spec)
         if spec.pop("brownian_scaling", False):
-            return tr.canonical_brownian_law()
+            return drv.Brownian()
     if family in ("DriverLaw", "ShiftedDriverLaw"):
         if driver is None:
             raise ConfigError(f"{family} distribution needs a driver in the config")
+        if family == "DriverLaw":  # the config driver is its own marginal law
+            if len(spec) > 1:
+                raise ConfigError(f"dist.DriverLaw takes no keys, got {sorted(set(spec) - {'family'})}")
+            return driver
         spec = {**spec, "driver": driver}
     return _build("dist", "family", _DISTS, spec)
 
@@ -130,10 +134,8 @@ def _build_map(spec: dict, driver: Optional[drv.Driver]) -> tr.CompositeMap:
     if mode is None:
         raise ConfigError(f"unknown map mode {spec.get('mode')!r}")
     quantile = _build_quantile(spec.get("quantile", {}))
-    dist = _build_dist(spec.get("dist"), driver)
-    if dist is None and mode is tr.MapMode.TRUE_LAW and driver is not None:
-        dist = tr.DriverLaw(driver)
-    return tr.CompositeMap(dist=dist, quantile=quantile, mode=mode)
+    # a TrueLaw map without a dist reads the driver's own law when applied
+    return tr.CompositeMap(dist=_build_dist(spec.get("dist"), driver), quantile=quantile, mode=mode)
 
 
 def _build_payoff(spec: dict) -> va.Payoff:
@@ -291,7 +293,7 @@ def _run_price(cfg: dict, out: Path) -> list[Path]:
         driver_specs = cfg.get("drivers") or [cfg["driver"]] * copula.dim
         drs = [_build_driver(s) for s in driver_specs]
         mmap = cp.MultiCompositeMap(
-            margins=tuple(tr.DriverLaw(dr) for dr in drs),
+            margins=tuple(drs),
             copula=copula,
             quantile=_build_quantile(cfg["map"]["quantile"]),
             mode=cp.MultiMode.TRUE_JOINT_LAW)

@@ -531,7 +531,7 @@ def simulate_joint_terminal(drivers: Sequence[drv.Driver], copula: CopulaSpec,
     grid = drv.TimeGrid(np.array([u_time]))
     out = []
     for i, dr in enumerate(drivers):
-        y = np.asarray(dr.marginal_quantile(u_time, uniforms[:, i]), dtype=float)
+        y = np.asarray(dr.quantile(u_time, uniforms[:, i]), dtype=float)
         out.append(drv.PathEnsemble(grid=grid, paths=y[:, None], seed=seed, driver=dr))
     return out
 

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import special
 
 from . import transforms as tr
+from ._util import _GL_R, _GL_W, _SQRT2PI
 from .errors import NumericError, ParameterError
 
 __all__ = [
@@ -288,7 +289,7 @@ def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: 
         x, w, fz, fd, ok = tr.preimage(cmap.quantile, dist, t, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             D.append(np.where(ok, fz / fd, np.nan))
-        F.append(np.where(ok, base.marginal_cdf(t, w), 0.0) if general else special.ndtr(x))
+        F.append(np.where(ok, base.cdf(t, w), 0.0) if general else special.ndtr(x))
     (d1, d2), (F1, F2) = D, F
 
     usable = np.isfinite(d1) & np.isfinite(d2)
@@ -335,14 +336,21 @@ def state_dependent_tukey_g_cdf(g_below: float, g_above: float) -> Callable:
 
 def _tukey_g_cdf_integral(g: float, x: float) -> float:
     """A_g(x), the integral of the Tukey-g CDF Phi(log(1 + g s) / g) over s in (-1/g, x]:
-    [(1 + g x) Phi(w) - e^{g^2/2} Phi(w - g)] / g with w = log(1 + g x) / g, and 0 below
-    the support.  Past g = 37, where e^{g^2/2} nears overflow, the second term is summed in logs."""
+    x Phi(w) + [Phi(w) - Phi(w - g)] / g - expm1(g^2/2) / g Phi(w - g) with
+    w = log(1 + g x) / g, and 0 below the support.  The bracket is the mean of phi over
+    [w - g, w]; where g (1 + |w|) < 1 the difference would cancel, and the Gauss-Legendre
+    rule takes it instead.  Past g = 37, where e^{g^2/2} nears overflow, the last term is
+    summed in logs."""
     if not g * x + 1.0 > 0.0:
         return 0.0
     w = math.log1p(g * x) / g
-    tail = (math.exp(0.5 * g * g) * special.ndtr(w - g) if g < 37.0
+    if g * (1.0 + abs(w)) < 1.0:
+        bracket = float(np.exp(-0.5 * (w - g + g * _GL_R) ** 2) @ _GL_W) / _SQRT2PI
+    else:
+        bracket = (special.ndtr(w) - special.ndtr(w - g)) / g
+    tail = (math.expm1(0.5 * g * g) * special.ndtr(w - g) if g < 37.0
             else math.exp(0.5 * g * g + special.log_ndtr(w - g)))
-    return float(((1.0 + g * x) * special.ndtr(w) - tail) / g)
+    return float(x * special.ndtr(w) + bracket - tail / g)
 
 
 def split_g_sosd_integrals(g1_below: float, g1_above: float, g2: float) -> tuple[float, float]:

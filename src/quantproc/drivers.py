@@ -6,10 +6,13 @@ subordinators), gamma process, and inhomogeneous Poisson counting process.
 Every grid step draws from its exact transition law (no Euler bias); only
 Poisson event times on a continuous horizon are drawn by thinning.
 
-Marginal laws are exact too.  The variance-gamma law uses its Bessel-K
-density, which has a cusp at y = 0 (infinite when t/nu <= 1/2); its CDF and
-quantile integrate that density on a panel table built once per time.
-Marginal laws are defined on t >= MIN_TIME.
+Every driver is a ``Law``, the law of its own marginal Y_t, with the
+``cdf``/``pdf``/``quantile``/``score``/``from_score`` maps of every other law; a
+Gaussian driver gives only ``normal_at`` and the rest follow.  The marginal laws
+are exact too.  The variance-gamma law uses its Bessel-K density, which has a
+cusp at y = 0 (infinite when t/nu <= 1/2); its CDF and quantile integrate that
+density on a panel table built once per time.  Marginal laws are defined on
+t >= MIN_TIME.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import (_SQRT2PI, TimeParam, _gamma_cdf, _gamma_pdf, _gamma_ppf, _norm_cdf, _norm_pdf,
-                    _norm_ppf, _poisson_cdf, _poisson_pmf, _solve_increasing, adaptive_quad, as_time_fn,
-                    clip_unit, substream)
+from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeParam, _gamma_cdf, _gamma_pdf, _gamma_ppf, _norm_pdf,
+                    _poisson_cdf, _poisson_pmf, _poisson_ppf, _solve_increasing, adaptive_quad,
+                    as_time_fn, clip_unit, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -106,19 +109,20 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-class Driver:
+class Driver(Law):
     """Common interface of the driving processes.
 
-    Every driver is Markov with an exactly samplable transition law, a
-    marginal law on t > 0, and (where it exists) a marginal density.
+    Every driver is Markov with an exactly samplable transition law, and is the
+    ``Law`` of its own marginal Y_t on t >= MIN_TIME: its ``cdf``, ``pdf`` (where
+    a density exists) and ``quantile``, and the scores that follow.
     """
 
     kind: str = "abstract"
     is_gaussian: bool = False
-    is_discrete: bool = False
 
-    def validate(self) -> None:
-        """Raise ParameterError if parameters violate their admissible range."""
+    @property
+    def family(self) -> str:
+        return self.kind
 
     def initial_value(self) -> float:
         return 0.0
@@ -128,14 +132,19 @@ class Driver:
         """Draw Y_t given Y_s = states (exact transition law)."""
         raise NotImplementedError
 
+    def score(self, t: float, y) -> np.ndarray:
+        """ndtri of the level F(t, y) clamped into (0, 1); a Gaussian driver's is exact."""
+        return special.ndtri(clip_unit(self.cdf(t, y)))
+
+    # the older names of the marginal law's maps, which perfbench still reads
     def marginal_cdf(self, t: float, y) -> np.ndarray:
-        raise NotImplementedError
+        return self.cdf(t, y)
 
     def marginal_pdf(self, t: float, y) -> np.ndarray:
-        raise NotImplementedError
+        return self.pdf(t, y)
 
     def marginal_quantile(self, t: float, u) -> np.ndarray:
-        raise NotImplementedError
+        return self.quantile(t, u)
 
     def transition_pdf(self, s: float, t: float, state, y) -> np.ndarray:
         raise NotImplementedError
@@ -147,9 +156,6 @@ class Driver:
             f"{self.kind} transitions need more than one innovation per step and cannot "
             f"be coupled through a Gaussian innovation copula")
 
-    def marginal_mean_std(self, t: float) -> tuple[float, float]:
-        raise CapabilityError(f"{self.kind} driver has no Gaussian mean/std decomposition")
-
 
 class GaussianDriver(Driver):
     """A driver whose marginal and transition laws are normal.
@@ -159,6 +165,14 @@ class GaussianDriver(Driver):
     """
 
     is_gaussian = True
+    score = Law.score  # exact and affine in y: no level is formed
+
+    def normal_at(self, t):
+        _check_time(t)
+        m, sd = self.marginal_mean_std(t)
+        if not 0.0 < sd < math.inf:
+            raise ParameterError(f"{self.kind} marginal law at t = {t} needs 0 < sd < inf, got {sd}")
+        return m, sd
 
     def _transition_mean_std(self, s: float, t: float, states) -> tuple:
         raise NotImplementedError
@@ -169,18 +183,6 @@ class GaussianDriver(Driver):
     def transition_from_score(self, s, t, states, x):
         mean, sd = self._transition_mean_std(s, t, states)
         return mean + sd * x
-
-    def marginal_cdf(self, t, y):
-        _check_time(t)
-        return _norm_cdf(y, *self.marginal_mean_std(t))
-
-    def marginal_pdf(self, t, y):
-        _check_time(t)
-        return _norm_pdf(y, *self.marginal_mean_std(t))
-
-    def marginal_quantile(self, t, u):
-        _check_time(t)
-        return _norm_ppf(u, *self.marginal_mean_std(t))
 
     def transition_pdf(self, s, t, state, y):
         _check_step(s, t)
@@ -237,10 +239,10 @@ class InhomogeneousOU(GaussianDriver):
 
     kind = "InhomogeneousOU"
 
-    def validate(self) -> None:
+    def validate(self, t: float = 1.0) -> None:
         sig = as_time_fn(self.sigma)
-        for t in (MIN_TIME, 0.5, 1.0):
-            if not sig(t) > 0:
+        for s in (MIN_TIME, 0.5, 1.0):
+            if not sig(s) > 0:
                 raise ParameterError("OU sigma(t) must be positive")
 
     def initial_value(self) -> float:
@@ -288,11 +290,9 @@ class InhomogeneousOU(GaussianDriver):
         return mean, math.sqrt(max(var, 0.0))
 
 
-#: nodes of the Gauss rules of the VG law: per table panel, and per point of its CDF
-_VG_NODES = 8
-#: the Gauss-Legendre rule on [0, 1]
-_GL_R, _GL_W = special.roots_legendre(_VG_NODES)
-_GL_R, _GL_W = (_GL_R + 1.0) / 2.0, _GL_W / 2.0
+#: nodes of the Gauss-Jacobi rule of a singular VG cusp, as many as the Gauss-Legendre rule
+#: ``_GL_R`` that integrates each other table panel and each point of the VG CDF
+_VG_NODES = _GL_R.size
 #: the VG table's panels shrink by sqrt(2) this many times from the law's scale toward the
 #: cusp, so that 8 nodes resolve the cusp's singularity on each; it reaches this many
 #: scales past the mean
@@ -507,7 +507,7 @@ class VarianceGamma(Driver):
 
     kind = "VarianceGamma"
 
-    def validate(self) -> None:
+    def validate(self, t: float = 1.0) -> None:
         if not math.isfinite(self.mu_vg):
             raise ParameterError(f"VG mu must be finite, got {self.mu_vg}")
         _check_positive("VG sigma", self.sigma_vg)
@@ -538,15 +538,15 @@ class VarianceGamma(Driver):
             self._cache[t] = _VGLaw(self.mu_vg, self.sigma_vg, self.nu, t)
         return self._cache[t]
 
-    def marginal_cdf(self, t, y):
+    def cdf(self, t, y):
         yv = np.asarray(y, dtype=float)
         return self._law(t).cdf(yv.ravel()).reshape(yv.shape)[()]
 
-    def marginal_pdf(self, t, y):
+    def pdf(self, t, y):
         yv = np.asarray(y, dtype=float)
         return self._law(t).pdf(yv.ravel()).reshape(yv.shape)[()]
 
-    def marginal_quantile(self, t, u):
+    def quantile(self, t, u):
         """F_t^{-1}; a level u > 1/2 reads -Q(1 - u), the quantile of -Y_t, where 1 - u is
         exact and the table's right masses resolve it."""
         uv = clip_unit(np.asarray(u, dtype=float))
@@ -559,7 +559,7 @@ class VarianceGamma(Driver):
 
     def transition_pdf(self, s, t, state, y):
         # VG has stationary independent increments
-        return self.marginal_pdf(t - s, np.asarray(y, dtype=float) - np.asarray(state, dtype=float))
+        return self.pdf(t - s, np.asarray(y, dtype=float) - np.asarray(state, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -571,7 +571,7 @@ class GammaProcess(Driver):
 
     kind = "GammaProcess"
 
-    def validate(self) -> None:
+    def validate(self, t: float = 1.0) -> None:
         _check_positive("gamma mean rate", self.mean_rate)
         _check_positive("gamma variance rate", self.variance_rate)
 
@@ -586,15 +586,15 @@ class GammaProcess(Driver):
         shape, scale = self._shape_scale(t - s)
         return states + scale * special.gammaincinv(shape, clip_unit(special.ndtr(x)))
 
-    def marginal_cdf(self, t, y):
+    def cdf(self, t, y):
         _check_time(t)
         return _gamma_cdf(y, *self._shape_scale(t))
 
-    def marginal_pdf(self, t, y):
+    def pdf(self, t, y):
         _check_time(t)
         return _gamma_pdf(y, *self._shape_scale(t))
 
-    def marginal_quantile(self, t, u):
+    def quantile(self, t, u):
         _check_time(t)
         return _gamma_ppf(u, *self._shape_scale(t))
 
@@ -621,11 +621,12 @@ class InhomogeneousPoisson(Driver):
 
     kind = "InhomogeneousPoisson"
     is_discrete = True
+    level_native = True
 
-    def validate(self) -> None:
+    def validate(self, t: float = 1.0) -> None:
         lam = as_time_fn(self.intensity)
-        for t in (MIN_TIME, 0.5, 1.0):
-            if lam(t) < 0:
+        for s in (MIN_TIME, 0.5, 1.0):
+            if lam(s) < 0:
                 raise ParameterError("Poisson intensity must be non-negative")
 
     def _sup_on(self, a: float, b: float) -> float:
@@ -676,16 +677,23 @@ class InhomogeneousPoisson(Driver):
         except (NumericError, ValueError) as exc:
             raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
 
-    def marginal_cdf(self, t, y):
+    def cdf(self, t, y):
         _check_time(t)
         return _poisson_cdf(y, self.cumulative_intensity(t))
 
-    def marginal_pmf(self, t, k):
+    def quantile(self, t, u):
+        _check_time(t)
+        return _poisson_ppf(u, self.cumulative_intensity(t))
+
+    def pmf(self, t, k):
         _check_time(t)
         return _poisson_pmf(k, self.cumulative_intensity(t))
 
-    def marginal_pdf(self, t, y):
-        raise CapabilityError("the Poisson driver is discrete; use marginal_pmf")
+    def marginal_pmf(self, t, k):
+        return self.pmf(t, k)
+
+    def pdf(self, t, y):
+        raise CapabilityError("the Poisson driver is discrete; use pmf")
 
 
 def step_grid(times: np.ndarray, states: np.ndarray,
@@ -739,13 +747,13 @@ def marginal_cdf(driver: Driver, t: float, y):
     """F_Y(t, y) for the driver's marginal law; defined on t > 0."""
     if t <= 0:
         raise ParameterError("marginal laws are defined for t > 0")
-    return driver.marginal_cdf(t, y)
+    return driver.cdf(t, y)
 
 
 def marginal_pdf(driver: Driver, t: float, y):
     if t <= 0:
         raise ParameterError("marginal laws are defined for t > 0")
-    return driver.marginal_pdf(t, y)
+    return driver.pdf(t, y)
 
 
 def uniformize(driver: Driver, ensemble: PathEnsemble) -> PathEnsemble:
@@ -759,7 +767,7 @@ def uniformize(driver: Driver, ensemble: PathEnsemble) -> PathEnsemble:
     ensemble.grid.require_positive()
     out = np.empty_like(ensemble.paths)
     for k, t in enumerate(ensemble.grid.times):
-        out[:, k] = driver.marginal_cdf(t, ensemble.paths[:, k])
+        out[:, k] = driver.cdf(t, ensemble.paths[:, k])
     return PathEnsemble(grid=ensemble.grid, paths=clip_unit(out),
                         seed=ensemble.seed, driver=driver)
 

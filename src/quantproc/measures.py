@@ -58,7 +58,7 @@ def distorted_cdf(law: DistortedLaw, t: float, z):
     out = np.where(np.isnan(x), np.nan, x > 0.0)
     mid = np.isfinite(x)
     if np.any(mid):
-        out[mid] = law.base.marginal_cdf(t, law.dist().from_score(t, x[mid]))
+        out[mid] = law.base.cdf(t, law.dist().from_score(t, x[mid]))
     return out if np.ndim(z) else float(out[0])
 
 
@@ -69,7 +69,7 @@ def distorted_pdf(law: DistortedLaw, t: float, z):
     x, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
     out = np.where(np.isnan(x), np.nan, 0.0)
     if np.any(ok):
-        out[ok] = law.base.marginal_pdf(t, w[ok]) * fz[ok] / fd[ok]
+        out[ok] = law.base.pdf(t, w[ok]) * fz[ok] / fd[ok]
     return out if np.ndim(z) else float(out[0])
 
 
@@ -99,7 +99,7 @@ def rn_derivative(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
         raise ParameterError("the density ratio is defined for t > 0")
     if base.is_discrete:
         return _rn_derivative_discrete(cmap, base, t, y)
-    return _ratio(cmap, base, t, y, lambda x, ok: base.marginal_pdf(t, x))
+    return _ratio(cmap, base, t, y, lambda x, ok: base.pdf(t, x))
 
 
 def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
@@ -126,10 +126,10 @@ def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y
         # whose dist CDF is at or below F_quantile(j) (none: probability 0)
         n = np.searchsorted(cdfs, np.asarray(cmap.quantile.cdf(t, j)) * (1 + 1e-12),
                             side="right") - 1
-        return np.where(n >= 0, base.marginal_cdf(t, n.astype(float)), 0.0)
+        return np.where(n >= 0, base.cdf(t, n.astype(float)), 0.0)
 
     mass_z = cdf_z(k.astype(float)) - cdf_z(k.astype(float) - 1.0)
-    mass_y = base.marginal_pmf(t, k)
+    mass_y = base.pmf(t, k)
     out = np.where(mass_y > 0, mass_z / np.where(mass_y > 0, mass_y, 1.0), 0.0)
     return out if np.ndim(y) else float(out[0])
 

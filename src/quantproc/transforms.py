@@ -3,7 +3,9 @@
 The composite map sends a driver value y to Q(F(t, y)): a distribution
 function F (the driver's true law, a deliberately different law, or a law on
 a standardized pivot) followed by the quantile function Q of the law an agent
-perceives.  Both halves are one type, a ``Law``, read in opposite directions.
+perceives.  Both halves are one type, a ``Law`` (defined in ``_util`` and
+re-exported here), read in opposite directions; a driver is itself the law of
+its marginal, so its true law is the driver.
 Applied path-wise the map turns a driver ensemble into a quantile-process
 ensemble.  Both directions run in the normal score x = ndtri(u): ``compose``
 maps F's ``score`` through Q's ``from_score``, and ``preimage`` maps Q's score
@@ -16,15 +18,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import (TimeFn, TimeParam, _norm_pdf, _norm_score, _poisson_cdf, _poisson_pmf,
-                    _poisson_ppf, _solve_increasing, as_time_fn, clip_unit)
+from ._util import (Law, TimeFn, TimeParam, _norm_score, _poisson_cdf, _poisson_pmf, _poisson_ppf,
+                    _solve_increasing, as_time_fn)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
     "PoissonQuantile",
     "TableQuantile",
     "GaussianLaw",
-    "canonical_brownian_law",
-    "DriverLaw",
     "ShiftedDriverLaw",
     "PivotLaw",
     "EmpiricalLaw",
@@ -57,85 +57,6 @@ _GH_NODES = np.linspace(-39.0, 39.0, 1025)
 # below this the skew branch is numerically identical to its g -> 0 limit and
 # subnormal g would underflow inside exp/expm1
 _G_TINY = 1e-150
-
-
-# ---------------------------------------------------------------------------
-# the law type
-# ---------------------------------------------------------------------------
-
-class Law:
-    """A law on the real line at each time t, read forward (``cdf``, ``score``) or
-    backward as a quantile function (``quantile``, ``from_score``).
-
-    A law gives one primitive and derives the rest: ``normal_at`` for a normal law;
-    ``score`` and ``from_score`` for a score-native law, whose ``cdf`` is ndtr(score)
-    and ``quantile`` is from_score(ndtri(u)); or ``cdf`` and ``quantile`` for a
-    level-native law, whose scores pass through the level.
-    """
-
-    family: str = "abstract"
-    is_discrete: bool = False
-    #: ``compose`` reads the clamped level F(t, y) itself, not its score: one ulp of
-    #: ndtr(ndtri(u)) drift would move a step of this law's quantile
-    level_native: bool = False
-
-    def validate(self, t: float = 1.0) -> None:
-        """Raise ParameterError on inadmissible parameters at t."""
-        self.normal_at(t)
-
-    def normal_at(self, t: float) -> Optional[tuple[float, float]]:
-        """(m, sd) when the law at t is N(m, sd^2), else None; all the maps below follow."""
-        return None
-
-    def score(self, t: float, z) -> np.ndarray:
-        """Normal score ndtri(cdf) of z, +-inf off the law's range; exact and affine
-        for a normal law."""
-        normal = self.normal_at(t)
-        if normal is None:
-            return special.ndtri(self.cdf(t, z))
-        return _norm_score(z, *normal)
-
-    def from_score(self, t: float, x) -> np.ndarray:
-        """The inverse of ``score``: m + sd x for a normal law, else quantile(ndtr(x)),
-        the one place a level is formed from a score."""
-        normal = self.normal_at(t)
-        if normal is None:
-            return self.quantile(t, special.ndtr(x))
-        m, sd = normal
-        return m + sd * np.asarray(x, dtype=float)
-
-    def cdf(self, t: float, z) -> np.ndarray:
-        return special.ndtr(self.score(t, z))
-
-    def quantile(self, t: float, u) -> np.ndarray:
-        """from_score(ndtri(u)) inside (0, 1), the support's ends at u = 0 and u = 1,
-        and NaN off [0, 1] and at NaN."""
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.from_score(t, special.ndtri(u))
-        lo, hi = self.support(t)
-        return np.where(u == 0.0, lo, np.where(u == 1.0, hi, out))
-
-    def pdf(self, t: float, z) -> np.ndarray:
-        return _norm_pdf(z, *self.normal_at(t))
-
-    def score_pdf(self, t: float, z) -> tuple[np.ndarray, np.ndarray]:
-        """(score, pdf) at z; TukeyGH reads both off one inversion."""
-        return self.score(t, z), self.pdf(t, z)
-
-    def support(self, t: float) -> tuple[float, float]:
-        return -np.inf, np.inf
-
-    def compose(self, t: float, dist: Law, y) -> np.ndarray:
-        """Q(t, F(t, y)), with Q this law's quantile and F the law ``dist``: the
-        composite map at one time, from_score(dist.score(y)).  A level-native law
-        reads quantile at the level F(t, y) clamped into (0, 1) instead."""
-        if self.level_native:
-            return self.quantile(t, clip_unit(dist.cdf(t, y)))
-        return self.from_score(t, dist.score(t, y))
-
-    def is_true_law_of(self, driver: drv.Driver) -> bool:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +327,8 @@ class GaussianLaw(Law):
     """Normal law with mean m(t) and variance v(t); as a quantile family,
     m(t) + sqrt(v(t)) * ndtri(u).
 
-    ``GaussianLaw(m=0, v=lambda t: t)`` is the law of standard Brownian
-    motion, the base of the canonical construction.
+    ``GaussianLaw(m=0, v=lambda t: t)`` has the marginal law of standard
+    Brownian motion; the canonical construction reads ``drivers.Brownian()`` itself.
     """
 
     m: TimeParam = 0.0
@@ -424,30 +345,15 @@ class GaussianLaw(Law):
             raise ParameterError(f"Gaussian law requires 0 < v < inf, got v = {v} at t = {t}")
         return m, math.sqrt(v)
 
-    def is_true_law_of(self, driver):
-        if isinstance(driver, drv.Brownian):
-            m, v = self.params_at(1.0)
-            m2, v2 = self.params_at(2.0)
-            return m == driver.origin == m2 and v == 1.0 and v2 == 2.0
-        return False
 
-
-# names that perfbench reads, kept as aliases of the one law type
+# names that perfbench reads, kept as aliases of the one law type and of the driver
 QuantileSpec = DistributionSpec = Law
 GaussianQuantile = GaussianLaw
 
 
-def _driver_normal(driver: drv.Driver, t: float) -> tuple[float, float]:
-    """The Gaussian driver's marginal (m_t, sd_t); ParameterError unless 0 < sd_t < inf."""
-    m, sd = driver.marginal_mean_std(t)
-    if not 0.0 < sd < math.inf:
-        raise ParameterError(f"{driver.kind} marginal law at t = {t} needs 0 < sd < inf, got {sd}")
-    return m, sd
-
-
-def canonical_brownian_law() -> GaussianLaw:
-    """The marginal law of standard Brownian motion, N(0, t)."""
-    return GaussianLaw(m=0.0, v=lambda t: t)
+def DriverLaw(driver: drv.Driver) -> drv.Driver:
+    """The true marginal law of a driver: the driver itself."""
+    return driver
 
 
 @dataclass(frozen=True)
@@ -469,37 +375,25 @@ class ShiftedDriverLaw(Law):
             raise ParameterError(f"shift must lie in [0, 1], got {self.shift}")
 
     def normal_at(self, t):
-        if not self.driver.is_gaussian:
-            return None
-        m, sd = _driver_normal(self.driver, t)
-        return m + self.shift, sd
+        normal = self.driver.normal_at(t)
+        return None if normal is None else (normal[0] + self.shift, normal[1])
 
     def score(self, t, y):
-        """The base score, from the level clamped into (0, 1) for a non-Gaussian driver."""
         if self.driver.is_gaussian:
             return super().score(t, y)
-        return special.ndtri(clip_unit(self.cdf(t, y)))
+        return self.driver.score(t, np.asarray(y, dtype=float) - self.shift)
 
     def cdf(self, t, y):
-        return self.driver.marginal_cdf(t, np.asarray(y, dtype=float) - self.shift)
+        return self.driver.cdf(t, np.asarray(y, dtype=float) - self.shift)
 
     def pdf(self, t, y):
-        return self.driver.marginal_pdf(t, np.asarray(y, dtype=float) - self.shift)
+        return self.driver.pdf(t, np.asarray(y, dtype=float) - self.shift)
 
     def quantile(self, t, u):
-        return self.driver.marginal_quantile(t, u) + self.shift
+        return self.driver.quantile(t, u) + self.shift
 
     def is_true_law_of(self, driver):
         return self.shift == 0.0 and self.driver == driver
-
-
-@dataclass(frozen=True)
-class DriverLaw(ShiftedDriverLaw):
-    """The true marginal law of a driver, F_Y(t, y): the shifted law at shift 0."""
-
-    shift: float = field(default=0.0, init=False)
-
-    family = "DriverLaw"
 
 
 @dataclass(frozen=True)
@@ -516,25 +410,30 @@ class PivotLaw(Law):
 
     family = "Pivot"
 
+    def __post_init__(self):
+        if not self.driver.is_gaussian:
+            raise CapabilityError(f"pivot standardization is implemented for Gaussian-marginal "
+                                  f"drivers, not {self.driver.kind}")
+
     def validate(self, t: float = 1.0) -> None:
         self.reference.validate(t)
 
     def cdf(self, t, y):
-        return self.reference.cdf(t, _norm_score(y, *_driver_normal(self.driver, t)))
+        return self.reference.cdf(t, _norm_score(y, *self.driver.normal_at(t)))
 
     def score(self, t, y):
-        return self.reference.score(t, _norm_score(y, *_driver_normal(self.driver, t)))
+        return self.reference.score(t, _norm_score(y, *self.driver.normal_at(t)))
 
     def pdf(self, t, y):
-        m, sd = _driver_normal(self.driver, t)
+        m, sd = self.driver.normal_at(t)
         return self.reference.pdf(t, _norm_score(y, m, sd)) / sd
 
     def quantile(self, t, u):
-        m, sd = _driver_normal(self.driver, t)
+        m, sd = self.driver.normal_at(t)
         return m + sd * self.reference.quantile(t, u)
 
     def from_score(self, t, x):
-        m, sd = _driver_normal(self.driver, t)
+        m, sd = self.driver.normal_at(t)
         return m + sd * self.reference.from_score(t, x)
 
 
@@ -615,14 +514,10 @@ class CompositeMap:
 
     def dist_for(self, driver: drv.Driver) -> Law:
         if self.mode is MapMode.PIVOT:
-            if not driver.is_gaussian:
-                raise CapabilityError(
-                    f"pivot standardization is implemented for Gaussian-marginal drivers, "
-                    f"not {driver.kind}")
             return PivotLaw(driver, self.dist) if self.dist is not None else PivotLaw(driver)
         if self.mode is MapMode.TRUE_LAW:
             if self.dist is None:
-                return DriverLaw(driver)
+                return driver
             if not self.dist.is_true_law_of(driver):
                 raise ParameterError(
                     "TrueLaw mode requires the distribution spec to equal the driver's "
@@ -632,12 +527,12 @@ class CompositeMap:
 
 def true_law_map(driver: drv.Driver, quantile: Law) -> CompositeMap:
     """Composite map using the driver's own marginal law."""
-    return CompositeMap(dist=DriverLaw(driver), quantile=quantile, mode=MapMode.TRUE_LAW)
+    return CompositeMap(dist=driver, quantile=quantile, mode=MapMode.TRUE_LAW)
 
 
 def canonical_map(quantile: Law) -> CompositeMap:
     """Canonical construction on standard Brownian motion: F = N(0, t)."""
-    return CompositeMap(dist=canonical_brownian_law(), quantile=quantile, mode=MapMode.TRUE_LAW)
+    return CompositeMap(dist=drv.Brownian(), quantile=quantile, mode=MapMode.TRUE_LAW)
 
 
 def preimage(quantile: Law, dist: Law, t: float, z):

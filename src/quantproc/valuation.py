@@ -350,7 +350,7 @@ def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) ->
         law = me.DistortedLaw(req.map, req.risk)
         lo, hi = req.map.quantile.support(req.u)
         rep = dom.fosd_check(lambda z: me.distorted_cdf(law, req.u, z),
-                             lambda z: req.risk.marginal_cdf(req.u, z),
+                             lambda z: req.risk.cdf(req.u, z),
                              (lo, hi))
         out["fosd"] = rep
     return out

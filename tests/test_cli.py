@@ -208,6 +208,25 @@ def test_price_runs_and_reports(tmp_path):
     assert payload["std_error"] > 0
 
 
+def test_driver_law_dist_is_the_config_driver(tmp_path):
+    # a TrueLaw map reads the driver's own law whether the dist names DriverLaw, is left
+    # out, or is the Brownian-scaled Gaussian; DriverLaw takes no keys of its own
+    prices = []
+    for i, dist in enumerate(({"family": "DriverLaw"}, None,
+                              {"family": "Gaussian", "brownian_scaling": True})):
+        cfg = {"kind": "price", "seed": 3, "n_paths": 2_000, "driver": {"kind": "Brownian"},
+               "map": {"mode": "TrueLaw", "dist": dist,
+                       "quantile": {"family": "TukeyG", "a": 0, "b": 1, "g": 0.5}},
+               "payoff": {"kind": "Layer", "a": 1.0, "b": 2.0}, "u": 1.0}
+        out = tmp_path / f"out{i}"
+        assert cli.main(["price", "--config", write_yaml(tmp_path, f"p{i}.yaml", cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        prices.append(json.loads((out / "price.json").read_text())["price"])
+    assert prices[0] == prices[1] == prices[2]
+    cfg["map"]["dist"] = {"family": "DriverLaw", "shift": 0.2}
+    assert [d.field for d in cli.validate_config(cfg)] == ["map"]
+
+
 def test_price_multidimensional_with_copula(tmp_path):
     cfg = {
         "kind": "price",

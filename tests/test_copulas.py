@@ -293,7 +293,7 @@ def test_kendall_order_of_comonotone_over_independence():
 def two_margin_map(copula, quantile=None):
     bm = d.Brownian()
     return cp.MultiCompositeMap(
-        margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+        margins=(bm, bm),
         copula=copula,
         quantile=quantile or tr.TukeyG(0, 1, 0.4)), bm
 
@@ -357,7 +357,7 @@ def test_false_law_multi_cdf_is_the_exact_kendall_function():
 
 def test_true_joint_law_mode_checks_margins():
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.GaussianLaw(0.3, 1.0), tr.DriverLaw(bm)),
+    mm = cp.MultiCompositeMap(margins=(tr.GaussianLaw(0.3, 1.0), bm),
                               copula=cp.IndependenceCopula(2),
                               quantile=tr.TukeyG(0, 1, 0.4))
     grid = d.TimeGrid(np.array([1.0]))
@@ -376,7 +376,7 @@ def test_mismatched_grids_rejected():
 
 def test_single_margin_reduces_to_univariate():
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm),),
+    mm = cp.MultiCompositeMap(margins=(bm,),
                               copula=cp.IndependenceCopula(1),
                               quantile=tr.TukeyG(0, 1, 0.4))
     grid = d.TimeGrid(np.array([1.0]))
@@ -434,11 +434,11 @@ def test_terminal_joint_sampling_keeps_margins_and_dependence():
     ens = cp.simulate_joint_terminal(drivers_, cop, 1.0, 50_000, 31)
     # exact marginal laws
     for dr, e in zip(drivers_, ens):
-        u = dr.marginal_cdf(1.0, e.paths[:, 0])
+        u = dr.cdf(1.0, e.paths[:, 0])
         assert ks_statistic_uniform(np.clip(u, 1e-12, 1 - 1e-12)) < ks_critical(50_000)
     # dependence matches the copula (joint orthant frequency)
-    u1 = drivers_[0].marginal_cdf(1.0, ens[0].paths[:, 0])
-    u2 = drivers_[1].marginal_cdf(1.0, ens[1].paths[:, 0])
+    u1 = drivers_[0].cdf(1.0, ens[0].paths[:, 0])
+    u2 = drivers_[1].cdf(1.0, ens[1].paths[:, 0])
     freq = float(np.mean((u1 <= 0.5) & (u2 <= 0.5)))
     want = float(cop.cdf(1.0, np.array([0.5, 0.5])))
     assert freq == pytest.approx(want, abs=4 * math.sqrt(want * (1 - want) / 50_000))
@@ -487,7 +487,7 @@ def test_clayton_theta_sweep_runs_with_common_randoms():
     payoff = va.Layer(0.5, 2.0)
     prices = []
     for theta in (0.5, 1.0, 2.0, 4.0):
-        mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+        mm = cp.MultiCompositeMap(margins=(bm, bm),
                                   copula=cp.ClaytonCopula(theta, 2),
                                   quantile=tr.TukeyG(0, 1, 0.4))
         prem = cp.multi_layer_premium(mm, [bm, bm], 0, payoff, 0.0, 1.0, 0.0,
@@ -513,7 +513,7 @@ def test_premium_payoff_kinds_guarded():
 
 def test_multi_ratio_comonotone_identity():
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+    mm = cp.MultiCompositeMap(margins=(bm, bm),
                               copula=cp.ComonotoneCopula(2),
                               quantile=tr.GaussianLaw(0.0, 1.0))
     ys = np.linspace(-2, 2, 9)
@@ -523,7 +523,7 @@ def test_multi_ratio_comonotone_identity():
 
 def test_multi_ratio_normalizes():
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+    mm = cp.MultiCompositeMap(margins=(bm, bm),
                               copula=cp.IndependenceCopula(2),
                               quantile=tr.TukeyG(0, 1, 0.4))
     rng = np.random.default_rng(29)
@@ -535,7 +535,7 @@ def test_multi_ratio_normalizes():
 
 def test_multi_ratio_matches_cdf_finite_differences():
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+    mm = cp.MultiCompositeMap(margins=(bm, bm),
                               copula=cp.IndependenceCopula(2),
                               quantile=tr.TukeyG(0, 1, 0.4))
     base = tr.GaussianLaw(0.0, 1.0)
@@ -552,7 +552,7 @@ def test_multi_ratio_matches_cdf_finite_differences():
                                     cp.ClaytonCopula(1.5, 3)], ids=["gaussian", "clayton-3d"])
 def test_multi_ratio_refuses_copulas_without_an_exact_kendall_derivative(copula):
     bm = d.Brownian()
-    mm = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm),) * copula.dim, copula=copula,
+    mm = cp.MultiCompositeMap(margins=(bm,) * copula.dim, copula=copula,
                               quantile=tr.TukeyGH(0, 1, 0.3, 0.1))
     with pytest.raises(CapabilityError):
         cp.multi_rn_derivative(mm, 1.0, 0.0, tr.GaussianLaw(0.0, 1.0))
@@ -563,9 +563,9 @@ def test_kendall_order_implies_fosd_of_true_joint_law_outputs():
     # quantile family the multidimensional outputs order first-order
     bm = d.Brownian()
     q = tr.TukeyG(0, 1, 0.4)
-    mm_com = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+    mm_com = cp.MultiCompositeMap(margins=(bm, bm),
                                   copula=cp.ComonotoneCopula(2), quantile=q)
-    mm_ind = cp.MultiCompositeMap(margins=(tr.DriverLaw(bm), tr.DriverLaw(bm)),
+    mm_ind = cp.MultiCompositeMap(margins=(bm, bm),
                                   copula=cp.IndependenceCopula(2), quantile=q)
     rep = dom.fosd_check(lambda z: np.asarray(cp.multi_distorted_cdf(mm_com, 1.0, z)),
                          lambda z: np.asarray(cp.multi_distorted_cdf(mm_ind, 1.0, z)),

@@ -273,6 +273,13 @@ def test_split_g_integrals_match_extended_precision():
                                                                          rel=0.0, abs=1e-15)
 
 
+def test_split_g_integrals_at_small_skew():
+    # references: 40-digit values; [Phi(w) - Phi(w - g)] / g inside A_g cancels as g -> 0
+    for args, left, right in (((1e-6, 2e-6, 5e-7), 2.4999980052896916e-7, -7.5000099735668535e-7),
+                              ((1e-4, 2e-4, 5e-5), 2.4998005397968007e-5, -7.5009974541469821e-5)):
+        assert dom.split_g_sosd_integrals(*args) == pytest.approx((left, right), rel=1e-9, abs=0.0)
+
+
 def test_split_g_integrals_at_large_skew():
     # e^{g^2/2} overflows past g = 37.7: the left integral stays finite (30-digit reference),
     # and a right integral holding a Tukey-g mean beyond the float range raises

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from quantproc import drivers as d
+from quantproc import transforms as tr
 from quantproc._util import (_gamma_cdf, _gamma_pdf, _gamma_ppf, _poisson_cdf, _poisson_pmf,
                              _poisson_ppf)
 from quantproc.errors import (CapabilityError, MappingError, ParameterError,
@@ -116,7 +117,7 @@ def test_marginal_cdf_symmetry_points():
 def test_marginal_cdf_monotone_in_y():
     vg = d.VarianceGamma(0.3, 0.8, 0.6)
     ys = np.linspace(-6, 6, 201)
-    cdf = vg.marginal_cdf(1.3, ys)
+    cdf = vg.cdf(1.3, ys)
     assert np.all(np.diff(cdf) >= -1e-12)
     assert cdf[0] < 1e-4 and cdf[-1] > 1 - 1e-4
 
@@ -141,7 +142,7 @@ def test_vg_cdf_against_direct_double_integral():
         direct, _ = integrate.quad(
             lambda u: stats.norm.cdf((y - vg.mu_vg * u) / (vg.sigma_vg * math.sqrt(u)))
             * stats.gamma.pdf(u, a, scale=vg.nu), 0, np.inf, limit=400)
-        assert float(vg.marginal_cdf(t, y)) == pytest.approx(direct, abs=1e-8)
+        assert float(vg.cdf(t, y)) == pytest.approx(direct, abs=1e-8)
 
 
 def _vg_cdf_by_gamma_mixture(vg, t, y):
@@ -165,11 +166,11 @@ def test_vg_cdf_at_small_times(t):
     # within 1e-100 of the cusp
     vg = d.VarianceGamma(0.1, 0.3, 0.5)
     ys = np.array([-0.05, -1e-2, -1e-3, -1e-6, 0.0, 1e-9, 1e-3, 1e-2, 0.05])
-    cdf = vg.marginal_cdf(t, ys)
+    cdf = vg.cdf(t, ys)
     assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) > 0)
     for y, got in zip(ys, cdf):
         assert got == pytest.approx(_vg_cdf_by_gamma_mixture(vg, t, y), abs=1e-8)
-    grid = vg.marginal_cdf(t, np.sort(np.concatenate([np.linspace(-1, 1, 201), np.geomspace(1e-300, 1, 50),
+    grid = vg.cdf(t, np.sort(np.concatenate([np.linspace(-1, 1, 201), np.geomspace(1e-300, 1, 50),
                                                        -np.geomspace(1e-300, 1, 50)])))
     assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) >= 0)
 
@@ -179,7 +180,7 @@ def test_vg_transition_pdf_over_a_short_step():
     vg = d.VarianceGamma(0.1, 0.3, 0.5)
     dens = vg.transition_pdf(0.5, 0.501, 0.0, [0.0, 1e-3])
     assert dens[0] == np.inf
-    assert np.isfinite(dens[1]) and dens[1] == pytest.approx(vg.marginal_pdf(1e-3, 1e-3), rel=1e-12)
+    assert np.isfinite(dens[1]) and dens[1] == pytest.approx(vg.pdf(1e-3, 1e-3), rel=1e-12)
     flat = d.VarianceGamma(0.1, 0.3, 1.5e-3)  # (t - s)/nu = 2/3: a finite cusp
     assert np.all(np.isfinite(flat.transition_pdf(0.5, 0.501, 0.0, [0.0, 1e-3])))
 
@@ -188,16 +189,16 @@ def test_vg_transition_pdf_over_a_short_step():
 def test_vg_quantile_inverts_cdf(t):
     vg = d.VarianceGamma(0.1, 0.3, 0.5)
     u = np.linspace(1e-6, 1 - 1e-6, 1001)
-    q = vg.marginal_quantile(t, u)
+    q = vg.quantile(t, u)
     assert np.all(np.diff(q) >= 0)
     # F crosses u between the floats either side of Q(u): at t = 1e-3 the law puts
     # a few percent of its mass within the smallest subnormal of the cusp
-    lower = vg.marginal_cdf(t, np.nextafter(q, -np.inf))
-    upper = vg.marginal_cdf(t, np.nextafter(q, np.inf))
+    lower = vg.cdf(t, np.nextafter(q, -np.inf))
+    upper = vg.cdf(t, np.nextafter(q, np.inf))
     assert np.all((lower - 1e-10 <= u) & (u <= upper + 1e-10))
     resolved = upper - lower <= 1e-10
     assert resolved.all() if t >= 1.0 else resolved.mean() > 0.9
-    assert np.all(np.abs(vg.marginal_cdf(t, q[resolved]) - u[resolved]) <= 1e-10)
+    assert np.all(np.abs(vg.cdf(t, q[resolved]) - u[resolved]) <= 1e-10)
 
 
 def test_vg_pdf_cusp_value():
@@ -206,7 +207,7 @@ def test_vg_pdf_cusp_value():
     c = 2.0 * sigma ** 2 / nu + mu ** 2
     # t/nu <= 1/2: the density is infinite at the cusp and finite beside it
     for t in (0.2, 0.25):
-        dens = vg.marginal_pdf(t, np.array([0.0, 1e-12, 1e-6]))
+        dens = vg.pdf(t, np.array([0.0, 1e-12, 1e-6]))
         assert dens[0] == np.inf and np.isfinite(dens[1]) and dens[1] > dens[2] > 0
     # t/nu > 1/2: the finite limit Gamma(a - 1/2) (2 sigma^2/c)^(a - 1/2) / (nu^a sqrt(2 pi) sigma Gamma(a));
     # at t = 50 the Bessel order is 99.5, where kve overflows beside the cusp
@@ -214,9 +215,9 @@ def test_vg_pdf_cusp_value():
         a = t / nu
         want = (special.gamma(a - 0.5) * (2.0 * sigma ** 2 / c) ** (a - 0.5)
                 / (nu ** a * math.sqrt(2.0 * math.pi) * sigma * special.gamma(a)))
-        assert vg.marginal_pdf(t, 0.0) == pytest.approx(want, rel=1e-13)
-        assert vg.marginal_pdf(t, [-1e-14, 1e-14]) == pytest.approx([want, want], rel=1e-4)
-    assert vg.marginal_pdf(0.5, 0.0) == pytest.approx(1.0 / (nu * math.sqrt(c)), rel=1e-13)
+        assert vg.pdf(t, 0.0) == pytest.approx(want, rel=1e-13)
+        assert vg.pdf(t, [-1e-14, 1e-14]) == pytest.approx([want, want], rel=1e-4)
+    assert vg.pdf(0.5, 0.0) == pytest.approx(1.0 / (nu * math.sqrt(c)), rel=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
@@ -227,12 +228,12 @@ def test_vg_pdf_cusp_value():
 def test_vg_law_properties(mu, sigma, nu, log_t):
     t = 10.0 ** log_t
     vg = d.VarianceGamma(mu, sigma, nu)
-    lo, hi = vg.marginal_quantile(t, [1e-15, 1 - 1e-15])
+    lo, hi = vg.quantile(t, [1e-15, 1 - 1e-15])
     # the CDF is finite, in [0, 1] and monotone; 1/kappa is the scale of the Bessel argument
     width = sigma ** 2 / math.sqrt(2.0 * sigma ** 2 / nu + mu ** 2)
     ys = np.sort(np.concatenate([np.linspace(lo, hi, 301), width * np.geomspace(1e-12, 1.0, 40),
                                  -width * np.geomspace(1e-12, 1.0, 40), [0.0]]))
-    cdf = vg.marginal_cdf(t, ys)
+    cdf = vg.cdf(t, ys)
     assert np.all(np.isfinite(cdf)) and cdf.min() >= 0.0 and cdf.max() <= 1.0
     assert np.all(np.diff(cdf) >= 0)
     # the density integrates to one; near the cusp its singular factor
@@ -240,7 +241,7 @@ def test_vg_law_properties(mu, sigma, nu, log_t):
     a = t / nu
     b = min(width, 0.5 * min(-lo, hi)) if lo < 0 < hi else width
     opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-    pdf = lambda y: float(vg.marginal_pdf(t, y))
+    pdf = lambda y: float(vg.pdf(t, y))
     mass = 0.0
     if lo < -b:
         mass += integrate.quad(pdf, lo, -b, **opts)[0]
@@ -255,15 +256,15 @@ def test_vg_law_properties(mu, sigma, nu, log_t):
             mass += integrate.quad(lambda u: pdf(side * u), 0.0, b, **opts)[0]
     assert mass == pytest.approx(1.0, abs=1e-9)
     # Q is increasing
-    assert np.all(np.diff(vg.marginal_quantile(t, np.linspace(1e-6, 1 - 1e-6, 101))) >= 0)
+    assert np.all(np.diff(vg.quantile(t, np.linspace(1e-6, 1 - 1e-6, 101))) >= 0)
 
 
 def test_vg_quantile_is_nan_at_a_nan_level():
     vg = d.VarianceGamma(-0.1, 0.3, 0.4)
-    assert math.isnan(vg.marginal_quantile(1.0, float("nan")))
-    y = vg.marginal_quantile(1.0, [0.3, float("nan"), 0.9])
+    assert math.isnan(vg.quantile(1.0, float("nan")))
+    y = vg.quantile(1.0, [0.3, float("nan"), 0.9])
     assert np.isnan(y[1]) and np.all(np.isfinite(y[[0, 2]]))
-    assert np.allclose(vg.marginal_cdf(1.0, y[[0, 2]]), [0.3, 0.9], rtol=0.0, atol=1e-14)
+    assert np.allclose(vg.cdf(1.0, y[[0, 2]]), [0.3, 0.9], rtol=0.0, atol=1e-14)
 
 
 def test_vg_rejects_non_finite_drift():
@@ -271,32 +272,33 @@ def test_vg_rejects_non_finite_drift():
     with pytest.raises(ParameterError):
         vg.validate()
     with pytest.raises(ParameterError):
-        vg.marginal_cdf(1.0, [0.1])
+        vg.cdf(1.0, [0.1])
 
 
 def test_marginal_laws_reject_times_below_min_time():
     for driver in (d.Brownian(), d.InhomogeneousOU(1.0, 0.0, 1.0, 0.0), d.VarianceGamma(0.1, 0.3, 0.5)):
         for t in (0.0, 0.5 * d.MIN_TIME, float("nan")):
             with pytest.raises(ParameterError):
-                driver.marginal_cdf(t, [0.1, 0.0])
+                driver.cdf(t, [0.1, 0.0])
             with pytest.raises(ParameterError):
-                driver.marginal_pdf(t, [0.1, 0.0])
+                driver.pdf(t, [0.1, 0.0])
             with pytest.raises(ParameterError):
-                driver.marginal_quantile(t, [0.5])
-    assert np.isfinite(d.Brownian().marginal_cdf(d.MIN_TIME, [0.1, 0.0])).all()
+                driver.quantile(t, [0.5])
+    assert np.isfinite(d.Brownian().cdf(d.MIN_TIME, [0.1, 0.0])).all()
 
 
 @pytest.mark.parametrize("call", [
-    lambda: d.GammaProcess().marginal_cdf(0.0, [0.1, 1.0]),
-    lambda: d.GammaProcess().marginal_pdf(0.0, [0.1, 1.0]),
-    lambda: d.GammaProcess().marginal_quantile(0.5 * d.MIN_TIME, [0.5]),
-    lambda: d.InhomogeneousPoisson().marginal_cdf(-1.0, [0.0, 1.0]),
-    lambda: d.InhomogeneousPoisson().marginal_pmf(-1.0, [0, 1]),
+    lambda: d.GammaProcess().cdf(0.0, [0.1, 1.0]),
+    lambda: d.GammaProcess().pdf(0.0, [0.1, 1.0]),
+    lambda: d.GammaProcess().quantile(0.5 * d.MIN_TIME, [0.5]),
+    lambda: d.InhomogeneousPoisson().cdf(-1.0, [0.0, 1.0]),
+    lambda: d.InhomogeneousPoisson().pmf(-1.0, [0, 1]),
+    lambda: d.InhomogeneousPoisson().quantile(0.5 * d.MIN_TIME, [0.5]),
     lambda: d.InhomogeneousOU().transition_pdf(0.5, 0.5, 0.0, [0.1]),
     lambda: d.Brownian().transition_pdf(0.6, 0.5, 0.0, [0.1]),
     lambda: d.GammaProcess().transition_pdf(0.5, 0.5, 0.0, [0.1]),
     lambda: d.GammaProcess().transition_pdf(-0.5, 0.5, 0.0, [0.1]),
-], ids=["gamma-cdf", "gamma-pdf", "gamma-quantile", "poisson-cdf", "poisson-pmf",
+], ids=["gamma-cdf", "gamma-pdf", "gamma-quantile", "poisson-cdf", "poisson-pmf", "poisson-quantile",
         "ou-transition-empty-step", "brownian-transition-backward", "gamma-transition-empty-step",
         "gamma-transition-negative-start"])
 def test_laws_off_the_time_domain_raise_a_typed_error(call):
@@ -369,7 +371,7 @@ def test_ou_ensemble_matches_erf_marginal_everywhere():
     grid = d.TimeGrid(np.array([0.25, 0.75, 1.5]))
     ens = d.simulate(ou, grid, 100_000, 17)
     for k, t in enumerate(grid.times):
-        u = ou.marginal_cdf(t, ens.paths[:, k])
+        u = ou.cdf(t, ens.paths[:, k])
         assert ks_statistic_uniform(u) < ks_critical(100_000)
 
 
@@ -423,6 +425,28 @@ def test_uniformize_rejects_discrete_driver():
 # ---------------------------------------------------------------------------
 # Poisson machinery
 # ---------------------------------------------------------------------------
+
+def test_poisson_driver_quantile_is_the_poisson_quantile():
+    # at t = 2 the family's mean rate * t is the driver's Lambda(t) to the bit
+    lam, t = d.InhomogeneousPoisson(intensity=lambda s: 1.0 + s), 2.0
+    q = tr.PoissonQuantile(rate=lam.cumulative_intensity(t) / t)
+    u = np.array([0.0, 0.2, 0.9, 1.0, np.nan])
+    assert np.array_equal(lam.quantile(t, u), q.quantile(t, u), equal_nan=True)
+    # its scores pass through the level, so from_score ends instead of recursing
+    x = np.array([-2.0, 0.0, 1.5])
+    assert np.array_equal(lam.from_score(t, x), q.from_score(t, x))
+
+
+def test_marginal_names_read_the_law_maps():
+    # the older marginal_* names, which the benchmark still calls, are the Law maps
+    y, u = np.array([-0.4, 0.0, 0.9]), np.array([0.1, 0.5, 0.8])
+    for driver in (d.Brownian(0.2), d.VarianceGamma(-0.1, 0.3, 0.4), d.GammaProcess(1.2, 0.6)):
+        assert np.array_equal(driver.marginal_cdf(1.5, y), driver.cdf(1.5, y))
+        assert np.array_equal(driver.marginal_pdf(1.5, y), driver.pdf(1.5, y))
+        assert np.array_equal(driver.marginal_quantile(1.5, u), driver.quantile(1.5, u))
+    lam = d.InhomogeneousPoisson(2.0)
+    assert np.array_equal(lam.marginal_pmf(1.5, [0, 3]), lam.pmf(1.5, [0, 3]))
+
 
 def test_poisson_counts_match_poisson_law():
     lam = d.InhomogeneousPoisson(intensity=lambda t: 2.0 * t)

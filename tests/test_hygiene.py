@@ -1,7 +1,8 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
 every module-level private function, class and constant; no law's quantile is
-evaluated at a level ndtr(x) formed outside ``Law.from_score``; and a cold
-start loads none of the heavy scipy submodules."""
+evaluated at a level ndtr(x) formed outside ``Law.from_score``; no driver's law
+is read through the older ``marginal_*`` names; and a cold start loads none of
+the heavy scipy submodules."""
 
 import ast
 import json
@@ -145,6 +146,40 @@ def test_no_level_round_trips(path):
     assert level_round_trips(path.read_text()) == []
 
 
+#: the older names of a driver's marginal law, kept only for the benchmark's own callers
+OLD_MARGINAL = ("marginal_cdf", "marginal_pdf", "marginal_quantile", "marginal_pmf")
+
+
+def old_marginal_calls(source: str) -> list[str]:
+    """``.marginal_cdf(``-style calls: a driver is a ``Law``, so the package reads its
+    marginal law by ``cdf``, ``pdf``, ``quantile`` and ``pmf``."""
+    calls = sorted((node.lineno, node.col_offset, node.func.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in OLD_MARGINAL)
+    return [f"{attr} (line {line})" for line, _, attr in calls]
+
+
+def test_detector_finds_an_old_marginal_call():
+    source = textwrap.dedent("""\
+        class Driver:
+            def marginal_cdf(self, t, y):
+                return self.cdf(t, y)
+
+        def ratio(base, t, y):
+            return base.marginal_pdf(t, y) / drv.marginal_cdf(base, t, y), marginal_cdf(base, t, y)
+
+        def mass(lam, k):
+            return lam.marginal_pmf(1.0, k) + lam.pmf(1.0, k)
+        """)
+    assert old_marginal_calls(source) == ["marginal_pdf (line 6)", "marginal_cdf (line 6)",
+                                          "marginal_pmf (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_old_marginal_calls(path):
+    assert old_marginal_calls(path.read_text()) == []
+
+
 #: scipy submodules that cost most of a cold start; the package imports them where called
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
@@ -176,8 +211,8 @@ def test_cold_start_loads_no_heavy_scipy_module():
             valuation.qpvp_price(valuation.ValuationRequest(
                 drivers.Brownian(), transforms.canonical_map(transforms.TukeyG(0.0, 1.0, 0.4)),
                 valuation.Layer(0.5, 2.0), 0.0, 1.0, 0.03, valuation.MCSettings(1_000, 1)))"""),
-        "VarianceGamma.marginal_cdf":
-            "drivers.VarianceGamma(-0.1, 0.3, 0.4).marginal_cdf(1.0, [-0.5, 0.0, 0.5])",
+        "VarianceGamma.cdf":
+            "drivers.VarianceGamma(-0.1, 0.3, 0.4).cdf(1.0, [-0.5, 0.0, 0.5])",
         "sosd_check": textwrap.dedent("""\
             from quantproc import dominance
             q2 = transforms.TukeyG(0.0, 1.0, 0.3)

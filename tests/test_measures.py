@@ -31,7 +31,7 @@ def test_identity_distorted_cdf_equals_base():
     law = me.DistortedLaw(identity_map(ou), ou)
     zs = np.linspace(-1.5, 2.0, 25)
     got = me.distorted_cdf(law, 0.7, zs)
-    assert np.max(np.abs(got - ou.marginal_cdf(0.7, zs))) < 1e-10
+    assert np.max(np.abs(got - ou.cdf(0.7, zs))) < 1e-10
 
 
 def test_distorted_cdf_tukey_g_closed_form():
@@ -134,7 +134,7 @@ def test_preimage_ties_density_ratio_and_cdf(a, b, g, h, kind):
     zs = np.linspace(-3.0, 3.0, 25)
     pdf = me.distorted_pdf(law, t, zs)
     rho = me.rn_derivative(cm, base, t, zs)
-    assert np.allclose(pdf, rho * base.marginal_pdf(t, zs), rtol=1e-12, atol=0.0)
+    assert np.allclose(pdf, rho * base.pdf(t, zs), rtol=1e-12, atol=0.0)
     eps = 1e-5
     central = (me.distorted_cdf(law, t, zs + eps) - me.distorted_cdf(law, t, zs - eps)) / (2 * eps)
     assert np.allclose(central, pdf, rtol=1e-5, atol=1e-7)
@@ -267,7 +267,7 @@ def test_ratio_normalizes_by_quadrature_and_monte_carlo():
     # quadrature oracle: integral of rho against the base density is 1
     # (upper limit chosen so the distorted law's tail mass is below 1e-8)
     val, _ = integrate.quad(
-        lambda y: float(me.rn_derivative(cm, bm, 1.0, y)) * float(bm.marginal_pdf(1.0, y)),
+        lambda y: float(me.rn_derivative(cm, bm, 1.0, y)) * float(bm.pdf(1.0, y)),
         -2.0 + 1e-9, 38.0, limit=500)
     assert val == pytest.approx(1.0, abs=1e-7)
     rng = np.random.default_rng(55)
@@ -292,7 +292,7 @@ def test_reweighting_identity_unbounded_payoff_by_quadrature():
     cm = tr.canonical_map(tr.TukeyG(0, 1, g))
     lhs, _ = integrate.quad(
         lambda y: float(me.rn_derivative(cm, bm, 1.0, y)) * max(y, 0.0)
-        * float(bm.marginal_pdf(1.0, y)), 0.0, 38.0, limit=500)
+        * float(bm.pdf(1.0, y)), 0.0, 38.0, limit=500)
     rhs, _ = integrate.quad(
         lambda x: max(math.expm1(g * x) / g, 0.0) * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
         0.0, 10.0, limit=200)
@@ -468,18 +468,18 @@ def test_kernel_needs_two_grid_points():
 
 def test_discrete_mass_ratio_normalizes():
     lam = d.InhomogeneousPoisson(intensity=2.0)
-    cmap = tr.CompositeMap(dist=tr.DriverLaw(lam), quantile=tr.PoissonQuantile(rate=1.3),
+    cmap = tr.CompositeMap(dist=lam, quantile=tr.PoissonQuantile(rate=1.3),
                            mode=tr.MapMode.FALSE_LAW)
     t = 1.5
     ks = np.arange(0, 80).astype(float)
     rho = me.rn_derivative(cmap, lam, t, ks)
-    total = float(np.sum(rho * lam.marginal_pmf(t, ks)))
+    total = float(np.sum(rho * lam.pmf(t, ks)))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_discrete_identity_ratio_is_one():
     lam = d.InhomogeneousPoisson(intensity=2.0)
-    cmap = tr.CompositeMap(dist=tr.DriverLaw(lam), quantile=tr.PoissonQuantile(rate=2.0),
+    cmap = tr.CompositeMap(dist=lam, quantile=tr.PoissonQuantile(rate=2.0),
                            mode=tr.MapMode.FALSE_LAW)
     rho = me.rn_derivative(cmap, lam, 1.5, np.arange(0, 12).astype(float))
     assert np.max(np.abs(rho - 1.0)) < 1e-9
@@ -487,7 +487,7 @@ def test_discrete_identity_ratio_is_one():
 
 def test_discrete_requires_discrete_quantile():
     lam = d.InhomogeneousPoisson(intensity=2.0)
-    cmap = tr.CompositeMap(dist=tr.DriverLaw(lam), quantile=tr.TukeyG(0, 1, 0.5),
+    cmap = tr.CompositeMap(dist=lam, quantile=tr.TukeyG(0, 1, 0.5),
                            mode=tr.MapMode.FALSE_LAW)
     with pytest.raises(CapabilityError):
         me.rn_derivative(cmap, lam, 1.0, 3.0)
