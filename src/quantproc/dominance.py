@@ -340,7 +340,7 @@ def _tukey_g_cdf_integral(g: float, x: float) -> float:
     w = log(1 + g x) / g, and 0 below the support.  The bracket is the mean of phi over
     [w - g, w]; where g (1 + |w|) < 1 the difference would cancel, and the Gauss-Legendre
     rule takes it instead.  Past g = 37, where e^{g^2/2} nears overflow, the last term is
-    summed in logs."""
+    summed in logs; there expm1(g^2/2) equals e^{g^2/2} to double precision."""
     if not g * x + 1.0 > 0.0:
         return 0.0
     w = math.log1p(g * x) / g

@@ -120,10 +120,6 @@ class Driver(Law):
     kind: str = "abstract"
     is_gaussian: bool = False
 
-    @property
-    def family(self) -> str:
-        return self.kind
-
     def initial_value(self) -> float:
         return 0.0
 
@@ -688,9 +684,6 @@ class InhomogeneousPoisson(Driver):
     def pmf(self, t, k):
         _check_time(t)
         return _poisson_pmf(k, self.cumulative_intensity(t))
-
-    def marginal_pmf(self, t, k):
-        return self.pmf(t, k)
 
     def pdf(self, t, y):
         raise CapabilityError("the Poisson driver is discrete; use pmf")

@@ -444,8 +444,6 @@ def test_marginal_names_read_the_law_maps():
         assert np.array_equal(driver.marginal_cdf(1.5, y), driver.cdf(1.5, y))
         assert np.array_equal(driver.marginal_pdf(1.5, y), driver.pdf(1.5, y))
         assert np.array_equal(driver.marginal_quantile(1.5, u), driver.quantile(1.5, u))
-    lam = d.InhomogeneousPoisson(2.0)
-    assert np.array_equal(lam.marginal_pmf(1.5, [0, 3]), lam.pmf(1.5, [0, 3]))
 
 
 def test_poisson_counts_match_poisson_law():

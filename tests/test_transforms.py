@@ -529,7 +529,8 @@ _PROBABILITY_PATH = (
 
 
 @pytest.mark.parametrize("law, drv, q", _PROBABILITY_PATH,
-                         ids=[f"{law.family}-{q.family}" for law, _, q in _PROBABILITY_PATH])
+                         ids=[f"{getattr(law, 'kind', law.family)}-{q.family}"
+                              for law, _, q in _PROBABILITY_PATH])
 def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
     # a law without an exact score, or a family without a closed form in it,
     # composes Q(clip_unit(F(y))) bit for bit
