@@ -67,21 +67,24 @@ def _solve_increasing(resid_slope, lo, hi, x, scale, what: str) -> np.ndarray:
     the bracket, or has no finite slope, bisects it, as does every third sweep where |r| > 1.
     A point has converged once its step is within 1e-14 (scale + |x|), or its finite-slope
     step is zero; converged points leave the working set once they are half of it.  Points
-    still moving after 160 sweeps raise NumericError.  Returns the roots; lo, hi, x are work arrays.
+    still moving after 160 sweeps raise NumericError.  Returns the roots; lo, hi, x are work
+    arrays, and x and one more buffer of its size take turns as each sweep's iterate.
     """
     idx, xa, la, ha, sa = slice(None), x, lo, hi, scale
+    nxt = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(160):
             r, slope = resid_slope(xa, idx)
             np.copyto(la, xa, where=r < 0)
             np.copyto(ha, xa, where=r > 0)
-            nxt = xa - r / slope
+            np.subtract(xa, np.divide(r, slope, out=nxt), out=nxt)
             bad = ~((nxt > la) & (nxt < ha) | (nxt == xa) & np.isfinite(slope))
             if it % 3 == 2:
                 bad |= np.abs(r) > 1.0
-            np.copyto(nxt, 0.5 * (la + ha), where=bad)
+            if bad.any():
+                np.multiply(np.add(la, ha, out=nxt, where=bad), 0.5, out=nxt, where=bad)
             moving = ~(np.abs(nxt - xa) <= 1e-14 * (sa + np.abs(nxt)))
-            xa = nxt
+            xa, nxt = nxt, xa
             n = np.count_nonzero(moving)
             if n == 0:
                 break
@@ -90,6 +93,7 @@ def _solve_increasing(resid_slope, lo, hi, x, scale, what: str) -> np.ndarray:
                 keep = np.flatnonzero(moving)
                 idx = keep if isinstance(idx, slice) else idx[keep]
                 xa, la, ha = xa[keep], la[keep], ha[keep]
+                nxt = np.empty_like(xa)
                 sa = sa[keep] if np.ndim(sa) else sa
         else:
             raise NumericError(f"{what}: {n} points did not converge in 160 sweeps",
@@ -98,6 +102,26 @@ def _solve_increasing(resid_slope, lo, hi, x, scale, what: str) -> np.ndarray:
         return xa
     x[idx] = xa
     return x
+
+
+#: points per slice of ``_blocked``: a float temporary of one slice is 64 KB
+_BLOCK = 1 << 13
+
+
+def _blocked(fn, *arrays) -> np.ndarray:
+    """fn(*slices) over consecutive slices of _BLOCK points of the same-shape ``arrays``,
+    written into one float array of their shape.  A pointwise map then works in
+    temporaries that stay in cache, and that the allocator keeps for the next slice
+    where a whole-array temporary goes back to the system and is faulted in again."""
+    shape = np.shape(arrays[0])
+    flat = [np.reshape(a, -1) for a in arrays]
+    n = flat[0].size
+    if n <= _BLOCK:
+        return np.reshape(fn(*flat), shape)
+    out = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        out[i:i + _BLOCK] = fn(*(a[i:i + _BLOCK] for a in flat))
+    return out.reshape(shape)
 
 
 # the normal law N(m, sd^2); m may be an array of per-path means.  Underscored so
@@ -133,6 +157,63 @@ def _gamma_pdf(y, a, s):
 
 def _gamma_ppf(u, a, s):
     return special.gammaincinv(a, np.asarray(u, dtype=float)) * s
+
+
+# the gamma law's normal scores, split at the median: ndtri(F) below it and -ndtri(1 - F)
+# above it.  Past Q(a, x) = 1e-300 the upper tail runs in log space, so no score or
+# value saturates there.
+_LOG_TINY = math.log(1e-300)
+
+
+def _gamma_log_sf(x, a):
+    """(log Q(a, x), x cf) for x past the median, from the Legendre continued fraction
+    Gamma(a, x) = e^-x x^a cf(x) by modified Lentz; d log Q / dx = -1 / (x cf)."""
+    b = x + 1.0 - a
+    c, d = np.full_like(x, 1e300), 1.0 / b
+    cf = d.copy()
+    for i in range(1, 2000):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = d * c
+        cf *= step
+        if np.all(np.abs(step - 1.0) <= 1e-15):
+            break
+    else:
+        raise NumericError(f"gamma tail continued fraction at shape {a} did not converge")
+    return a * np.log(x) - x + np.log(cf) - special.gammaln(a), x * cf
+
+
+def _gamma_score(y, a, s):
+    x = np.maximum(np.asarray(y, dtype=float) / s, 0.0)
+    below, above = special.gammainc(a, x), special.gammaincc(a, x)
+    out = np.where(below <= 0.5, special.ndtri(below), -special.ndtri(above))
+    far = (above < 1e-300) & (x < np.inf)
+    if np.any(far):
+        out[far] = -special.ndtri_exp(_gamma_log_sf(x[far], a)[0])
+    return out[()]
+
+
+def _gamma_from_score(z, a, s):
+    z = np.asarray(z, dtype=float)
+    out = np.where(z <= 0.0, special.gammaincinv(a, special.ndtr(z)),
+                   special.gammainccinv(a, special.ndtr(-z)))
+    log_q = special.log_ndtr(-z)
+    far = (z > 0.0) & (log_q < _LOG_TINY) & np.isfinite(log_q)
+    if np.any(far):
+        log_q = log_q[far]
+        # past lo, where Q = 1e-300, log Q falls at a rate of at least rho per unit
+        lo = special.gammainccinv(a, 1e-300)
+        rho = min(1.0, (lo - a + 1.0) / lo)
+        lo, hi = np.full_like(log_q, lo), lo + (_LOG_TINY - log_q) / rho * 1.01
+
+        def resid_slope(x, idx):
+            log_sf, x_cf = _gamma_log_sf(x, a)
+            return log_q[idx] - log_sf, 1.0 / x_cf
+
+        out[far] = _solve_increasing(resid_slope, lo, hi, 0.5 * (lo + hi), 0.0, "gamma upper tail")
+    return (out * s)[()]
 
 
 def _poisson_cdf(y, mu):

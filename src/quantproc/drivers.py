@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeParam, _gamma_cdf, _gamma_pdf, _gamma_ppf, _norm_pdf,
-                    _poisson_cdf, _poisson_pmf, _poisson_ppf, _solve_increasing, adaptive_quad,
-                    as_time_fn, clip_unit, substream)
+from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeParam, _gamma_cdf, _gamma_from_score, _gamma_pdf,
+                    _gamma_ppf, _gamma_score, _norm_pdf, _poisson_cdf, _poisson_pmf, _poisson_ppf,
+                    _solve_increasing, adaptive_quad, as_time_fn, clip_unit, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -585,6 +585,18 @@ class GammaProcess(Driver):
     def cdf(self, t, y):
         _check_time(t)
         return _gamma_cdf(y, *self._shape_scale(t))
+
+    def score(self, t, y):
+        """ndtri(F) below the median and -ndtri(1 - F) above it, in log space past
+        1 - F = 1e-300, so neither tail saturates: -inf at and below 0, +inf at +inf."""
+        _check_time(t)
+        return _gamma_score(y, *self._shape_scale(t))
+
+    def from_score(self, t, x):
+        """The inverse of ``score``: gammaincinv(a, ndtr(x)) below the median and
+        gammainccinv(a, ndtr(-x)) above it, in log space past ndtr(-x) = 1e-300."""
+        _check_time(t)
+        return _gamma_from_score(x, *self._shape_scale(t))
 
     def pdf(self, t, y):
         _check_time(t)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import drivers as drv
 from . import transforms as tr
-from ._util import TimeParam, adaptive_quad, as_time_fn
+from ._util import TimeParam, _blocked, adaptive_quad, as_time_fn
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -54,11 +54,16 @@ def distorted_cdf(law: DistortedLaw, t: float, z):
     """
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    x = law.map.quantile.score(t, np.atleast_1d(np.asarray(z, dtype=float)))
-    out = np.where(np.isnan(x), np.nan, x > 0.0)
-    mid = np.isfinite(x)
-    if np.any(mid):
-        out[mid] = law.base.cdf(t, law.dist().from_score(t, x[mid]))
+
+    def cdf(zb):
+        x = law.map.quantile.score(t, zb)
+        out = np.where(np.isnan(x), np.nan, x > 0.0)
+        mid = np.isfinite(x)
+        if np.any(mid):
+            out[mid] = law.base.cdf(t, law.dist().from_score(t, x[mid]))
+        return out
+
+    out = _blocked(cdf, np.atleast_1d(np.asarray(z, dtype=float)))
     return out if np.ndim(z) else float(out[0])
 
 
@@ -66,25 +71,39 @@ def distorted_pdf(law: DistortedLaw, t: float, z):
     """Density of the quantile process at z (zero off the family's range, NaN at NaN)."""
     if t <= 0:
         raise ParameterError("distorted laws are defined for t > 0")
-    x, w, fz, fd, ok = tr.preimage(law.map.quantile, law.dist(), t, z)
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    if np.any(ok):
-        out[ok] = law.base.pdf(t, w[ok]) * fz[ok] / fd[ok]
+    dist = law.dist()
+
+    def pdf(zb):
+        x, w, fz, fd, ok = tr.preimage(law.map.quantile, dist, t, zb)
+        out = np.where(np.isnan(x), np.nan, 0.0)
+        if np.any(ok):
+            out[ok] = law.base.pdf(t, w[ok]) * fz[ok] / fd[ok]
+        return out
+
+    out = _blocked(pdf, np.atleast_1d(np.asarray(z, dtype=float)))
     return out if np.ndim(z) else float(out[0])
 
 
 def _ratio(cmap: tr.CompositeMap, base: drv.Driver, t: float, y,
-           density: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """f(w) f_quantile(y) / (f_dist(w) f(y)) at the preimage w; f(x) = density(x, ok)."""
-    x, w, fz, fd, ok = tr.preimage(cmap.quantile, cmap.dist_for(base), t, y)
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    if np.any(ok):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        num = density(w[ok], ok) * fz[ok]
-        den = fd[ok] * density(yv[ok], ok)
-        if np.any(den <= 0):
-            raise NumericError(f"density-ratio denominator underflow at y={yv[ok][den <= 0][:3]}")
-        out[ok] = num / den
+           density: Callable[..., np.ndarray], *states):
+    """f(w) f_quantile(y) / (f_dist(w) f(y)) at the preimage w, with f(x) = density(x, *s)
+    and s the per-point ``states``, broadcast to y's shape, at the same points as x."""
+    dist = cmap.dist_for(base)
+
+    def ratio(yb, *sb):
+        x, w, fz, fd, ok = tr.preimage(cmap.quantile, dist, t, yb)
+        out = np.where(np.isnan(x), np.nan, 0.0)
+        if np.any(ok):
+            s_ok = [s[ok] for s in sb]
+            num = density(w[ok], *s_ok) * fz[ok]
+            den = fd[ok] * density(yb[ok], *s_ok)
+            if np.any(den <= 0):
+                raise NumericError(f"density-ratio denominator underflow at y={yb[ok][den <= 0][:3]}")
+            out[ok] = num / den
+        return out
+
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    out = _blocked(ratio, yv, *(np.broadcast_to(np.asarray(s, dtype=float), yv.shape) for s in states))
     return out if np.ndim(y) else float(out[0])
 
 
@@ -99,7 +118,7 @@ def rn_derivative(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
         raise ParameterError("the density ratio is defined for t > 0")
     if base.is_discrete:
         return _rn_derivative_discrete(cmap, base, t, y)
-    return _ratio(cmap, base, t, y, lambda x, ok: base.pdf(t, x))
+    return _ratio(cmap, base, t, y, lambda x: base.pdf(t, x))
 
 
 def _rn_derivative_discrete(cmap: tr.CompositeMap, base: drv.Driver, t: float, y):
@@ -146,8 +165,7 @@ def conditional_rn(cmap: tr.CompositeMap, base: drv.Driver, s: float, t: float,
         raise ParameterError("conditional ratio needs s < t")
     if s <= 0:
         return rn_derivative(cmap, base, t, y)
-    sv = np.broadcast_to(np.asarray(state, dtype=float), np.atleast_1d(np.asarray(y)).shape)
-    return _ratio(cmap, base, t, y, lambda x, ok: base.transition_pdf(s, t, sv[ok], x))
+    return _ratio(cmap, base, t, y, lambda x, prev: base.transition_pdf(s, t, prev, x), state)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import (Law, TimeFn, TimeParam, _norm_score, _poisson_cdf, _poisson_pmf, _poisson_ppf,
-                    _solve_increasing, as_time_fn)
+from ._util import (Law, TimeFn, TimeParam, _blocked, _norm_score, _poisson_cdf, _poisson_pmf,
+                    _poisson_ppf, _solve_increasing, as_time_fn)
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -52,8 +52,10 @@ __all__ = [
     "tukey_g_gaussian_moments",
 ]
 
-# Newton start table of TukeyGH.x_from_z: |ndtri(u)| < 39 for representable u in (0, 1)
-_GH_NODES = np.linspace(-39.0, 39.0, 1025)
+# Newton start table of TukeyGH.x_from_z: |ndtri(u)| < 39 for representable u in (0, 1).
+# The nodes are uniform in asinh(x), 0.0085 apart near 0 and 0.33 at +-39: near 0 a step
+# converges only within 1e-14 absolute, so the Hermite start needs its densest nodes there
+_GH_NODES = np.sinh(np.linspace(-np.arcsinh(39.0), np.arcsinh(39.0), 1025))
 # below this the skew branch is numerically identical to its g -> 0 limit and
 # subnormal g would underflow inside exp/expm1
 _G_TINY = 1e-150
@@ -153,33 +155,52 @@ class TukeyGH(Law):
             ok = arg > -1.0
             out[ok] = np.log1p(arg[ok]) / g  # log1p stays exact as g -> 0
             return out
-        # h > 0: strictly increasing onto all of R.  Newton runs on
-        # s(x) = asinh(core(x)), which grows only quadratically in x, from the
-        # linear interpolant of s on a node table (the bracket midpoint where a
-        # node's core overflows).  The table's ends reach out to where core
-        # overflows.  A NaN or infinite z is solved as z = A and comes back as itself.
-        shape, zc = zc.shape, zc.ravel()
-        off = ~np.isfinite(zc)
-        target_s = np.arcsinh(np.where(off, 0.0, zc))
+        # h > 0: strictly increasing onto all of R.  Newton runs on s(x) = asinh(core(x)),
+        # which grows only quadratically in x, from the cubic Hermite interpolant of x(s)
+        # on a node table, with slopes dx/ds = 1 / s'(x) at the nodes, clipped into its
+        # bracket (the bracket midpoint where a node's core overflows).  The table's ends
+        # reach out to where core overflows.  A NaN or infinite z is solved as z = A and
+        # comes back as itself.  The table is built once; the points are solved in blocks.
         nodes = np.concatenate([[_gh_overflow_x(_GH_NODES[0], g, h)], _GH_NODES,
                                 [_gh_overflow_x(_GH_NODES[-1], g, h)]])
         with np.errstate(over="ignore", invalid="ignore"):
-            node_s = np.arcsinh(_gh_core(nodes, g, h))
-            k = np.clip(np.searchsorted(node_s, target_s), 1, nodes.size - 1)
-            lo, hi, s0, s1 = nodes[k - 1], nodes[k], node_s[k - 1], node_s[k]
-            w = (target_s - s0) / (s1 - s0)
-            inside = (w >= 0.0) & (w <= 1.0) & np.isfinite(s1 - s0)
-            x = np.where(inside, lo + w * (hi - lo), 0.5 * (lo + hi))
-        del k, s0, s1, w, inside  # freed before the sweeps' own temporaries, so peak memory holds
+            core, slope = _gh_core_slope(nodes, g, h)
+            node_s = np.arcsinh(core)
+            ds, dx = np.diff(node_s), np.diff(nodes)
+            dx_ds = np.hypot(1.0, core) / slope
+            m0, m1 = dx_ds[:-1] * ds, dx_ds[1:] * ds
+            # x = lo + w (dx + (1 - w) (c0 + c1 w)) in w = (s - s_lo) / ds, exact at both nodes
+            c0, c1 = m0 - dx, 2.0 * dx - m0 - m1
 
-        def resid_slope(x, idx):
-            core, dcore = _gh_core_slope(x, g, h)
-            dcore /= np.hypot(1.0, core)
-            return np.subtract(np.arcsinh(core, out=core), target_s[idx], out=core), dcore
+        def solve(zb):
+            off = ~np.isfinite(zb)
+            target_s = np.arcsinh(np.where(off, 0.0, zb))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.all(target_s[1:] >= target_s[:-1]):
+                    k = np.searchsorted(node_s, target_s)
+                else:
+                    # the search predicts its branches on ascending scores; on scores in
+                    # random order, as Monte Carlo states come, it costs twice a sort
+                    order = np.argsort(target_s)
+                    k = np.empty_like(order)
+                    k[order] = np.searchsorted(node_s, target_s[order])
+                k = np.clip(k, 1, nodes.size - 1) - 1
+                lo, hi = nodes[k], nodes[k + 1]
+                w = (target_s - node_s[k]) / ds[k]
+                x = np.clip(lo + w * (dx[k] + (1.0 - w) * (c0[k] + c1[k] * w)), lo, hi)
+            mid = ~np.isfinite(x)
+            x[mid] = 0.5 * (lo[mid] + hi[mid])
 
-        x = _solve_increasing(resid_slope, lo, hi, x, 1.0, "g-and-h inversion")
-        x[off] = zc[off]
-        return x.reshape(shape)
+            def resid_slope(x, idx):
+                core, dcore = _gh_core_slope(x, g, h)
+                dcore /= np.hypot(1.0, core)
+                return np.subtract(np.arcsinh(core, out=core), target_s[idx], out=core), dcore
+
+            x = _solve_increasing(resid_slope, lo, hi, x, 1.0, "g-and-h inversion")
+            x[off] = zb[off]
+            return x
+
+        return _blocked(solve, zc)
 
     def score(self, t, z):
         return self.x_from_z(t, z)

@@ -351,6 +351,41 @@ def test_gamma_law_matches_scipy_stats(shape, scale):
         _same_bits(_gamma_cdf(y0, shape, scale), stats.gamma.cdf(y0, shape, scale=scale))
 
 
+def test_gamma_scores_resolve_the_upper_tail():
+    # above the median the gamma law scores -ndtri(1 - F) and inverts through
+    # gammainccinv: the level F = 1 - e^-y no longer rounds to 1 at y = 40 and 60, and a
+    # score of 9 no longer maps to inf.  Targets from a 50-digit solve
+    gp = d.GammaProcess(1.0, 1.0)
+    np.testing.assert_allclose(gp.score(1.0, np.array([40.0, 60.0])),
+                               [8.5926757184737721, 10.649592384805447], rtol=1e-13)
+    assert float(gp.from_score(1.0, 9.0)) == pytest.approx(43.628149113332114, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.floats(0.7, 50.0), x=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=20))
+def test_gamma_from_score_inverts_score(shape, x):
+    # GammaProcess(a, a) at t = 1 is the gamma law of shape a and scale 1; past a score of
+    # -30 a shape below 0.65 underflows to y = 0.  The score comes back to round-off, and
+    # the value to that round-off carried through from_score
+    gp, x = d.GammaProcess(shape, shape), np.array(x)
+    y = gp.from_score(1.0, x)
+    back = gp.score(1.0, y)
+    dx = 2e-14 * (1.0 + np.abs(x))
+    assert np.all(np.abs(back - x) <= dx)
+    spread = gp.from_score(1.0, x + 2.0 * dx) - gp.from_score(1.0, x - 2.0 * dx)
+    assert np.all(np.abs(gp.from_score(1.0, back) - y) <= spread)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.floats(0.01, 1e4), x=st.floats(-1e150, 1e150))
+@example(shape=1.0, x=40.0)
+def test_gamma_from_score_is_finite_at_every_finite_score(shape, x):
+    # past ndtr(-x) = 1e-300 the upper tail inverts log Q(a, y) = log_ndtr(-x); the value
+    # grows like x^2 / 2, which stays finite while |x| < 1.3e154
+    y = float(d.GammaProcess(shape, shape).from_score(1.0, x))
+    assert math.isfinite(y) and y >= 0.0
+
+
 @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 1.0, 3.7, 20.0, 400.0])
 def test_poisson_law_matches_scipy_stats(mean):
     rng = np.random.default_rng(12)

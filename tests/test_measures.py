@@ -11,6 +11,7 @@ from quantproc import dominance as dm
 from quantproc import drivers as d
 from quantproc import measures as me
 from quantproc import transforms as tr
+from quantproc._util import _BLOCK
 from quantproc.errors import CapabilityError, NumericError, ParameterError
 
 from conftest import ks_critical
@@ -319,6 +320,48 @@ def test_denominator_underflow_raises():
     cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
     with pytest.raises(NumericError):
         me.rn_derivative(cm, bm, 1.0, 40.0)
+
+
+def test_denominator_underflow_raises_from_a_later_block():
+    # the ratio works in blocks of _BLOCK points; the underflow at the last point is
+    # found in the last block
+    y = np.append(np.linspace(-2.0, 2.0, 2 * _BLOCK), 40.0)
+    with pytest.raises(NumericError, match="underflow"):
+        me.rn_derivative(tr.canonical_map(tr.TukeyG(0, 1, 0.5)), d.Brownian(), 1.0, y)
+
+
+def test_conditional_ratio_in_blocks_reads_each_points_state():
+    # across the block edges each point's ratio reads its own state, as a call on its
+    # block alone does
+    ou = d.InhomogeneousOU(0.9, 0.2, 1.1, 0.4)
+    cm = tr.true_law_map(ou, tr.TukeyGH(0.1, 1.2, 0.5, 0.2))
+    rng = np.random.default_rng(3)
+    n = 3 * _BLOCK + 5
+    state, y = rng.normal(0.2, 0.5, n), rng.normal(0.2, 0.8, n)
+    whole = me.conditional_rn(cm, ou, 0.5, 1.0, state, y)
+    parts = [me.conditional_rn(cm, ou, 0.5, 1.0, state[i:i + _BLOCK], y[i:i + _BLOCK])
+             for i in range(0, n, _BLOCK)]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+
+_OU_MAP = tr.true_law_map(d.InhomogeneousOU(0.9, 0.2, 1.1, 0.4), tr.TukeyGH(0.1, 1.2, 0.5, 0.2))
+_GH_LAW = me.DistortedLaw(tr.canonical_map(tr.TukeyGH(0.1, 1.2, 0.5, 0.2)), d.Brownian())
+_BLOCKED_MAPS = {
+    "rn_derivative": lambda y: me.rn_derivative(_GH_LAW.map, _GH_LAW.base, 1.0, y),
+    "conditional_rn": lambda y: me.conditional_rn(_OU_MAP, _OU_MAP.dist, 0.5, 1.0, 0.3, y),
+    "distorted_cdf": lambda y: me.distorted_cdf(_GH_LAW, 1.0, y),
+    "distorted_pdf": lambda y: me.distorted_pdf(_GH_LAW, 1.0, y),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCKED_MAPS))
+def test_blocked_maps_keep_scalar_and_2d_shapes(name):
+    fn = _BLOCKED_MAPS[name]
+    y = np.linspace(-3.0, 3.0, 2 * (_BLOCK + 3)).reshape(2, _BLOCK + 3)
+    flat, square = fn(y.ravel()), fn(y)
+    assert square.shape == y.shape and np.array_equal(square.ravel(), flat)
+    one = fn(float(y[1, 5]))
+    assert isinstance(one, float) and one == pytest.approx(float(square[1, 5]), rel=1e-13)
 
 
 def test_conditional_ratio_normalizes_per_state():

@@ -9,7 +9,7 @@ from scipy import special, stats
 from quantproc import drivers as d
 from quantproc import measures as me
 from quantproc import transforms as tr
-from quantproc._util import _solve_increasing, clip_unit
+from quantproc._util import _BLOCK, _solve_increasing, clip_unit
 from quantproc.errors import CapabilityError, NumericError, ParameterError
 
 from conftest import ks_critical, ks_statistic_uniform
@@ -167,16 +167,78 @@ def test_gh_newton_does_not_stop_on_an_overflowed_slope():
     assert 1e-17 < float(q.cdf(0.0, z)[0]) < 1e-16
 
 
+def _swept_points(calls) -> int:
+    """The points _gh_core_slope evaluated in Newton sweeps: every call after the first,
+    which builds x_from_z's node table."""
+    assert calls[0] == tr._GH_NODES.size + 2
+    return sum(calls[1:])
+
+
 def test_gh_newton_sweeps_a_slow_point_alone(monkeypatch):
     # at x = 37.544 the slope overflows while core does not, so that point bisects
-    # for about 35 sweeps; the other 1e5 converge in 3 and leave the working set
+    # for about 35 sweeps; the other 1e5 converge in 2 and leave the working set, so
+    # the slow point's block does not sweep with it
     calls = _count_core_slope(monkeypatch)
     q = tr.TukeyGH(0.1, 1.2, 0.0, 1.0)
     x = np.append(np.linspace(-8.0, 8.0, 100_000), 37.544)
     back = q.x_from_z(1.0, q.from_score(1.0, x))
-    assert calls.count(x.size) <= 4
+    assert _swept_points(calls) <= 2 * x.size + 40
     assert back[-1] == pytest.approx(x[-1], rel=1e-12)
     np.testing.assert_allclose(back[:-1], x[:-1], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("g, h", [(0.2, 0.1), (0.5, 0.2), (0.8, 0.05), (2.0, 0.4)])
+def test_gh_newton_takes_one_step_and_one_confirmation(monkeypatch, g, h):
+    # from the Hermite start each point takes one Newton step to round-off and one
+    # sweep that confirms it: 2 evaluations per point besides the node table
+    calls = _count_core_slope(monkeypatch)
+    q = tr.TukeyGH(0.1, 1.2, g, h)
+    x = np.linspace(-8.0, 8.0, 100_000)
+    back = q.x_from_z(1.0, q.from_score(1.0, x))
+    assert _swept_points(calls) <= 2 * x.size
+    np.testing.assert_allclose(back, x, rtol=1e-13, atol=1e-13)
+
+
+def test_gh_inverse_in_blocks_keeps_shapes():
+    # x_from_z solves its points in blocks: a scalar, a 1-d and a 2-d z across the
+    # block edges come back in their own shapes with the same values
+    q = tr.TukeyGH(0.1, 1.2, 0.5, 0.2)
+    x = np.linspace(-9.0, 9.0, 3 * _BLOCK + 5)
+    z = q.from_score(1.0, x)
+    flat = q.x_from_z(1.0, z)
+    np.testing.assert_allclose(flat, x, rtol=1e-13, atol=1e-13)
+    square = q.x_from_z(1.0, z[:-5].reshape(3, _BLOCK))
+    assert square.shape == (3, _BLOCK)
+    np.testing.assert_array_max_ulp(square.ravel(), flat[:-5], maxulp=4)
+    one = q.x_from_z(1.0, float(z[7]))
+    assert np.ndim(one) == 0 and float(one) == pytest.approx(x[7], rel=1e-13)
+
+
+def test_gh_inverse_reads_scores_in_any_order():
+    # scores out of order take their start brackets from a search in sorted order; in one
+    # block the points and so every sweep are the same, so the roots are too, bit for bit
+    q = tr.TukeyGH(0.1, 1.2, 0.5, 0.2)
+    z = q.from_score(1.0, np.linspace(-30.0, 30.0, 5000))
+    shuffle = np.random.default_rng(4).permutation(z.size)
+    np.testing.assert_array_equal(q.x_from_z(1.0, z[shuffle]), q.x_from_z(1.0, z)[shuffle])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(-3.0, 3.0), h=st.floats(0.0, 1.0, exclude_min=True),
+       x=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=40))
+def test_gh_inverse_of_a_point_does_not_depend_on_its_batch(g, h, x):
+    # the working set a point shares only decides how long a converged point keeps
+    # stepping.  A step's own round-off is an ulp of s = asinh(core) over s'(x), which
+    # reaches 7 ulps of x near x = 30 as h -> 0; the bound is 4 of each
+    q = tr.TukeyGH(0.0, 1.0, g, h)
+    z = q.from_score(1.0, np.array(x))
+    z = z[np.isfinite(z)]
+    batch = q.x_from_z(1.0, z)
+    alone = np.array([q.x_from_z(1.0, z[i:i + 1])[0] for i in range(z.size)])
+    core, slope = tr._gh_core_slope(alone, g, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_ulp = np.spacing(np.abs(np.arcsinh(core))) * np.hypot(1.0, core) / slope
+    assert np.all(np.abs(batch - alone) <= 4.0 * (np.spacing(np.abs(alone)) + step_ulp))
 
 
 @pytest.mark.parametrize("width, converges", [(4.0, True), (1e300, False)])
@@ -521,10 +583,9 @@ _EMPIRICAL = tr.EmpiricalLaw(np.random.default_rng(5).normal(size=200))
 _ALL_FAMILIES = [tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.4),
                  tr.GaussianLaw(0.2, 2.0), _TABLE_Q, tr.PoissonQuantile(2.5)]
 _PROBABILITY_PATH = (
-    [(law, drv, q) for law, drv in ((_VG, _VG), (_GAMMA, _GAMMA),
-                                    (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
+    [(law, drv, q) for law, drv in ((_VG, _VG), (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
      for q in _ALL_FAMILIES]
-    + [(law, drv, q) for law, drv in ((tr.GaussianLaw(0.1, 0.05), _BM), (_OU, _OU))
+    + [(law, drv, q) for law, drv in ((_GAMMA, _GAMMA), (tr.GaussianLaw(0.1, 0.05), _BM), (_OU, _OU))
        for q in (_TABLE_Q, tr.PoissonQuantile(2.5))])
 
 
@@ -538,6 +599,18 @@ def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
     z = tr.apply_composite(tr.CompositeMap(dist=law, quantile=q), ens).paths
     for k, t in enumerate(ens.grid.times):
         assert np.array_equal(z[:, k], q.quantile(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
+
+
+@pytest.mark.parametrize("q", _ALL_FAMILIES[:3], ids=lambda q: q.family)
+def test_composite_over_gamma_reads_its_split_score(q):
+    # the gamma law scores its upper half by -ndtri(1 - F), so a score-native Q composes
+    # from_score(score(y)), which keeps resolving y where the clamped level F saturates
+    ens = d.simulate(_GAMMA, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
+    z = tr.apply_composite(tr.CompositeMap(dist=_GAMMA, quantile=q), ens).paths
+    for k, t in enumerate(ens.grid.times):
+        assert np.array_equal(z[:, k], q.from_score(t, _GAMMA.score(t, ens.paths[:, k])))
+    tail = q.compose(1.0, _GAMMA, np.array([40.0, 50.0, 60.0]))
+    assert np.all(np.isfinite(tail)) and np.all(np.diff(tail) > 0)
 
 
 def test_driver_law_takes_no_shift():
