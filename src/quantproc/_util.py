@@ -197,8 +197,9 @@ def _gamma_score(y, a, s):
 
 def _gamma_from_score(z, a, s):
     z = np.asarray(z, dtype=float)
-    out = np.where(z <= 0.0, special.gammaincinv(a, special.ndtr(z)),
-                   special.gammainccinv(a, special.ndtr(-z)))
+    out, lower = np.empty_like(z), z <= 0.0
+    out[lower] = special.gammaincinv(a, special.ndtr(z[lower]))
+    out[~lower] = special.gammainccinv(a, special.ndtr(-z[~lower]))
     log_q = special.log_ndtr(-z)
     far = (z > 0.0) & (log_q < _LOG_TINY) & np.isfinite(log_q)
     if np.any(far):

@@ -262,6 +262,7 @@ class GaussianCopula(CopulaSpec):
         u = _check_u(u, self.dim)
         single = u.ndim == 1
         pts = np.atleast_2d(u)
+        z = np.clip(special.ndtri(pts), -_SCORE_CAP, _SCORE_CAP)
         if self.dim == 2:
             rho = float(self.corr[0, 1])
             u1, u2 = pts[:, 0], pts[:, 1]
@@ -270,11 +271,9 @@ class GaussianCopula(CopulaSpec):
             elif rho <= -1.0:
                 out = np.maximum(u1 + u2 - 1.0, 0.0)
             else:
-                z = np.clip(special.ndtri(pts), -_SCORE_CAP, _SCORE_CAP)
                 out = _bivariate_normal_cdf(z[:, 0], z[:, 1], rho)
         else:
             from scipy import stats
-            z = stats.norm.ppf(clip_unit(pts))
             mvn = stats.multivariate_normal(mean=np.zeros(self.dim), cov=self.corr,
                                             allow_singular=True)
             # quasi-Monte-Carlo normal integration; accuracy ~1e-6 at default settings

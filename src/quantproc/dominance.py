@@ -313,23 +313,17 @@ def sosd_sufficient_conditions(map1: tr.CompositeMap, map2: tr.CompositeMap, t: 
 def state_dependent_tukey_g_cdf(g_below: float, g_above: float) -> Callable:
     """CDF of a canonical Tukey-g process whose skew switches sign regimes at 0.
 
-    Uses g_below on z <= 0 and g_above on z > 0; the two pieces agree at the
-    median so the CDF is continuous.
+    The CDF of TukeyG(0, 1, g_below) on z <= 0 and of TukeyG(0, 1, g_above) on
+    z > 0; the two pieces agree at the median so the CDF is continuous.
     """
     for name, g in (("g_below", g_below), ("g_above", g_above)):
         if not g > 0:
             raise ParameterError(f"{name} must be positive")
+    below, above = tr.TukeyG(0.0, 1.0, g_below), tr.TukeyG(0.0, 1.0, g_above)
 
     def cdf(z):
         z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        neg = z <= 0.0
-        ga = np.where(neg, g_below, g_above)
-        arg = ga * z + 1.0
-        ok = arg > 0
-        out[~ok] = 0.0
-        out[ok] = special.ndtr(np.log(arg[ok]) / ga[ok])
-        return out
+        return np.where(z <= 0.0, below.cdf(1.0, z), above.cdf(1.0, z))
 
     return cdf
 

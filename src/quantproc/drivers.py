@@ -118,7 +118,6 @@ class Driver(Law):
     """
 
     kind: str = "abstract"
-    is_gaussian: bool = False
 
     def initial_value(self) -> float:
         return 0.0
@@ -160,7 +159,6 @@ class GaussianDriver(Driver):
     and ``_transition_mean_std(s, t, states)``; every law and sampler follows.
     """
 
-    is_gaussian = True
     score = Law.score  # exact and affine in y: no level is formed
 
     def normal_at(self, t):
@@ -653,12 +651,20 @@ class InhomogeneousPoisson(Driver):
         self._cache[key] = bound
         return bound
 
-    def cumulative_intensity(self, t: float) -> float:
-        key = ("cum", t)
+    def _mean(self, s: float, t: float) -> float:
+        """lambda integrated over (s, t]: intensity * (t - s) for a constant intensity,
+        else by quadrature over (s, t] itself, since a difference of cumulative
+        intensities can come out a round-off below zero where lambda vanishes on the
+        step; memoised, so a path count drawn in blocks integrates once."""
+        if not callable(self.intensity):
+            return float(self.intensity) * (t - s)
+        key = ("step", s, t)
         if key not in self._cache:
-            lam = as_time_fn(self.intensity)
-            self._cache[key] = adaptive_quad(lam, 0.0, t, what="cumulative intensity")
+            self._cache[key] = adaptive_quad(self.intensity, s, t, what="intensity integral")
         return self._cache[key]
+
+    def cumulative_intensity(self, t: float) -> float:
+        return self._mean(0.0, t)
 
     def sample_events(self, rng: np.random.Generator, t_max: float) -> np.ndarray:
         """Event times on (0, t_max] by thinning against the intensity supremum."""
@@ -672,15 +678,8 @@ class InhomogeneousPoisson(Driver):
         return cand[accept]
 
     def sample_transition(self, rng, s, t, states):
-        # integrate over (s, t] itself: a difference of cumulative intensities
-        # can come out a round-off below zero where lambda vanishes on the step;
-        # memoised, so a path count drawn in blocks integrates once
-        key = ("step", s, t)
         try:
-            if key not in self._cache:
-                lam = as_time_fn(self.intensity)
-                self._cache[key] = adaptive_quad(lam, s, t, what="intensity integral")
-            return np.asarray(states, dtype=float) + rng.poisson(self._cache[key],
+            return np.asarray(states, dtype=float) + rng.poisson(self._mean(s, t),
                                                                  size=np.shape(states))
         except (NumericError, ValueError) as exc:
             raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
@@ -699,6 +698,9 @@ class InhomogeneousPoisson(Driver):
 
     def pdf(self, t, y):
         raise CapabilityError("the Poisson driver is discrete; use pmf")
+
+    def support(self, t):
+        return 0.0, np.inf
 
 
 def step_grid(times: np.ndarray, states: np.ndarray,

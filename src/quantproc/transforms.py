@@ -25,8 +25,7 @@ import numpy as np
 from scipy import special
 
 from . import drivers as drv
-from ._util import (Law, TimeFn, TimeParam, _blocked, _norm_score, _poisson_cdf, _poisson_pmf,
-                    _poisson_ppf, _solve_increasing, as_time_fn)
+from ._util import Law, TimeFn, TimeParam, _blocked, _norm_score, _solve_increasing, as_time_fn
 from .errors import CapabilityError, NumericError, ParameterError
 
 __all__ = [
@@ -236,39 +235,27 @@ class TukeyG(TukeyGH):
             raise ParameterError("TukeyG requires g != 0 (use TukeyGH for the g = 0 limit)")
 
 
-@dataclass(frozen=True)
-class PoissonQuantile(Law):
-    """Quantile function of a Poisson count with mean rate * t.
+class PoissonQuantile(drv.InhomogeneousPoisson):
+    """Quantile function of a Poisson count with mean rate * t: the law of the
+    homogeneous Poisson driver of intensity ``rate``.
 
     The discrete hook of the composite map: step outputs on the integers.
     Only the Poisson-pivot composite uses it; continuous families stay the
     default everywhere else.
     """
 
-    rate: float = 1.0
-
     family = "PoissonQuantile"
-    is_discrete = True
-    level_native = True
+
+    def __init__(self, rate: float = 1.0):
+        drv.InhomogeneousPoisson.__init__(self, intensity=rate)
+
+    @property
+    def rate(self) -> float:
+        return self.intensity
 
     def validate(self, t: float = 1.0) -> None:
         if not self.rate > 0:
             raise ParameterError("Poisson quantile rate must be positive")
-
-    def quantile(self, t, u):
-        return _poisson_ppf(u, self.rate * t)
-
-    def cdf(self, t, z):
-        return _poisson_cdf(z, self.rate * t)
-
-    def pmf(self, t, k):
-        return _poisson_pmf(k, self.rate * t)
-
-    def pdf(self, t, z):
-        raise CapabilityError("the Poisson quantile family is discrete; use pmf")
-
-    def support(self, t):
-        return 0.0, np.inf
 
 
 @dataclass(frozen=True)
@@ -379,7 +366,8 @@ def DriverLaw(driver: drv.Driver) -> drv.Driver:
 
 @dataclass(frozen=True)
 class ShiftedDriverLaw(Law):
-    """A driver's law evaluated on shifted arguments, F(t, y) = F_Y(t, y - shift).
+    """A driver's law evaluated on shifted arguments, F(t, y) = F_Y(t, y - shift):
+    each map reads the driver's own at y - shift.
 
     With shift in [0, 1] this realizes a relativized distortion: larger shifts
     move probability mass upward and lower the composed quantile level of any
@@ -395,14 +383,11 @@ class ShiftedDriverLaw(Law):
         if not 0.0 <= self.shift <= 1.0:
             raise ParameterError(f"shift must lie in [0, 1], got {self.shift}")
 
-    def normal_at(self, t):
-        normal = self.driver.normal_at(t)
-        return None if normal is None else (normal[0] + self.shift, normal[1])
-
     def score(self, t, y):
-        if self.driver.is_gaussian:
-            return super().score(t, y)
         return self.driver.score(t, np.asarray(y, dtype=float) - self.shift)
+
+    def from_score(self, t, x):
+        return self.driver.from_score(t, x) + self.shift
 
     def cdf(self, t, y):
         return self.driver.cdf(t, np.asarray(y, dtype=float) - self.shift)
@@ -432,7 +417,7 @@ class PivotLaw(Law):
     family = "Pivot"
 
     def __post_init__(self):
-        if not self.driver.is_gaussian:
+        if not isinstance(self.driver, drv.GaussianDriver):
             raise CapabilityError(f"pivot standardization is implemented for Gaussian-marginal "
                                   f"drivers, not {self.driver.kind}")
 

@@ -491,6 +491,10 @@ def test_poisson_counts_match_poisson_law():
     assert np.all(np.diff(ens.paths, axis=1) >= 0)
 
 
+def test_poisson_support_is_the_counts():
+    assert d.InhomogeneousPoisson(2.0).support(1.0) == (0.0, math.inf)
+
+
 def test_poisson_pivot_identity_and_square_map():
     events = np.array([0.4, 1.1, 3.0])
     out = d.poisson_pivot(2.0, 2.0, events)
@@ -588,6 +592,23 @@ def test_poisson_step_integral_is_memoised(monkeypatch):
     assert calls == [(0.25, 1.0)]
     assert lam._cache[("step", 0.25, 1.0)] == quad(lambda t: 1.0 + t * t, 0.25, 1.0)
     assert np.array_equal(np.concatenate(two), one)
+
+
+def test_constant_poisson_intensity_integrates_exactly(monkeypatch):
+    # a constant intensity integrates to intensity * (t - s), with no quadrature
+    calls = []
+    quad = d.adaptive_quad
+
+    def counted(f, a, b, **kw):
+        calls.append((a, b))
+        return quad(f, a, b, **kw)
+
+    monkeypatch.setattr(d, "adaptive_quad", counted)
+    lam = d.InhomogeneousPoisson(intensity=2.0)
+    assert lam.cumulative_intensity(0.7) == 2.0 * 0.7
+    counts = lam.sample_transition(np.random.default_rng(3), 0.25, 1.0, np.zeros(1000))
+    assert np.array_equal(counts, np.random.default_rng(3).poisson(1.5, 1000))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
 every module-level private function, class and constant; no law's quantile is
-evaluated at a level ndtr(x) formed outside ``Law.from_score``; no driver's law
-is read through the older ``marginal_*`` names; and a cold start loads none of
-the heavy scipy submodules."""
+evaluated at a level ndtr(x) formed outside ``Law.from_score``; ``clip_unit`` is
+called only at its known sites; no driver's law is read through the older
+``marginal_*`` names; and a cold start loads none of the heavy scipy submodules."""
 
 import ast
 import json
@@ -88,6 +88,20 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def function_scopes(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """(name, node) of each module-level function and each method, as ``Class.method``."""
+    scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    scopes += [(f"{c.name}.{n.name}", n) for c in tree.body if isinstance(c, ast.ClassDef)
+               for n in c.body if isinstance(n, ast.FunctionDef)]
+    return scopes
+
+
+def calls_to(name: str, node: ast.AST) -> list[ast.Call]:
+    """The calls in ``node`` of a function called ``name``, bare or as an attribute."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
 def level_round_trips(source: str) -> list[str]:
     """``.quantile(`` calls fed a level built by ``ndtr``: in an argument, or through a
     name that the function, nested functions included, assigns from an expression holding
@@ -95,15 +109,11 @@ def level_round_trips(source: str) -> list[str]:
     tree = ast.parse(source)
 
     def holds(node, names) -> bool:
-        return any((isinstance(n, ast.Call) and "ndtr" in (getattr(n.func, "id", None),
-                                                           getattr(n.func, "attr", None)))
-                   or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
+        return bool(calls_to("ndtr", node)) or any(
+            isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
 
-    scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
-    scopes += [(f"{c.name}.{n.name}", n) for c in tree.body if isinstance(c, ast.ClassDef)
-               for n in c.body if isinstance(n, ast.FunctionDef)]
     found = []
-    for name, fn in scopes:
+    for name, fn in function_scopes(tree):
         if name == "Law.from_score":
             continue
         levels = {t.id for a in ast.walk(fn)
@@ -144,6 +154,46 @@ def test_detector_finds_a_level_round_trip():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_level_round_trips(path):
     assert level_round_trips(path.read_text()) == []
+
+
+def clip_unit_sites(source: str) -> list[str]:
+    """The scope of each ``clip_unit(`` call, once per call: its function or method, else
+    ``<module>``."""
+    tree = ast.parse(source)
+    sites = [name for name, fn in function_scopes(tree) for _ in calls_to("clip_unit", fn)]
+    return sorted(sites + ["<module>"] * (len(calls_to("clip_unit", tree)) - len(sites)))
+
+
+def test_detector_finds_each_clip_unit_call():
+    source = textwrap.dedent("""\
+        from ._util import clip_unit
+        EDGE = clip_unit(0.0)
+
+        class Law:
+            def cdf(self, t, y):
+                return clip_unit(self.raw(t, y))
+
+        def sample(c, rng):
+            def draw(n):
+                return _util.clip_unit(c.sample(n, rng))
+            return draw(1), clip_unit(draw(2))
+        """)
+    assert clip_unit_sites(source) == ["<module>", "Law.cdf", "sample", "sample"]
+
+
+#: the probabilities still clamped into (0, 1): each site goes once its law scores and
+#: inverts in its own tails, and no new one may come
+CLIP_UNIT_SITES = {
+    "_util.py": ["Law.compose"],
+    "copulas.py": ["apply_multi_composite", "simulate_joint_terminal"],
+    "drivers.py": ["Driver.score", "GammaProcess.transition_from_score", "VarianceGamma.quantile",
+                   "uniformize"],
+}
+
+
+def test_clip_unit_has_only_its_known_sites():
+    sites = {path.name: clip_unit_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == CLIP_UNIT_SITES
 
 
 #: the older names of a driver's marginal law, kept only for the benchmark's own callers

@@ -439,6 +439,19 @@ def test_poisson_quantile_steps():
     assert float(q.cdf(1.0, 1.0)) == pytest.approx(stats.poisson.cdf(1, 2.0))
 
 
+def test_poisson_quantile_is_the_homogeneous_poisson_driver():
+    q, lam = tr.PoissonQuantile(2.5), d.InhomogeneousPoisson(2.5)
+    assert isinstance(q, d.InhomogeneousPoisson) and q.rate == 2.5
+    u = np.array([0.0, 0.05, 0.5, 0.97, 1.0, np.nan])
+    k = np.array([-1.0, 0.0, 2.0, 2.5, 7.0, np.inf, np.nan])
+    for t in (0.3, 1.0, 2.9):
+        for name, arg in (("cdf", k), ("quantile", u), ("pmf", k)):
+            assert np.array_equal(getattr(q, name)(t, arg), getattr(lam, name)(t, arg), equal_nan=True)
+    for law in (q, lam):
+        with pytest.raises(ParameterError):
+            law.cdf(0.5 * d.MIN_TIME, k)
+
+
 # ---------------------------------------------------------------------------
 # composite maps
 # ---------------------------------------------------------------------------
@@ -585,7 +598,8 @@ _ALL_FAMILIES = [tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.4),
 _PROBABILITY_PATH = (
     [(law, drv, q) for law, drv in ((_VG, _VG), (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
      for q in _ALL_FAMILIES]
-    + [(law, drv, q) for law, drv in ((_GAMMA, _GAMMA), (tr.GaussianLaw(0.1, 0.05), _BM), (_OU, _OU))
+    + [(law, drv, q) for law, drv in ((_GAMMA, _GAMMA), (tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA),
+                                      (tr.GaussianLaw(0.1, 0.05), _BM), (_OU, _OU))
        for q in (_TABLE_Q, tr.PoissonQuantile(2.5))])
 
 
@@ -604,13 +618,15 @@ def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
 @pytest.mark.parametrize("q", _ALL_FAMILIES[:3], ids=lambda q: q.family)
 def test_composite_over_gamma_reads_its_split_score(q):
     # the gamma law scores its upper half by -ndtri(1 - F), so a score-native Q composes
-    # from_score(score(y)), which keeps resolving y where the clamped level F saturates
+    # from_score(score(y)), which keeps resolving y where the clamped level F saturates;
+    # the shifted gamma law reads the same score at y - shift
     ens = d.simulate(_GAMMA, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
     z = tr.apply_composite(tr.CompositeMap(dist=_GAMMA, quantile=q), ens).paths
     for k, t in enumerate(ens.grid.times):
         assert np.array_equal(z[:, k], q.from_score(t, _GAMMA.score(t, ens.paths[:, k])))
-    tail = q.compose(1.0, _GAMMA, np.array([40.0, 50.0, 60.0]))
-    assert np.all(np.isfinite(tail)) and np.all(np.diff(tail) > 0)
+    for law in (_GAMMA, tr.ShiftedDriverLaw(_GAMMA, 0.5)):
+        tail = q.compose(1.0, law, np.array([40.0, 50.0, 60.0]))
+        assert np.all(np.isfinite(tail)) and np.all(np.diff(tail) > 0)
 
 
 def test_driver_law_takes_no_shift():
@@ -637,6 +653,16 @@ def test_driver_law_is_the_shifted_law_at_zero(drv):
 # ---------------------------------------------------------------------------
 # score maps
 # ---------------------------------------------------------------------------
+
+def test_shifted_gamma_law_inverts_in_the_gamma_tail():
+    # the shifted law inverts through the gamma driver's own from_score, which stays
+    # finite where the level ndtr(x) rounds to 1
+    gamma = d.GammaProcess(1.0, 1.0)
+    law, x = tr.ShiftedDriverLaw(gamma, 0.5), np.array([9.0, 20.0])
+    w = law.from_score(1.0, x)
+    assert np.all(np.isfinite(w)) and np.array_equal(w, gamma.from_score(1.0, x) + 0.5)
+    np.testing.assert_allclose(law.score(1.0, w), x, rtol=1e-12, atol=0.0)
+
 
 #: the empirical law inverts strictly between its outermost knot levels 0.5/n and
 #: 1 - 0.5/n; from_score sends the scores at and past them to -inf and +inf
