@@ -1,7 +1,7 @@
 """Small shared helpers: time-dependent parameters, RNG substreams, quadrature,
-the normal, gamma and Poisson laws, and the ``Law`` base that drivers,
-quantile families and distribution laws share.  Module level imports only
-numpy and ``scipy.special``; heavier submodules are imported inside their callers."""
+the normal law, and the ``Law`` base that drivers, quantile families and
+distribution laws share.  Module level imports only numpy and ``scipy.special``;
+heavier submodules are imported inside their callers."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ TimeParam = Union[float, int, TimeFn]
 
 #: open-interval clamp used when a probability must stay strictly inside (0, 1)
 U_EPS = 1e-15
+#: the smallest positive float, the tail level of a finite score where ndtr underflows
+_SMALLEST = math.ulp(0.0)
 #: the 8-node Gauss-Legendre rule on [0, 1]
 _GL_R, _GL_W = special.roots_legendre(8)
 _GL_R, _GL_W = (_GL_R + 1.0) / 2.0, _GL_W / 2.0
@@ -140,104 +142,6 @@ def _norm_pdf(y, m, sd):
     return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
 
 
-# the gamma law of shape a and scale s and the Poisson law of mean mu: scipy.stats'
-# own special-function forms, with its values off the support and at the unit edges,
-# except that the densities are 0 at +inf, where scipy.stats gives NaN
-def _gamma_cdf(y, a, s):
-    x = np.asarray(y, dtype=float) / s
-    return np.where(x < 0, 0.0, special.gammainc(a, x))[()]
-
-
-def _gamma_pdf(y, a, s):
-    x = np.asarray(y, dtype=float) / s
-    with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where the density is 0
-        log_pdf = special.xlogy(a - 1.0, x) - x - special.gammaln(a)
-    return np.where((x < 0) | np.isinf(x), 0.0, np.exp(log_pdf) / s)[()]
-
-
-def _gamma_ppf(u, a, s):
-    return special.gammaincinv(a, np.asarray(u, dtype=float)) * s
-
-
-# the gamma law's normal scores, split at the median: ndtri(F) below it and -ndtri(1 - F)
-# above it.  Past Q(a, x) = 1e-300 the upper tail runs in log space, so no score or
-# value saturates there.
-_LOG_TINY = math.log(1e-300)
-
-
-def _gamma_log_sf(x, a):
-    """(log Q(a, x), x cf) for x past the median, from the Legendre continued fraction
-    Gamma(a, x) = e^-x x^a cf(x) by modified Lentz; d log Q / dx = -1 / (x cf)."""
-    b = x + 1.0 - a
-    c, d = np.full_like(x, 1e300), 1.0 / b
-    cf = d.copy()
-    for i in range(1, 2000):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        step = d * c
-        cf *= step
-        if np.all(np.abs(step - 1.0) <= 1e-15):
-            break
-    else:
-        raise NumericError(f"gamma tail continued fraction at shape {a} did not converge")
-    return a * np.log(x) - x + np.log(cf) - special.gammaln(a), x * cf
-
-
-def _gamma_score(y, a, s):
-    x = np.maximum(np.asarray(y, dtype=float) / s, 0.0)
-    below, above = special.gammainc(a, x), special.gammaincc(a, x)
-    out = np.where(below <= 0.5, special.ndtri(below), -special.ndtri(above))
-    far = (above < 1e-300) & (x < np.inf)
-    if np.any(far):
-        out[far] = -special.ndtri_exp(_gamma_log_sf(x[far], a)[0])
-    return out[()]
-
-
-def _gamma_from_score(z, a, s):
-    z = np.asarray(z, dtype=float)
-    out, lower = np.empty_like(z), z <= 0.0
-    out[lower] = special.gammaincinv(a, special.ndtr(z[lower]))
-    out[~lower] = special.gammainccinv(a, special.ndtr(-z[~lower]))
-    log_q = special.log_ndtr(-z)
-    far = (z > 0.0) & (log_q < _LOG_TINY) & np.isfinite(log_q)
-    if np.any(far):
-        log_q = log_q[far]
-        # past lo, where Q = 1e-300, log Q falls at a rate of at least rho per unit
-        lo = special.gammainccinv(a, 1e-300)
-        rho = min(1.0, (lo - a + 1.0) / lo)
-        lo, hi = np.full_like(log_q, lo), lo + (_LOG_TINY - log_q) / rho * 1.01
-
-        def resid_slope(x, idx):
-            log_sf, x_cf = _gamma_log_sf(x, a)
-            return log_q[idx] - log_sf, 1.0 / x_cf
-
-        out[far] = _solve_increasing(resid_slope, lo, hi, 0.5 * (lo + hi), 0.0, "gamma upper tail")
-    return (out * s)[()]
-
-
-def _poisson_cdf(y, mu):
-    k = np.floor(np.asarray(y, dtype=float))
-    return np.select([k < 0, np.isnan(k)], [0.0, np.nan], special.pdtr(k, mu))[()]
-
-
-def _poisson_pmf(k, mu):
-    k = np.asarray(k, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf at k = inf, where the mass is 0
-        log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
-    return np.where((k < 0) | (np.floor(k) < k) | np.isinf(k), 0.0, np.exp(log_pmf))[()]
-
-
-def _poisson_ppf(u, mu):
-    """Smallest integer k with CDF(k) >= u: -1 at u = 0, inf at u = 1, NaN off [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    k = np.ceil(special.pdtrik(u, mu))
-    below = np.maximum(k - 1, 0)
-    k = np.where(special.pdtr(below, mu) >= u, below, k)
-    return np.select([u == 0, u == 1, (u > 0) & (u < 1)], [-1.0, np.inf, k], np.nan)[()]
-
-
 # ---------------------------------------------------------------------------
 # the law type
 # ---------------------------------------------------------------------------
@@ -249,8 +153,11 @@ class Law:
     A law gives one primitive and derives the rest: ``normal_at`` for a normal law;
     ``score`` and ``from_score`` for a score-native law, whose ``cdf`` is ndtr(score)
     and ``quantile`` is from_score(ndtri(u)); or ``cdf`` and ``quantile`` for a
-    level-native law, whose scores pass through the level.  A driver is the law of
-    its own marginal Y_t; quantile families and distribution laws live in ``transforms``.
+    level-native law, whose scores pass through the level, split at the median: the
+    CDF below it and the survival function ``sf`` above it, inverted by ``quantile``
+    and ``isf``.  A law with a survival function of its own gives ``sf`` and ``isf``
+    too.  A driver is the law of its own marginal Y_t; quantile families and
+    distribution laws live in ``transforms``.
     """
 
     family: str = "abstract"
@@ -268,21 +175,33 @@ class Law:
         return None
 
     def score(self, t: float, z) -> np.ndarray:
-        """Normal score ndtri(cdf) of z, +-inf off the law's range; exact and affine
-        for a normal law."""
+        """Normal score of z, +-inf off the law's range: exact and affine for a normal
+        law, else ndtri(cdf) below the median and -ndtri(sf) from it on, each point read
+        in its own tail only."""
         normal = self.normal_at(t)
-        if normal is None:
-            return special.ndtri(self.cdf(t, z))
-        return _norm_score(z, *normal)
+        if normal is not None:
+            return _norm_score(z, *normal)
+        z = np.asarray(z, dtype=float)
+        out, upper = np.empty(z.shape), z >= self.quantile(t, 0.5)
+        out[~upper] = special.ndtri(self.cdf(t, z[~upper]))
+        out[upper] = -special.ndtri(self.sf(t, z[upper]))
+        return out[()]
 
     def from_score(self, t: float, x) -> np.ndarray:
-        """The inverse of ``score``: m + sd x for a normal law, else quantile(ndtr(x)),
-        the one place a level is formed from a score."""
+        """The inverse of ``score``: m + sd x for a normal law, else quantile(ndtr(x)) for
+        x <= 0 and isf(ndtr(-x)) for x > 0, the one place a level is formed from a score.
+        A finite x has a positive tail level: where ndtr(-|x|) underflows it is the
+        smallest positive float, so only x = +-inf reads the support's ends."""
         normal = self.normal_at(t)
-        if normal is None:
-            return self.quantile(t, special.ndtr(x))
-        m, sd = normal
-        return m + sd * np.asarray(x, dtype=float)
+        if normal is not None:
+            m, sd = normal
+            return m + sd * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        tail = np.maximum(special.ndtr(-np.abs(x)), np.where(np.abs(x) < np.inf, _SMALLEST, 0.0))
+        out, upper = np.empty(x.shape), x > 0.0
+        out[~upper] = self.quantile(t, tail[~upper])
+        out[upper] = self.isf(t, tail[upper])
+        return out[()]
 
     def cdf(self, t: float, z) -> np.ndarray:
         return special.ndtr(self.score(t, z))
@@ -295,6 +214,14 @@ class Law:
             out = self.from_score(t, special.ndtri(u))
         lo, hi = self.support(t)
         return np.where(u == 0.0, lo, np.where(u == 1.0, hi, out))
+
+    def sf(self, t: float, z) -> np.ndarray:
+        """The survival function 1 - cdf."""
+        return 1.0 - self.cdf(t, z)
+
+    def isf(self, t: float, q) -> np.ndarray:
+        """The inverse of ``sf``: quantile(1 - q)."""
+        return self.quantile(t, 1.0 - np.asarray(q, dtype=float))
 
     def pdf(self, t: float, z) -> np.ndarray:
         return _norm_pdf(z, *self.normal_at(t))

@@ -8,11 +8,14 @@ Poisson event times on a continuous horizon are drawn by thinning.
 
 Every driver is a ``Law``, the law of its own marginal Y_t, with the
 ``cdf``/``pdf``/``quantile``/``score``/``from_score`` maps of every other law; a
-Gaussian driver gives only ``normal_at`` and the rest follow.  The marginal laws
-are exact too.  The variance-gamma law uses its Bessel-K density, which has a
-cusp at y = 0 (infinite when t/nu <= 1/2); its CDF and quantile integrate that
-density on a panel table built once per time.  Marginal laws are defined on
-t >= MIN_TIME.
+Gaussian driver gives only ``normal_at`` and the rest follow.  The others give
+their CDF and survival function ``sf`` and the inverses ``quantile`` and
+``isf``, which ``Law`` splits at the median into scores.  The marginal laws are
+exact too.  The variance-gamma law uses its Bessel-K density, which has a cusp
+at y = 0 (infinite when t/nu <= 1/2); its CDF and quantile integrate that
+density on a panel table built once per time, and its survival side reads the
+same table reflected.  Marginal laws are defined on t >= MIN_TIME, which each
+driver checks once, where it forms its parameters at t.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeParam, _gamma_cdf, _gamma_from_score, _gamma_pdf,
-                    _gamma_ppf, _gamma_score, _norm_pdf, _poisson_cdf, _poisson_pmf, _poisson_ppf,
-                    _solve_increasing, adaptive_quad, as_time_fn, clip_unit, substream)
+from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeFn, TimeParam, _norm_pdf, _solve_increasing,
+                    adaptive_quad, as_time_fn, clip_unit, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -127,10 +129,6 @@ class Driver(Law):
         """Draw Y_t given Y_s = states (exact transition law)."""
         raise NotImplementedError
 
-    def score(self, t: float, y) -> np.ndarray:
-        """ndtri of the level F(t, y) clamped into (0, 1); a Gaussian driver's is exact."""
-        return special.ndtri(clip_unit(self.cdf(t, y)))
-
     # the older names of the marginal law's maps, which perfbench still reads
     def marginal_cdf(self, t: float, y) -> np.ndarray:
         return self.cdf(t, y)
@@ -158,8 +156,6 @@ class GaussianDriver(Driver):
     Subclasses give the means and standard deviations, ``marginal_mean_std(t)``
     and ``_transition_mean_std(s, t, states)``; every law and sampler follows.
     """
-
-    score = Law.score  # exact and affine in y: no level is formed
 
     def normal_at(self, t):
         _check_time(t)
@@ -196,6 +192,13 @@ def _check_step(s: float, t: float) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not (value > 0) or not math.isfinite(value):
         raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _memo_quad(cache: dict, key, f: TimeFn, a: float, b: float, what: str) -> float:
+    """adaptive_quad(f, a, b), computed once per ``key`` of ``cache``."""
+    if key not in cache:
+        cache[key] = adaptive_quad(f, a, b, what=what)
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -244,27 +247,18 @@ class InhomogeneousOU(GaussianDriver):
 
     # cumulative integrals of the marginal law ------------------------------
     def _theta_int(self, t: float) -> float:
-        key = ("th", t)
-        if key not in self._cache:
-            th = as_time_fn(self.theta)
-            self._cache[key] = adaptive_quad(th, 0.0, t, what="OU mean-reversion integral")
-        return self._cache[key]
+        return _memo_quad(self._cache, ("th", t), as_time_fn(self.theta), 0.0, t,
+                          "OU mean-reversion integral")
 
     def _drift_int(self, t: float) -> float:
-        key = ("dr", t)
-        if key not in self._cache:
-            th, mu = as_time_fn(self.theta), as_time_fn(self.mu)
-            f = lambda s: math.exp(self._theta_int(s)) * th(s) * mu(s)
-            self._cache[key] = adaptive_quad(f, 0.0, t, what="OU drift integral")
-        return self._cache[key]
+        th, mu = as_time_fn(self.theta), as_time_fn(self.mu)
+        return _memo_quad(self._cache, ("dr", t), lambda s: math.exp(self._theta_int(s)) * th(s) * mu(s),
+                          0.0, t, "OU drift integral")
 
     def _var_int(self, t: float) -> float:
-        key = ("va", t)
-        if key not in self._cache:
-            sg = as_time_fn(self.sigma)
-            f = lambda s: math.exp(2.0 * self._theta_int(s)) * sg(s) ** 2
-            self._cache[key] = adaptive_quad(f, 0.0, t, what="OU variance integral")
-        return self._cache[key]
+        sg = as_time_fn(self.sigma)
+        return _memo_quad(self._cache, ("va", t), lambda s: math.exp(2.0 * self._theta_int(s)) * sg(s) ** 2,
+                          0.0, t, "OU variance integral")
 
     def marginal_mean_std(self, t):
         decay = math.exp(-self._theta_int(t))
@@ -373,7 +367,7 @@ class _VGLaw:
         finite = np.isfinite(y)
         with np.errstate(over="ignore"):  # +inf within a few ulps of a singular cusp
             out[finite] = np.exp(self.log_pdf(y[finite]))
-        return out
+        return out[()]
 
     def _gl(self, lo: np.ndarray, d: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """Integral of f(sign y) over y in [lo, lo + d], one Gauss-Legendre rule per point."""
@@ -415,34 +409,43 @@ class _VGLaw:
     def _in_cusp(self, k: np.ndarray, cusp: int) -> np.ndarray:
         return (k == cusp) | (k == cusp - 1) if self.cusp_rule is not None else np.zeros(k.shape, bool)
 
-    def cdf(self, y: np.ndarray) -> np.ndarray:
-        """F_t at 1-d y; round-off reversals between close points are removed by a
-        running maximum along sorted y, so F is non-decreasing in floating point."""
-        edges, cum, _, cusp = self.table
-        order = np.argsort(y, kind="stable")
-        ys = y[order]
+    def _read(self, sign: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """(edges, mass left of each edge, cusp index) of the table of sign * Y_t: for
+        sign = -1 the table reflected, edges -e[::-1] with the masses right of each edge."""
+        edges, cum, right, cusp = self.table
+        if sign < 0:
+            return -edges[::-1], right[::-1], edges.size - 1 - cusp
+        return edges, cum, cusp
+
+    def cdf(self, y: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """The CDF of sign * Y_t at y, so that sign = -1 gives the survival function at
+        -y; round-off reversals between close points are removed by a running maximum
+        along sorted y, so the CDF is non-decreasing in floating point."""
+        edges, cum, cusp = self._read(sign)
+        order = np.argsort(y, axis=None, kind="stable")
+        ys = y.ravel()[order]
         k = np.searchsorted(edges, ys, side="right") - 1
         out = np.where(k < 0, 0.0, cum[-1])
         inside = np.flatnonzero((k >= 0) & (k < edges.size - 1))
         at = self._in_cusp(k[inside], cusp)
         i, ki = inside[~at], k[inside[~at]]
-        out[i] = cum[ki] + self._gl(edges[ki], ys[i] - edges[ki])
+        out[i] = cum[ki] + self._gl(edges[ki], ys[i] - edges[ki], sign)
         if at.any():
             i = inside[at]
             side, s = np.where(k[i] == cusp, 1.0, -1.0), np.abs(ys[i])
-            out[i] = cum[cusp] + side * s ** (2.0 * self.a) * self._cusp_factor(s, side)
+            out[i] = cum[cusp] + side * s ** (2.0 * self.a) * self._cusp_factor(s, sign * side)
         out = np.clip(np.maximum.accumulate(out), 0.0, 1.0)
         result = np.empty_like(out)
         result[order] = out
-        return np.where(np.isnan(y), np.nan, result)
+        return np.where(np.isnan(y), np.nan, result.reshape(y.shape))[()]
 
     def quantile(self, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
-        """The quantile of sign * Y_t at 1-d levels in (0, 1): bracket by the table, then
-        safeguarded Newton.  For sign = -1 the table is read reflected: edges -e[::-1],
-        the masses right of each edge, and the density at -y."""
-        edges, cum, right, cusp = self.table
-        if sign < 0:
-            edges, cum, cusp = -edges[::-1], right[::-1], edges.size - 1 - cusp
+        """The quantile of sign * Y_t: inside (0, 1) bracketed by the table, then
+        safeguarded Newton, for sign = -1 on the reflected table with the density at -y;
+        -inf at u = 0, +inf at u = 1, NaN off [0, 1] and at NaN."""
+        out = np.select([u == 0.0, u == 1.0], [-np.inf, np.inf], np.nan)
+        inside = (u > 0.0) & (u < 1.0)
+        u, (edges, cum, cusp) = u[inside], self._read(sign)
         k = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, edges.size - 2)
         at = self._in_cusp(k, cusp)
         y = np.empty_like(u)
@@ -471,7 +474,8 @@ class _VGLaw:
             w = _solve_increasing(resid_slope, np.zeros_like(target), np.full_like(target, top), guess,
                                   0.0, "VG quantile")
             y[at] = side * w ** (1.0 / power)
-        return y
+        out[inside] = y
+        return out[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,32 +537,37 @@ class VarianceGamma(Driver):
         return self._cache[t]
 
     def cdf(self, t, y):
-        yv = np.asarray(y, dtype=float)
-        return self._law(t).cdf(yv.ravel()).reshape(yv.shape)[()]
+        return self._law(t).cdf(np.asarray(y, dtype=float))
 
     def pdf(self, t, y):
-        yv = np.asarray(y, dtype=float)
-        return self._law(t).pdf(yv.ravel()).reshape(yv.shape)[()]
+        return self._law(t).pdf(np.asarray(y, dtype=float))
 
     def quantile(self, t, u):
-        """F_t^{-1}; a level u > 1/2 reads -Q(1 - u), the quantile of -Y_t, where 1 - u is
-        exact and the table's right masses resolve it."""
-        uv = clip_unit(np.asarray(u, dtype=float))
-        flat = uv.ravel()
-        y = np.full_like(flat, np.nan)
-        for part, sign in ((flat <= 0.5, 1.0), (flat > 0.5, -1.0)):
-            if part.any():
-                y[part] = sign * self._law(t).quantile((flat if sign > 0 else 1.0 - flat)[part], sign)
-        return y.reshape(uv.shape)[()]
+        return self._law(t).quantile(np.asarray(u, dtype=float))
+
+    # the survival side reads the table of -Y_t, from the masses right of each edge
+    def sf(self, t, y):
+        return self._law(t).cdf(-np.asarray(y, dtype=float), -1.0)
+
+    def isf(self, t, q):
+        return -self._law(t).quantile(np.asarray(q, dtype=float), -1.0)
 
     def transition_pdf(self, s, t, state, y):
         # VG has stationary independent increments
         return self.pdf(t - s, np.asarray(y, dtype=float) - np.asarray(state, dtype=float))
 
 
+#: the gamma law's upper tail runs in log space past 1 - F = 1e-300, at scores above _X_TINY
+_LOG_TINY, _X_TINY = math.log(1e-300), -float(special.ndtri(1e-300))
+
+
 @dataclass(frozen=True)
 class GammaProcess(Driver):
-    """Gamma subordinator with mean rate ``mean_rate`` and variance rate ``variance_rate``."""
+    """Gamma subordinator with mean rate ``mean_rate`` and variance rate ``variance_rate``.
+
+    Its marginal law is scipy.stats' gamma law in the same special-function forms, except
+    that the density is 0 at +inf, where scipy.stats gives NaN.
+    """
 
     mean_rate: float = 1.0
     variance_rate: float = 1.0
@@ -572,6 +581,11 @@ class GammaProcess(Driver):
     def _shape_scale(self, dt: float) -> tuple[float, float]:
         return self.mean_rate ** 2 * dt / self.variance_rate, self.variance_rate / self.mean_rate
 
+    def params_at(self, t: float) -> tuple[float, float]:
+        """(shape, scale) of the marginal law at t."""
+        _check_time(t)
+        return self._shape_scale(t)
+
     def sample_transition(self, rng, s, t, states):
         shape, scale = self._shape_scale(t - s)
         return states + rng.gamma(shape, scale, size=np.shape(states))
@@ -581,33 +595,90 @@ class GammaProcess(Driver):
         return states + scale * special.gammaincinv(shape, clip_unit(special.ndtr(x)))
 
     def cdf(self, t, y):
-        _check_time(t)
-        return _gamma_cdf(y, *self._shape_scale(t))
+        a, s = self.params_at(t)
+        return np.where(np.less(y, 0), 0.0, special.gammainc(a, np.divide(y, s)))[()]
 
-    def score(self, t, y):
-        """ndtri(F) below the median and -ndtri(1 - F) above it, in log space past
-        1 - F = 1e-300, so neither tail saturates: -inf at and below 0, +inf at +inf."""
-        _check_time(t)
-        return _gamma_score(y, *self._shape_scale(t))
-
-    def from_score(self, t, x):
-        """The inverse of ``score``: gammaincinv(a, ndtr(x)) below the median and
-        gammainccinv(a, ndtr(-x)) above it, in log space past ndtr(-x) = 1e-300."""
-        _check_time(t)
-        return _gamma_from_score(x, *self._shape_scale(t))
+    def sf(self, t, y):
+        a, s = self.params_at(t)
+        return np.where(np.less(y, 0), 1.0, special.gammaincc(a, np.divide(y, s)))[()]
 
     def pdf(self, t, y):
-        _check_time(t)
-        return _gamma_pdf(y, *self._shape_scale(t))
+        return self._density(y, *self.params_at(t))
 
     def quantile(self, t, u):
-        _check_time(t)
-        return _gamma_ppf(u, *self._shape_scale(t))
+        a, s = self.params_at(t)
+        return special.gammaincinv(a, np.asarray(u, dtype=float)) * s
+
+    def isf(self, t, q):
+        a, s = self.params_at(t)
+        return special.gammainccinv(a, np.asarray(q, dtype=float)) * s
+
+    def support(self, t):
+        return 0.0, np.inf
+
+    def score(self, t, y):
+        """Law's score, with -ndtri_exp(log(1 - F)) past 1 - F = 1e-300: -inf at and
+        below 0, +inf only at +inf."""
+        out, y = np.asarray(super().score(t, y)), np.asarray(y, dtype=float)
+        far = (out > _X_TINY) & (y < np.inf)
+        if np.any(far):
+            a, s = self.params_at(t)
+            out[far] = -special.ndtri_exp(self._log_sf(y[far] / s, a)[0])
+        return out[()]
+
+    def from_score(self, t, x):
+        """Law's inverse of ``score``, past ndtr(-x) = 1e-300 by solving
+        log(1 - F(y)) = log_ndtr(-x), so a value is finite at every finite score."""
+        out, x = np.asarray(super().from_score(t, x)), np.asarray(x, dtype=float)
+        far = (x > _X_TINY) & (x < np.inf)
+        if np.any(far):
+            a, s = self.params_at(t)
+            log_q = special.log_ndtr(-x[far])
+            # past lo, where Q = 1e-300, log Q falls at a rate of at least rho per unit
+            lo = special.gammainccinv(a, 1e-300)
+            rho = min(1.0, (lo - a + 1.0) / lo)
+            lo, hi = np.full_like(log_q, lo), lo + (_LOG_TINY - log_q) / rho * 1.01
+
+            def resid_slope(w, idx):
+                log_sf, w_cf = self._log_sf(w, a)
+                return log_q[idx] - log_sf, 1.0 / w_cf
+
+            out[far] = s * _solve_increasing(resid_slope, lo, hi, 0.5 * (lo + hi), 0.0,
+                                             "gamma upper tail")
+        return out[()]
 
     def transition_pdf(self, s, t, state, y):
         _check_step(s, t)
-        return _gamma_pdf(np.asarray(y, dtype=float) - np.asarray(state, dtype=float),
-                          *self._shape_scale(t - s))
+        return self._density(np.asarray(y, dtype=float) - np.asarray(state, dtype=float),
+                             *self._shape_scale(t - s))
+
+    @staticmethod
+    def _density(y, a, s):
+        """The density of the gamma law of shape a and scale s."""
+        x = np.asarray(y, dtype=float) / s
+        with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where the density is 0
+            log_pdf = special.xlogy(a - 1.0, x) - x - special.gammaln(a)
+        return np.where((x < 0) | np.isinf(x), 0.0, np.exp(log_pdf) / s)[()]
+
+    @staticmethod
+    def _log_sf(x, a):
+        """(log Q(a, x), x cf) for x past the median, from the Legendre continued fraction
+        Gamma(a, x) = e^-x x^a cf(x) by modified Lentz; d log Q / dx = -1 / (x cf)."""
+        b = x + 1.0 - a
+        c, d = np.full_like(x, 1e300), 1.0 / b
+        cf = d.copy()
+        for i in range(1, 2000):
+            an = -i * (i - a)
+            b = b + 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            step = d * c
+            cf *= step
+            if np.all(np.abs(step - 1.0) <= 1e-15):
+                break
+        else:
+            raise NumericError(f"gamma tail continued fraction at shape {a} did not converge")
+        return a * np.log(x) - x + np.log(cf) - special.gammaln(a), x * cf
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,10 +729,7 @@ class InhomogeneousPoisson(Driver):
         step; memoised, so a path count drawn in blocks integrates once."""
         if not callable(self.intensity):
             return float(self.intensity) * (t - s)
-        key = ("step", s, t)
-        if key not in self._cache:
-            self._cache[key] = adaptive_quad(self.intensity, s, t, what="intensity integral")
-        return self._cache[key]
+        return _memo_quad(self._cache, ("step", s, t), self.intensity, s, t, "intensity integral")
 
     def cumulative_intensity(self, t: float) -> float:
         return self._mean(0.0, t)
@@ -684,17 +752,49 @@ class InhomogeneousPoisson(Driver):
         except (NumericError, ValueError) as exc:
             raise SimulationError(f"no Poisson increment on ({s}, {t}]: {exc}") from exc
 
-    def cdf(self, t, y):
+    def params_at(self, t: float) -> float:
+        """The mean Lambda(t) of the count at t."""
         _check_time(t)
-        return _poisson_cdf(y, self.cumulative_intensity(t))
+        return self.cumulative_intensity(t)
 
-    def quantile(self, t, u):
-        _check_time(t)
-        return _poisson_ppf(u, self.cumulative_intensity(t))
+    # scipy.stats' own special-function forms, with its values off the support and at
+    # the unit edges, except that the mass is 0 at +inf, where scipy.stats gives NaN,
+    # and the quantile is 0 at u = 0, where scipy.stats gives -1
+    def cdf(self, t, y):
+        k = np.floor(np.asarray(y, dtype=float))
+        return np.select([k < 0, np.isnan(k)], [0.0, np.nan], special.pdtr(k, self.params_at(t)))[()]
+
+    def sf(self, t, y):
+        k = np.floor(np.asarray(y, dtype=float))
+        return np.select([k < 0, np.isnan(k)], [1.0, np.nan], special.pdtrc(k, self.params_at(t)))[()]
 
     def pmf(self, t, k):
-        _check_time(t)
-        return _poisson_pmf(k, self.cumulative_intensity(t))
+        mu, k = self.params_at(t), np.asarray(k, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf at k = inf, where the mass is 0
+            log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
+        return np.where((k < 0) | (np.floor(k) < k) | np.isinf(k), 0.0, np.exp(log_pmf))[()]
+
+    def quantile(self, t, u):
+        """The smallest count k with F(k) >= u: 0 at u = 0, inf at u = 1, NaN off [0, 1]."""
+        mu, u = self.params_at(t), np.asarray(u, dtype=float)
+        k = np.ceil(special.pdtrik(u, mu))
+        below = np.maximum(k - 1, 0)
+        k = np.where(special.pdtr(below, mu) >= u, below, k)
+        return np.select([u == 0, u == 1, (u > 0) & (u < 1)], [0.0, np.inf, k], np.nan)[()]
+
+    def isf(self, t, q):
+        """The smallest count k with sf(k) <= q, by bisection over the counts on pdtrc
+        itself, so that a level 1 - q that rounds to 1 still resolves: inf at q = 0, 0 at
+        q = 1, NaN off [0, 1]."""
+        mu, q = self.params_at(t), np.asarray(q, dtype=float)
+        inside = (q > 0.0) & (q < 1.0)
+        # sf(lo) > q >= sf(hi), with sf(-1) = 1; k doubles until it finds an hi, then bisects
+        lo, hi, k = np.full(q.shape, -1.0), np.full(q.shape, np.inf), np.full(q.shape, np.ceil(mu))
+        while (open_ := inside & (hi - lo > 1.0) & (k != np.inf)).any():
+            above = special.pdtrc(k, mu) > q
+            lo, hi = np.where(open_ & above, k, lo), np.where(open_ & ~above, k, hi)
+            k = np.where(hi < np.inf, np.floor(0.5 * (lo + hi)), 2.0 * k + 1.0)
+        return np.select([q == 0.0, q == 1.0, inside], [np.inf, 0.0, hi], np.nan)[()]
 
     def pdf(self, t, y):
         raise CapabilityError("the Poisson driver is discrete; use pmf")
@@ -751,15 +851,11 @@ def simulate_conditional(driver: Driver, s: float, t: float, states: np.ndarray,
 
 
 def marginal_cdf(driver: Driver, t: float, y):
-    """F_Y(t, y) for the driver's marginal law; defined on t > 0."""
-    if t <= 0:
-        raise ParameterError("marginal laws are defined for t > 0")
+    """F_Y(t, y) for the driver's marginal law, which checks t itself."""
     return driver.cdf(t, y)
 
 
 def marginal_pdf(driver: Driver, t: float, y):
-    if t <= 0:
-        raise ParameterError("marginal laws are defined for t > 0")
     return driver.pdf(t, y)
 
 

@@ -548,8 +548,9 @@ def preimage(quantile: Law, dist: Law, t: float, z):
     arrays, from one ``quantile.score_pdf`` call (one TukeyGH inversion).  On
     ok = (x, w finite) & (fz > 0), w = dist.from_score(t, x) and fd =
     dist.pdf(t, w), so dw/dz = fz / fd; off ``ok`` both are 0.  A normal law
-    forms no level and keeps the upper tail; a law read through ndtr(x) may
-    send x past 8.3 to its support's end, which is not ``ok``.  NaN z gives NaN x.
+    forms no level; another law reads x in its own tail, and an empirical law
+    sends x past its outermost knot levels to +-inf, which is not ``ok``.  NaN z
+    gives NaN x.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     x, fz = (np.asarray(a, dtype=float) for a in quantile.score_pdf(t, zv))

@@ -8,8 +8,6 @@ from scipy import integrate, special, stats
 
 from quantproc import drivers as d
 from quantproc import transforms as tr
-from quantproc._util import (_gamma_cdf, _gamma_pdf, _gamma_ppf, _poisson_cdf, _poisson_pmf,
-                             _poisson_ppf)
 from quantproc.errors import (CapabilityError, MappingError, ParameterError,
                               SimulationError)
 
@@ -223,7 +221,7 @@ def test_vg_pdf_cusp_value():
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(-1.0, 1.0), sigma=st.floats(0.05, 2.0), nu=st.floats(0.05, 2.0),
        log_t=st.floats(-5.0, 1.0))
-# the CDF is 1 from y = 0.05 on here, so the 1 - 1e-15 quantile needs the upper tail's own table
+# the CDF is 1 from y = 0.05 on here, so the 1 - 1e-15 quantile lies where the table's masses round to 1
 @example(mu=-1.0, sigma=0.0546875, nu=1.5, log_t=-0.46484375)
 def test_vg_law_properties(mu, sigma, nu, log_t):
     t = 10.0 ** log_t
@@ -257,6 +255,21 @@ def test_vg_law_properties(mu, sigma, nu, log_t):
     assert mass == pytest.approx(1.0, abs=1e-9)
     # Q is increasing
     assert np.all(np.diff(vg.quantile(t, np.linspace(1e-6, 1 - 1e-6, 101))) >= 0)
+
+
+_FIVE_DRIVERS = [d.Brownian(0.3), d.InhomogeneousOU(0.9, 0.2, 1.1, 0.4), d.VarianceGamma(-0.1, 0.3, 0.4),
+                 d.GammaProcess(1.2, 0.6), d.InhomogeneousPoisson(2.0)]
+
+
+@pytest.mark.parametrize("driver", _FIVE_DRIVERS, ids=lambda drv: drv.kind)
+def test_quantile_reads_the_support_at_the_unit_ends(driver):
+    # the Law contract: the support's ends at u = 0 and u = 1, and NaN off [0, 1] and at
+    # NaN; isf reads the same ends at q = 1 and q = 0
+    lo_hi = np.array(driver.support(1.0))
+    np.testing.assert_array_equal(driver.quantile(1.0, [0.0, 1.0]), lo_hi)
+    np.testing.assert_array_equal(driver.isf(1.0, [1.0, 0.0]), lo_hi)
+    assert np.all(np.isnan(driver.quantile(1.0, [-0.1, 1.1, np.nan])))
+    assert np.all(np.isnan(driver.isf(1.0, [-0.1, 1.1, np.nan])))
 
 
 def test_vg_quantile_is_nan_at_a_nan_level():
@@ -322,10 +335,11 @@ def test_gamma_process_marginal_moments():
     assert np.all(y >= 0)
 
 
-# the gamma and Poisson laws in special functions, against scipy.stats bit for bit:
-# interior draws, and the edges where the bare formulas differ (below the support,
-# non-integer counts, u in {0, 1}, NaN, +-inf, a zero Poisson mean); only the
-# densities at +inf differ, 0 where scipy.stats gives NaN
+# the gamma and Poisson drivers' laws in special functions, against scipy.stats at the
+# same parameters bit for bit: interior draws, and the edges where the bare formulas
+# differ (below the support, non-integer counts, u in {0, 1}, NaN, +-inf, a zero Poisson
+# mean); only the densities at +inf differ, 0 where scipy.stats gives NaN, and the
+# Poisson quantile at u = 0, the support's end 0 where scipy.stats gives -1
 _EDGES = np.array([-np.inf, -3.0, -1.0, -0.5, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.5, 3.0, 50.0,
                    1e6, np.inf, np.nan])
 _LEVEL_EDGES = np.array([-0.1, 0.0, 1e-300, 1.0, 1.1, np.nan])
@@ -339,16 +353,21 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 40.0])
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_gamma_law_matches_scipy_stats(shape, scale):
+    gp = d.GammaProcess(shape * scale, shape * scale ** 2)
+    a, s = gp.params_at(1.0)
+    law = stats.gamma(a, scale=s)
     rng = np.random.default_rng(11)
     y = np.concatenate([_EDGES, rng.gamma(shape, scale, 10_000)])
     u = np.concatenate([_LEVEL_EDGES, rng.uniform(size=10_000)])
     with np.errstate(invalid="ignore"):  # scipy.stats forms inf - inf at y = inf
-        _same_bits(_gamma_cdf(y, shape, scale), stats.gamma.cdf(y, shape, scale=scale))
-        _same_bits(_gamma_pdf(y, shape, scale),
-                   np.where(y == np.inf, 0.0, stats.gamma.pdf(y, shape, scale=scale)))
-    _same_bits(_gamma_ppf(u, shape, scale), stats.gamma.ppf(u, shape, scale=scale))
+        _same_bits(gp.cdf(1.0, y), law.cdf(y))
+        _same_bits(gp.sf(1.0, y), law.sf(y))
+        _same_bits(gp.pdf(1.0, y), np.where(y == np.inf, 0.0, law.pdf(y)))
+    _same_bits(gp.quantile(1.0, u), law.ppf(u))
+    _same_bits(gp.isf(1.0, u), law.isf(u))
     for y0 in (-1.0, 0.0, 0.7, np.nan):  # scalars stay scalars
-        _same_bits(_gamma_cdf(y0, shape, scale), stats.gamma.cdf(y0, shape, scale=scale))
+        _same_bits(gp.cdf(1.0, y0), law.cdf(y0))
+        _same_bits(gp.sf(1.0, y0), law.sf(y0))
 
 
 def test_gamma_scores_resolve_the_upper_tail():
@@ -392,13 +411,15 @@ def test_poisson_law_matches_scipy_stats(mean):
     k = np.concatenate([_EDGES, rng.poisson(mean, 10_000).astype(float),
                         rng.uniform(-2.0, 3.0 * mean + 5.0, 1_000)])
     u = np.concatenate([_LEVEL_EDGES, [math.exp(-mean)], rng.uniform(size=10_000)])
+    lam = d.InhomogeneousPoisson(mean)
     with np.errstate(invalid="ignore"):  # scipy.stats forms inf - inf at k = inf
-        _same_bits(_poisson_cdf(k, mean), stats.poisson.cdf(k, mean))
-        _same_bits(_poisson_pmf(k, mean), np.where(k == np.inf, 0.0, stats.poisson.pmf(k, mean)))
-    _same_bits(_poisson_ppf(u, mean), stats.poisson.ppf(u, mean))
+        _same_bits(lam.cdf(1.0, k), stats.poisson.cdf(k, mean))
+        _same_bits(lam.sf(1.0, k), stats.poisson.sf(k, mean))
+        _same_bits(lam.pmf(1.0, k), np.where(k == np.inf, 0.0, stats.poisson.pmf(k, mean)))
+    _same_bits(lam.quantile(1.0, u), np.where(u == 0.0, 0.0, stats.poisson.ppf(u, mean)))
     ints = rng.poisson(mean, 100)
-    _same_bits(_poisson_pmf(ints, mean), stats.poisson.pmf(ints, mean))
-    _same_bits(_poisson_pmf(2, mean), stats.poisson.pmf(2, mean))
+    _same_bits(lam.pmf(1.0, ints), stats.poisson.pmf(ints, mean))
+    _same_bits(lam.pmf(1.0, 2), stats.poisson.pmf(2, mean))
 
 
 def test_ou_ensemble_matches_erf_marginal_everywhere():
@@ -493,6 +514,27 @@ def test_poisson_counts_match_poisson_law():
 
 def test_poisson_support_is_the_counts():
     assert d.InhomogeneousPoisson(2.0).support(1.0) == (0.0, math.inf)
+
+
+def test_poisson_from_score_is_the_count_of_its_tail_level():
+    # quantile(ndtr(x)) for x <= 0, and above the median the smallest count k with
+    # pdtrc(k) <= ndtr(-x), which the clamped level read as inf from x = 9 on
+    lam, ks = d.InhomogeneousPoisson(2.0), np.arange(200.0)
+    x = np.linspace(-30.0, 30.0, 6001)
+    level = special.ndtr(-np.abs(x))
+    want = np.where(x <= 0.0, stats.poisson.ppf(level, 2.0),
+                    ks[np.argmax(special.pdtrc(ks[:, None], 2.0) <= level, axis=0)])
+    got = lam.from_score(1.0, x)
+    assert np.array_equal(got, want) and np.all(np.diff(got) >= 0)
+    assert lam.from_score(1.0, 9.0) == 25.0
+
+
+def test_poisson_score_rises_on_every_count_its_tail_resolves():
+    # -ndtri(pdtrc(k)) above the median: the clamped level gave 7.9414 at 30 and at 40
+    lam, ks = d.InhomogeneousPoisson(2.0), np.arange(200.0)
+    ks = ks[special.pdtrc(ks, 2.0) > 1e-300]
+    score = lam.score(1.0, ks)
+    assert np.all(np.isfinite(score)) and np.all(np.diff(score) > 0)
 
 
 def test_poisson_pivot_identity_and_square_map():

@@ -1,8 +1,9 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
 every module-level private function, class and constant; no law's quantile is
 evaluated at a level ndtr(x) formed outside ``Law.from_score``; ``clip_unit`` is
-called only at its known sites; no driver's law is read through the older
-``marginal_*`` names; and a cold start loads none of the heavy scipy submodules."""
+called only at its known sites, and ``_check_time`` only in each driver's one
+parameter method; no driver's law is read through the older ``marginal_*`` names;
+and a cold start loads none of the heavy scipy submodules."""
 
 import ast
 import json
@@ -156,12 +157,12 @@ def test_no_level_round_trips(path):
     assert level_round_trips(path.read_text()) == []
 
 
-def clip_unit_sites(source: str) -> list[str]:
-    """The scope of each ``clip_unit(`` call, once per call: its function or method, else
+def call_sites(callee: str, source: str) -> list[str]:
+    """The scope of each call of ``callee``, once per call: its function or method, else
     ``<module>``."""
     tree = ast.parse(source)
-    sites = [name for name, fn in function_scopes(tree) for _ in calls_to("clip_unit", fn)]
-    return sorted(sites + ["<module>"] * (len(calls_to("clip_unit", tree)) - len(sites)))
+    sites = [name for name, fn in function_scopes(tree) for _ in calls_to(callee, fn)]
+    return sorted(sites + ["<module>"] * (len(calls_to(callee, tree)) - len(sites)))
 
 
 def test_detector_finds_each_clip_unit_call():
@@ -178,7 +179,7 @@ def test_detector_finds_each_clip_unit_call():
                 return _util.clip_unit(c.sample(n, rng))
             return draw(1), clip_unit(draw(2))
         """)
-    assert clip_unit_sites(source) == ["<module>", "Law.cdf", "sample", "sample"]
+    assert call_sites("clip_unit", source) == ["<module>", "Law.cdf", "sample", "sample"]
 
 
 #: the probabilities still clamped into (0, 1): each site goes once its law scores and
@@ -186,14 +187,40 @@ def test_detector_finds_each_clip_unit_call():
 CLIP_UNIT_SITES = {
     "_util.py": ["Law.compose"],
     "copulas.py": ["apply_multi_composite", "simulate_joint_terminal"],
-    "drivers.py": ["Driver.score", "GammaProcess.transition_from_score", "VarianceGamma.quantile",
-                   "uniformize"],
+    "drivers.py": ["GammaProcess.transition_from_score", "uniformize"],
 }
 
 
 def test_clip_unit_has_only_its_known_sites():
-    sites = {path.name: clip_unit_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    sites = {path.name: call_sites("clip_unit", path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in sites.items() if found} == CLIP_UNIT_SITES
+
+
+#: each driver checks its marginal law's time once, in the one method that gives its
+#: parameters at t; every map reads them there
+CHECK_TIME_SITES = {
+    "drivers.py": ["GammaProcess.params_at", "GaussianDriver.normal_at",
+                   "InhomogeneousPoisson.params_at", "VarianceGamma._law"],
+}
+
+
+def test_detector_finds_each_check_time_call():
+    source = textwrap.dedent("""\
+        class Gamma:
+            def params_at(self, t):
+                _check_time(t)
+                return 1.0, 2.0
+
+            def cdf(self, t, y):
+                drivers._check_time(t)
+                return self.params_at(t)
+        """)
+    assert call_sites("_check_time", source) == ["Gamma.cdf", "Gamma.params_at"]
+
+
+def test_check_time_has_only_the_parameter_methods():
+    sites = {path.name: call_sites("_check_time", path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == CHECK_TIME_SITES
 
 
 #: the older names of a driver's marginal law, kept only for the benchmark's own callers

@@ -84,7 +84,7 @@ def test_tukey_g_at_phi_one():
 @pytest.mark.parametrize("law", [tr.TukeyGH(0.0, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.5),
                                  tr.GaussianLaw(0.0, 1.0)], ids=["gh", "g", "gaussian"])
 def test_derived_quantile_is_nan_off_the_unit_interval(law):
-    # the support's ends at u = 0 and u = 1, as _poisson_ppf reads them
+    # the support's ends at u = 0 and u = 1, as every driver's quantile reads them
     lo, hi = law.support(1.0)
     got = law.quantile(1.0, np.array([-0.1, 0.0, 1.0, 1.1, np.nan]))
     np.testing.assert_array_equal(got, [np.nan, lo, hi, np.nan, np.nan])
@@ -596,9 +596,9 @@ _EMPIRICAL = tr.EmpiricalLaw(np.random.default_rng(5).normal(size=200))
 _ALL_FAMILIES = [tr.TukeyGH(0.1, 1.0, 0.5, 0.1), tr.TukeyG(0.0, 1.0, 0.4),
                  tr.GaussianLaw(0.2, 2.0), _TABLE_Q, tr.PoissonQuantile(2.5)]
 _PROBABILITY_PATH = (
-    [(law, drv, q) for law, drv in ((_VG, _VG), (_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
+    [(law, drv, q) for law, drv in ((_EMPIRICAL, _BM), (tr.PivotLaw(_BM, _EMPIRICAL), _BM))
      for q in _ALL_FAMILIES]
-    + [(law, drv, q) for law, drv in ((_GAMMA, _GAMMA), (tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA),
+    + [(law, drv, q) for law, drv in ((_VG, _VG), (_GAMMA, _GAMMA), (tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA),
                                       (tr.GaussianLaw(0.1, 0.05), _BM), (_OU, _OU))
        for q in (_TABLE_Q, tr.PoissonQuantile(2.5))])
 
@@ -627,6 +627,19 @@ def test_composite_over_gamma_reads_its_split_score(q):
     for law in (_GAMMA, tr.ShiftedDriverLaw(_GAMMA, 0.5)):
         tail = q.compose(1.0, law, np.array([40.0, 50.0, 60.0]))
         assert np.all(np.isfinite(tail)) and np.all(np.diff(tail) > 0)
+
+
+@pytest.mark.parametrize("q", _ALL_FAMILIES[:3], ids=lambda q: q.family)
+def test_composite_over_vg_reads_its_split_score(q):
+    # the VG law scores its upper half by -ndtri(sf), read from its table's right masses,
+    # so a score-native Q composes from_score(score(y)); where the clamped level saturated
+    # at a score of 7.94, it keeps resolving y up to scores of 9
+    ens = d.simulate(_VG, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
+    z = tr.apply_composite(tr.CompositeMap(dist=_VG, quantile=q), ens).paths
+    for k, t in enumerate(ens.grid.times):
+        assert np.array_equal(z[:, k], q.from_score(t, _VG.score(t, ens.paths[:, k])))
+    tail = q.compose(1.0, _VG, _VG.from_score(1.0, np.array([7.5, 8.0, 8.5, 9.0])))
+    assert np.all(np.isfinite(tail)) and np.all(np.diff(tail) > 0)
 
 
 def test_driver_law_takes_no_shift():
@@ -677,8 +690,8 @@ _SCORE_LAWS = [
     ("driver-ou", _OU, _OU, 30.0, True),
     ("shifted-ou", tr.ShiftedDriverLaw(_OU, 0.7), _OU, 30.0, True),
     ("pivot-normal", tr.PivotLaw(_OU, tr.GaussianLaw(0.2, 1.5)), _OU, 30.0, True),
-    ("driver-vg", _VG, _VG, 7.0, False),
-    ("shifted-vg", tr.ShiftedDriverLaw(_VG, 0.3), _VG, 7.0, False),
+    ("driver-vg", _VG, _VG, 9.0, False),
+    ("shifted-vg", tr.ShiftedDriverLaw(_VG, 0.3), _VG, 9.0, False),
     ("driver-gamma", _GAMMA, _GAMMA, 7.0, False),
     ("shifted-gamma", tr.ShiftedDriverLaw(_GAMMA, 0.5), _GAMMA, 7.0, False),
     ("pivot-empirical", tr.PivotLaw(_BM, _EMPIRICAL), _BM, _EMPIRICAL_REACH, False),
@@ -703,13 +716,29 @@ def _score_tol(law, t, x, w, exact):
 @settings(max_examples=40, deadline=None)
 @given(case=_score_laws, fracs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
        t=st.floats(0.2, 3.0))
-# x = 7 on the VG law at t = 0.25: its level 1 - 1.3e-12 is read from the upper tail
+# x = 9 on the VG law at t = 0.25: its tail level 1.1e-19 is read from the table's right masses
 @example(case=next(c for c in _SCORE_LAWS if c[0] == "driver-vg"), fracs=[1.0], t=0.25)
 def test_from_score_inverts_score(case, fracs, t):
     _, law, _, reach, exact = case
     x = reach * np.array(fracs)
     w = law.from_score(t, x)
     assert np.all(np.abs(law.score(t, w) - x) <= _score_tol(law, t, x, w, exact))
+
+
+_TAIL_DRIVERS = [_VG, _GAMMA, d.InhomogeneousPoisson(2.0)]
+_TAIL_LAWS = _TAIL_DRIVERS + [tr.ShiftedDriverLaw(drv, 0.5) for drv in _TAIL_DRIVERS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(_TAIL_LAWS), x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=20),
+       t=st.floats(0.2, 3.0))
+# past |x| = 38.5 the tail level ndtr(-|x|) underflows; a finite score still has a value
+@example(law=_VG, x=[-40.0, 40.0], t=1.0)
+@example(law=_TAIL_DRIVERS[2], x=[-40.0, 40.0], t=1.0)
+def test_from_score_is_finite_and_monotone_at_every_score(law, x, t):
+    # monotone to round-off: at x = 0 the CDF's and the survival side's inverses meet
+    y = law.from_score(t, np.sort(x))
+    assert np.all(np.isfinite(y)) and np.all(np.diff(y) >= -1e-14 * (1.0 + np.abs(y[1:])))
 
 
 @settings(max_examples=40, deadline=None)
