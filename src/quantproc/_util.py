@@ -156,15 +156,12 @@ class Law:
     level-native law, whose scores pass through the level, split at the median: the
     CDF below it and the survival function ``sf`` above it, inverted by ``quantile``
     and ``isf``.  A law with a survival function of its own gives ``sf`` and ``isf``
-    too.  A driver is the law of its own marginal Y_t; quantile families and
-    distribution laws live in ``transforms``.
+    too.  Every law composes through its scores alone.  A driver is the law of its
+    own marginal Y_t; quantile families and distribution laws live in ``transforms``.
     """
 
     family: str = "abstract"
     is_discrete: bool = False
-    #: ``compose`` reads the clamped level F(t, y) itself, not its score: one ulp of
-    #: ndtr(ndtri(u)) drift would move a step of this law's quantile
-    level_native: bool = False
 
     def validate(self, t: float = 1.0) -> None:
         """Raise ParameterError on inadmissible parameters at t."""
@@ -235,10 +232,7 @@ class Law:
 
     def compose(self, t: float, dist: Law, y) -> np.ndarray:
         """Q(t, F(t, y)), with Q this law's quantile and F the law ``dist``: the
-        composite map at one time, from_score(dist.score(y)).  A level-native law
-        reads quantile at the level F(t, y) clamped into (0, 1) instead."""
-        if self.level_native:
-            return self.quantile(t, clip_unit(dist.cdf(t, y)))
+        composite map at one time, from_score(dist.score(y)), so no level is clamped."""
         return self.from_score(t, dist.score(t, y))
 
     def is_true_law_of(self, driver) -> bool:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from ._util import (_GL_R, _GL_W, _SQRT2PI, Law, TimeFn, TimeParam, _norm_pdf, _solve_increasing,
-                    adaptive_quad, as_time_fn, clip_unit, substream)
+                    adaptive_quad, as_time_fn, substream)
 from .errors import CapabilityError, MappingError, NumericError, ParameterError, SimulationError
 
 __all__ = [
@@ -591,8 +591,16 @@ class GammaProcess(Driver):
         return states + rng.gamma(shape, scale, size=np.shape(states))
 
     def transition_from_score(self, s, t, states, x):
+        """states plus gammaincinv at the level ndtr(x); where that level is within 1e-15
+        of 0 or 1, plus the law's own ``from_score``, which reads the tail exactly."""
         shape, scale = self._shape_scale(t - s)
-        return states + scale * special.gammaincinv(shape, clip_unit(special.ndtr(x)))
+        x = np.asarray(x, dtype=float)
+        u = special.ndtr(x)
+        out = np.asarray(scale * special.gammaincinv(shape, u))
+        far = (u < 1e-15) | (u > 1.0 - 1e-15)
+        if np.any(far):
+            out[far] = self.from_score(t - s, x[far])
+        return states + out
 
     def cdf(self, t, y):
         a, s = self.params_at(t)
@@ -698,7 +706,6 @@ class InhomogeneousPoisson(Driver):
 
     kind = "InhomogeneousPoisson"
     is_discrete = True
-    level_native = True
 
     def validate(self, t: float = 1.0) -> None:
         lam = as_time_fn(self.intensity)
@@ -782,6 +789,15 @@ class InhomogeneousPoisson(Driver):
         k = np.where(special.pdtr(below, mu) >= u, below, k)
         return np.select([u == 0, u == 1, (u > 0) & (u < 1)], [0.0, np.inf, k], np.nan)[()]
 
+    def from_score(self, t, x):
+        """The smallest count k whose score reaches x: Law's count at x's tail level,
+        moved by at most one against the scores of k - 1 and k, so that a driver count
+        composed through its own law is itself, whatever the ndtr round trip's drift."""
+        x = np.asarray(x, dtype=float)
+        k = np.asarray(super().from_score(t, x))
+        below, at = self.score(t, np.stack([k - 1.0, k]))
+        return (k - ((below >= x) & (k > 0)) + (at < x))[()]
+
     def isf(self, t, q):
         """The smallest count k with sf(k) <= q, by bisection over the counts on pdtrc
         itself, so that a level 1 - q that rounds to 1 still resolves: inf at q = 0, 0 at
@@ -863,7 +879,7 @@ def uniformize(driver: Driver, ensemble: PathEnsemble) -> PathEnsemble:
     """Apply the probability integral transform U_t = F_Y(t, Y_t) column-wise.
 
     Each column of the result is marginally Uniform[0, 1] up to Monte Carlo
-    error; values are clamped strictly inside (0, 1).
+    error; values are the exact CDF, so a far-tail value may read 0 or 1.
     """
     if driver.is_discrete:
         raise CapabilityError("uniformize needs a continuous marginal law")
@@ -871,7 +887,7 @@ def uniformize(driver: Driver, ensemble: PathEnsemble) -> PathEnsemble:
     out = np.empty_like(ensemble.paths)
     for k, t in enumerate(ensemble.grid.times):
         out[:, k] = driver.cdf(t, ensemble.paths[:, k])
-    return PathEnsemble(grid=ensemble.grid, paths=clip_unit(out),
+    return PathEnsemble(grid=ensemble.grid, paths=out,
                         seed=ensemble.seed, driver=driver)
 
 

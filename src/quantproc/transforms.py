@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import drivers as drv
 from ._util import Law, TimeFn, TimeParam, _blocked, _norm_score, _solve_increasing, as_time_fn
@@ -269,7 +268,6 @@ class TableQuantile(Law):
     z_knots: np.ndarray
 
     family = "TableDriven"
-    level_native = True
 
     def __post_init__(self):
         u = np.asarray(self.u_knots, dtype=float)
@@ -284,7 +282,9 @@ class TableQuantile(Law):
         object.__setattr__(self, "z_knots", z)
 
     def quantile(self, t, u):
-        return np.interp(np.asarray(u, dtype=float), self.u_knots, self.z_knots)
+        """The table read linearly, its end values beyond its u-range; NaN off [0, 1]."""
+        u = np.asarray(u, dtype=float)
+        return np.where((u >= 0.0) & (u <= 1.0), np.interp(u, self.u_knots, self.z_knots), np.nan)[()]
 
     def cdf(self, t, z):
         return np.interp(np.asarray(z, dtype=float), self.z_knots, self.u_knots)
@@ -450,7 +450,6 @@ class EmpiricalLaw(Law):
     samples: np.ndarray
 
     family = "Empirical"
-    level_native = True
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -468,15 +467,12 @@ class EmpiricalLaw(Law):
         return np.interp(np.asarray(y, dtype=float), xs, ps)
 
     def quantile(self, t, u):
+        """The sample read linearly inside the CDF's range [ps[0], ps[-1]]; -inf below it
+        and +inf from its top on, so Q(F(Y)) keeps its atoms at both ends; NaN off [0, 1]."""
         xs, ps = self._knots()
-        return np.interp(np.asarray(u, dtype=float), ps, xs)
-
-    def from_score(self, t, x):
-        """quantile(ndtr(x)) inside the CDF's range [ps[0], ps[-1]]; -inf below it and
-        +inf from its top on, so Q(F(Y)) keeps its atoms at both ends."""
-        xs, ps = self._knots()
-        u = special.ndtr(x)
-        return np.where(u < ps[0], -np.inf, np.where(u >= ps[-1], np.inf, np.interp(u, ps, xs)))
+        u = np.asarray(u, dtype=float)
+        return np.select([(u < 0.0) | (u > 1.0), u < ps[0], u >= ps[-1]], [np.nan, -np.inf, np.inf],
+                         np.interp(u, ps, xs))[()]
 
     def pdf(self, t, y):
         xs, ps = self._knots()

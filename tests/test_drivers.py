@@ -261,10 +261,12 @@ _FIVE_DRIVERS = [d.Brownian(0.3), d.InhomogeneousOU(0.9, 0.2, 1.1, 0.4), d.Varia
                  d.GammaProcess(1.2, 0.6), d.InhomogeneousPoisson(2.0)]
 
 
-@pytest.mark.parametrize("driver", _FIVE_DRIVERS, ids=lambda drv: drv.kind)
+@pytest.mark.parametrize("driver", _FIVE_DRIVERS + [
+    tr.TableQuantile(np.array([0.1, 0.5, 0.9]), np.array([-1.0, 0.0, 2.0])),
+    tr.EmpiricalLaw(np.array([-1.0, 0.0, 2.0, 3.0]))], ids=lambda law: getattr(law, "kind", law.family))
 def test_quantile_reads_the_support_at_the_unit_ends(driver):
     # the Law contract: the support's ends at u = 0 and u = 1, and NaN off [0, 1] and at
-    # NaN; isf reads the same ends at q = 1 and q = 0
+    # NaN; isf reads the same ends at q = 1 and q = 0; the piecewise laws keep it too
     lo_hi = np.array(driver.support(1.0))
     np.testing.assert_array_equal(driver.quantile(1.0, [0.0, 1.0]), lo_hi)
     np.testing.assert_array_equal(driver.isf(1.0, [1.0, 0.0]), lo_hi)
@@ -403,6 +405,21 @@ def test_gamma_from_score_is_finite_at_every_finite_score(shape, x):
     # grows like x^2 / 2, which stays finite while |x| < 1.3e154
     y = float(d.GammaProcess(shape, shape).from_score(1.0, x))
     assert math.isfinite(y) and y >= 0.0
+
+
+def test_gamma_step_reads_the_law_past_its_clamped_levels():
+    # a gamma step is gammaincinv at the level ndtr(x) while that level lies within
+    # [1e-15, 1 - 1e-15], and the law's own from_score past it, where the clamped level
+    # held every step at 4.43e-07 below and 19.75 above
+    gp, shape, scale = d.GammaProcess(1.2, 0.6), 1.44 / 0.6, 0.6 / 1.2
+    x = np.array([-30.0, -20.0, -10.0, -8.0, 8.0, 10.0, 20.0, 30.0])
+    step = gp.transition_from_score(0.0, 1.0, np.zeros_like(x), x)
+    assert np.all(np.isfinite(step)) and np.all(np.diff(step) > 0)
+    assert np.array_equal(step, gp.from_score(1.0, x))
+    assert np.array_equal(gp.transition_from_score(0.0, 1.0, np.full_like(x, 0.5), x), step + 0.5)
+    inner = np.linspace(-7.89, 7.89, 4001)
+    assert np.array_equal(gp.transition_from_score(0.0, 1.0, np.zeros_like(inner), inner),
+                          scale * special.gammaincinv(shape, special.ndtr(inner)))
 
 
 @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 1.0, 3.7, 20.0, 400.0])

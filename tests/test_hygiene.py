@@ -1,7 +1,7 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
 every module-level private function, class and constant; no law's quantile is
 evaluated at a level ndtr(x) formed outside ``Law.from_score``; ``clip_unit`` is
-called only at its known sites, and ``_check_time`` only in each driver's one
+called only at its two copula sites, and ``_check_time`` only in each driver's one
 parameter method; no driver's law is read through the older ``marginal_*`` names;
 and a cold start loads none of the heavy scipy submodules."""
 
@@ -185,9 +185,7 @@ def test_detector_finds_each_clip_unit_call():
 #: the probabilities still clamped into (0, 1): each site goes once its law scores and
 #: inverts in its own tails, and no new one may come
 CLIP_UNIT_SITES = {
-    "_util.py": ["Law.compose"],
     "copulas.py": ["apply_multi_composite", "simulate_joint_terminal"],
-    "drivers.py": ["GammaProcess.transition_from_score", "uniformize"],
 }
 
 

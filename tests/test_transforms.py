@@ -607,12 +607,49 @@ _PROBABILITY_PATH = (
                          ids=[f"{getattr(law, 'kind', law.family)}-{q.family}"
                               for law, _, q in _PROBABILITY_PATH])
 def test_composite_without_closed_form_keeps_the_probability_path(law, drv, q):
-    # a law without an exact score, or a family without a closed form in it,
-    # composes Q(clip_unit(F(y))) bit for bit
+    # a law without an exact score, or a family without a closed form in it, composes
+    # through the scores to Q(F(y)) at the unclamped level, up to a few ulps of the level
+    # (the ndtr round trip, and the VG law's CDF and survival side, which disagree by
+    # 5.6e-16) carried through Q's slope; a Poisson Q gives the smallest count whose
+    # score reaches F's
     ens = d.simulate(drv, d.TimeGrid(np.array([0.5, 1.0])), 500, 7)
     z = tr.apply_composite(tr.CompositeMap(dist=law, quantile=q), ens).paths
     for k, t in enumerate(ens.grid.times):
-        assert np.array_equal(z[:, k], q.quantile(t, clip_unit(law.cdf(t, ens.paths[:, k]))))
+        y = ens.paths[:, k]
+        if q.is_discrete:
+            ks = np.arange(200.0)
+            want = ks[np.argmax(q.score(t, ks[:, None]) >= law.score(t, y), axis=0)]
+            assert np.array_equal(z[:, k], want)
+        else:
+            want = q.quantile(t, law.cdf(t, y))
+            tol = 4.0 * np.finfo(float).eps / q.pdf(t, want) + 1e-15 * (1.0 + np.abs(want))
+            assert np.all(np.abs(z[:, k] - want) <= tol)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 3.7])
+def test_poisson_composite_over_its_own_law_is_the_identity(t):
+    # every count lies on a step of Q, so the clamped level sent the upper tail to one
+    # count (every count from 22 up at t = 1), and the bare ndtr round trip of a score
+    # would move counts 0, 6, 7, 9, ... up by one
+    q, ks = tr.PoissonQuantile(2.0), np.arange(400.0)
+    ks = ks[special.pdtrc(ks, 2.0 * t) > 1e-300]
+    assert np.array_equal(q.compose(t, d.InhomogeneousPoisson(2.0), ks), ks)
+    assert np.array_equal(q.from_score(t, [-np.inf, np.inf]), [0.0, np.inf])
+
+
+def test_empirical_quantile_family_sends_its_outer_levels_to_infinity():
+    # the empirical quantile is -inf below the lowest knot level 0.5/n and +inf from the
+    # highest on, as its scores read, where the interpolation held the outermost samples;
+    # so a composite over a wider driver law meets a non-finite value
+    emp = tr.EmpiricalLaw(np.array([-1.0, 0.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(emp.quantile(1.0, [0.1, 0.125, 0.5, 0.875, 0.9]),
+                                  [-np.inf, -1.0, 1.0, np.inf, np.inf])
+    np.testing.assert_array_equal(emp.from_score(1.0, special.ndtri([0.1, 0.5, 0.9])),
+                                  [-np.inf, 1.0, np.inf])
+    cm = tr.CompositeMap(dist=_BM, quantile=_EMPIRICAL)
+    ens = d.simulate(_BM, d.TimeGrid(np.array([1.0])), 5000, 3)
+    with pytest.raises(NumericError, match="path"):
+        tr.apply_composite(cm, ens)
 
 
 @pytest.mark.parametrize("q", _ALL_FAMILIES[:3], ids=lambda q: q.family)
