@@ -17,8 +17,6 @@ from .errors import NumericError
 TimeFn = Callable[[float], float]
 TimeParam = Union[float, int, TimeFn]
 
-#: open-interval clamp used when a probability must stay strictly inside (0, 1)
-U_EPS = 1e-15
 #: the smallest positive float, the tail level of a finite score where ndtr underflows
 _SMALLEST = math.ulp(0.0)
 #: the 8-node Gauss-Legendre rule on [0, 1]
@@ -55,11 +53,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, what: str = "integr
     if abserr > max(1e3 * tol, 1e-8 * abs(value)):
         raise NumericError(f"{what} on [{a}, {b}] did not reach tolerance", achieved=abserr)
     return value
-
-
-def clip_unit(u: np.ndarray) -> np.ndarray:
-    """Clamp probabilities to the open interval (0, 1)."""
-    return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
 def _solve_increasing(resid_slope, lo, hi, x, scale, what: str) -> np.ndarray:

@@ -5,9 +5,9 @@ output Z_t = Q(C(t, F_1(Y^1), ..., F_m(Y^m))) stays univariate.  Its CDF is
 the copula's Kendall function at the quantile family's CDF, K_C(t, F_Q(t, z)):
 exact for independence, comonotone and bivariate Archimedean copulas, else
 estimated from copula draws.  The density ratio needs K_C's exact derivative.
-Gaussian-copula joint paths step each driver on the copula's normal scores,
-``sample_scores``; terminal joint draws read the copula's levels.  The
-bivariate Gaussian copula's CDF is closed-form, through Owen's T function.
+Copulas work in log levels: terminal draws and composites read each law at
+the score ndtri_exp(log U), and no level is clamped.  Gaussian-copula joint paths
+step each driver on the copula's normal scores; its bivariate CDF uses Owen's T.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy import special
 from . import drivers as drv
 from . import transforms as tr
 from . import valuation as va
-from ._util import TimeParam, as_time_fn, clip_unit, substream
+from ._util import TimeParam, as_time_fn, substream
 from .errors import CapabilityError, ParameterError, RequestError
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class CopulaSpec:
-    """An m-dimensional copula with evaluation, sampling, and Kendall function."""
+    """An m-dimensional copula: a family gives ``log_sample`` and ``log_cdf``, the rest follow."""
 
     family: str = "abstract"
     dim: int = 2
@@ -66,13 +66,23 @@ class CopulaSpec:
         if self.dim < min_dim:
             raise ParameterError(f"copula dimension must be at least {min_dim}")
 
+    def log_cdf(self, t: float, log_u: np.ndarray) -> np.ndarray:
+        """log C(t, u) at log u of shape (..., dim), unchecked."""
+        raise NotImplementedError
+
+    def log_sample(self, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """log U of n copula draws, shape (n, dim)."""
+        raise NotImplementedError
+
     def cdf(self, t: float, u: np.ndarray) -> np.ndarray:
         """C(t, u) for u of shape (..., dim)."""
-        raise NotImplementedError
+        u = _check_u(u, self.dim)
+        with np.errstate(divide="ignore"):
+            return np.exp(self.log_cdf(t, np.log(u)))
 
     def sample(self, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws of the copula's uniforms, shape (n, dim)."""
-        raise NotImplementedError
+        return np.exp(self.log_sample(t, n, rng))
 
     def kendall_closed_form(self, t: float):
         """K(t, v) as a vectorized callable, or None when no closed form applies."""
@@ -92,48 +102,38 @@ def _check_u(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc folded over the last axis of a, one component at a time: numpy's own
+    reduction over a short last axis is about 20 times slower."""
+    return reduce(ufunc, np.moveaxis(a, -1, 0))
+
+
 @dataclass(frozen=True)
 class IndependenceCopula(CopulaSpec):
     dim: int = 2
 
     family = "Independence"
 
-    def cdf(self, t, u):
-        u = _check_u(u, self.dim)
-        return np.prod(u, axis=-1)
+    def log_cdf(self, t, log_u):
+        return _fold(np.add, log_u)
 
-    def sample(self, t, n, rng):
-        return rng.uniform(size=(n, self.dim))
+    def log_sample(self, t, n, rng):
+        return -rng.exponential(size=(n, self.dim))
 
     def kendall_closed_form(self, t):
         m = self.dim
 
         def K(v):
+            # law of a product of m independent uniforms: v sum_{k < m} (-log v)^k / k!
             v = np.asarray(v, dtype=float)
-            # law of a product of m independent uniforms
-            out = np.zeros_like(v)
-            pos = v > 0
-            lv = -np.log(np.where(pos, v, 1.0))
-            acc = np.zeros_like(v)
-            term = np.ones_like(v)
-            for k in range(m):
-                if k > 0:
-                    term = term * lv / k
-                acc = acc + term
-            out[pos] = (v * acc)[pos]
-            return np.clip(out, 0.0, 1.0)
+            lv = -np.log(np.where(v > 0, v, 1.0))
+            out = v * sum(lv ** k / math.factorial(k) for k in range(m))
+            return np.clip(np.where(v > 0, out, 0.0), 0.0, 1.0)
 
         return K
 
     def kendall_derivative(self, t):
-        m = self.dim
-
-        def dK(v):
-            v = np.asarray(v, dtype=float)
-            lv = -np.log(v)
-            return lv ** (m - 1) / math.factorial(m - 1)
-
-        return dK
+        return lambda v: (-np.log(v)) ** (self.dim - 1) / math.factorial(self.dim - 1)
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,11 @@ class ComonotoneCopula(CopulaSpec):
 
     family = "Comonotone"
 
-    def cdf(self, t, u):
-        u = _check_u(u, self.dim)
-        return np.min(u, axis=-1)
+    def log_cdf(self, t, log_u):
+        return _fold(np.minimum, log_u)
 
-    def sample(self, t, n, rng):
-        v = rng.uniform(size=n)
-        return np.repeat(v[:, None], self.dim, axis=1)
+    def log_sample(self, t, n, rng):
+        return np.repeat(-rng.exponential(size=(n, 1)), self.dim, axis=1)
 
     def kendall_closed_form(self, t):
         return lambda v: np.asarray(v, dtype=float)
@@ -258,7 +256,7 @@ class GaussianCopula(CopulaSpec):
         return self._cache["chol"]
 
     def cdf(self, t, u):
-        self.validate()
+        self._chol()  # validates once
         u = _check_u(u, self.dim)
         single = u.ndim == 1
         pts = np.atleast_2d(u)
@@ -281,16 +279,24 @@ class GaussianCopula(CopulaSpec):
         out = np.where(np.any(pts <= 0.0, axis=1), 0.0, np.clip(out, 0.0, 1.0))
         return float(out[0]) if single else out
 
+    def log_cdf(self, t, log_u):
+        with np.errstate(divide="ignore"):
+            return np.log(self.cdf(t, np.exp(log_u)))
+
     def sample_scores(self, t, n, rng):
         """n draws of the correlated standard normals whose levels ``sample`` returns."""
         return rng.standard_normal((n, self.dim)) @ self._chol().T
 
-    def sample(self, t, n, rng):
-        return special.ndtr(self.sample_scores(t, n, rng))
+    def log_sample(self, t, n, rng):
+        return special.log_ndtr(self.sample_scores(t, n, rng))
 
 
 class _Archimedean(CopulaSpec):
     """Common machinery for generator-based families (bivariate Kendall closed form)."""
+
+    def validate(self, t: float = 1.0) -> None:
+        super().validate(t)
+        self._theta(t)
 
     def generator_ratio(self, t: float, v: np.ndarray) -> np.ndarray:
         """phi(v) / phi'(v), the Kendall correction term."""
@@ -308,6 +314,12 @@ class _Archimedean(CopulaSpec):
 
         return K
 
+    def kendall_derivative(self, t):
+        if self.dim != 2:
+            return None
+        th = self._theta(t)
+        return lambda v: self._kendall_slope(np.asarray(v, dtype=float), th)
+
 
 @dataclass(frozen=True)
 class ClaytonCopula(_Archimedean):
@@ -324,38 +336,23 @@ class ClaytonCopula(_Archimedean):
             raise ParameterError(f"Clayton theta must be positive, got {th}")
         return th
 
-    def validate(self, t: float = 1.0) -> None:
-        super().validate(t)
-        self._theta(t)
-
-    def cdf(self, t, u):
+    def log_cdf(self, t, log_u):
         th = self._theta(t)
-        u = _check_u(u, self.dim)
-        zero = np.any(u <= 0.0, axis=-1)
-        s = np.sum(np.where(u > 0, u, 1.0) ** (-th), axis=-1) - (self.dim - 1)
-        out = np.maximum(s, 0.0) ** (-1.0 / th)
-        return np.where(zero, 0.0, out)
+        return -np.log1p(_fold(np.add, np.expm1(-th * log_u))) / th
 
-    def sample(self, t, n, rng):
+    def log_sample(self, t, n, rng):
+        # Marshall-Olkin: U = psi(E / V) with psi(s) = (1 + s)^(-1/theta), V ~ Gamma(1/theta)
         th = self._theta(t)
-        mix = rng.gamma(1.0 / th, 1.0, size=n)
-        e = rng.exponential(size=(n, self.dim))
-        return (1.0 + e / mix[:, None]) ** (-1.0 / th)
+        mix = rng.gamma(1.0 / th, 1.0, size=(n, 1))
+        return np.log1p(rng.exponential(size=(n, self.dim)) / mix) / -th
 
     def generator_ratio(self, t, v):
         th = self._theta(t)
         return -v * (1.0 - v ** th) / th
 
-    def kendall_derivative(self, t):
-        if self.dim != 2:
-            return None
-        th = self._theta(t)
-
-        def dK(v):
-            v = np.asarray(v, dtype=float)
-            return 1.0 + (1.0 - (th + 1.0) * v ** th) / th
-
-        return dK
+    @staticmethod
+    def _kendall_slope(v, th):
+        return 1.0 + (1.0 - (th + 1.0) * v ** th) / th
 
 
 @dataclass(frozen=True)
@@ -373,49 +370,31 @@ class GumbelCopula(_Archimedean):
             raise ParameterError(f"Gumbel theta must be >= 1, got {th}")
         return th
 
-    def validate(self, t: float = 1.0) -> None:
-        super().validate(t)
-        self._theta(t)
-
-    def cdf(self, t, u):
+    def log_cdf(self, t, log_u):
         th = self._theta(t)
-        u = _check_u(u, self.dim)
-        zero = np.any(u <= 0.0, axis=-1)
-        lu = -np.log(np.where(u > 0, u, 1.0))
-        s = np.sum(lu ** th, axis=-1)
-        out = np.exp(-s ** (1.0 / th))
-        return np.where(zero, 0.0, out)
+        return -_fold(np.add, (-log_u) ** th) ** (1.0 / th)
 
-    def sample(self, t, n, rng):
+    def log_sample(self, t, n, rng):
+        # Marshall-Olkin: U = psi(E / S) with psi(s) = exp(-s^(1/theta))
         th = self._theta(t)
         if th == 1.0:
-            return rng.uniform(size=(n, self.dim))
+            return -rng.exponential(size=(n, self.dim))
         # positive stable mixing variable, Chambers-Mallows-Stuck construction:
         # S has Laplace transform exp(-lambda^alpha)
         alpha = 1.0 / th
         theta0 = rng.uniform(0.0, math.pi, size=n)
         w = rng.exponential(size=n)
-        num = np.sin(alpha * theta0)
-        den = np.sin(theta0) ** (1.0 / alpha)
-        tail = (np.sin((1.0 - alpha) * theta0) / w) ** ((1.0 - alpha) / alpha)
-        s = num / den * tail
-        e = rng.exponential(size=(n, self.dim))
-        return np.exp(-((e / s[:, None]) ** alpha))
+        s = (np.sin(alpha * theta0) / np.sin(theta0) ** (1.0 / alpha)
+             * (np.sin((1.0 - alpha) * theta0) / w) ** ((1.0 - alpha) / alpha))
+        return -((rng.exponential(size=(n, self.dim)) / s[:, None]) ** alpha)
 
     def generator_ratio(self, t, v):
         th = self._theta(t)
         return v * np.log(v) / th
 
-    def kendall_derivative(self, t):
-        if self.dim != 2:
-            return None
-        th = self._theta(t)
-
-        def dK(v):
-            v = np.asarray(v, dtype=float)
-            return 1.0 - (np.log(v) + 1.0) / th
-
-        return dK
+    @staticmethod
+    def _kendall_slope(v, th):
+        return 1.0 - (np.log(v) + 1.0) / th
 
 
 def copula_eval(spec: CopulaSpec, t: float, u) -> np.ndarray:
@@ -441,9 +420,7 @@ def kendall_function(spec: CopulaSpec, t: float, v, n_samples: int = 100_000,
     if n_samples < 10_000:
         warnings.warn("empirical Kendall estimate below 1e4 samples is imprecise",
                       stacklevel=2)
-    rng = substream(seed, 71)
-    draws = spec.sample(t, n_samples, rng)
-    c = spec.cdf(t, draws)
+    c = np.exp(spec.log_cdf(t, spec.log_sample(t, n_samples, substream(seed, 71))))
     return np.searchsorted(np.sort(c), vv, side="right") / float(n_samples)
 
 
@@ -483,11 +460,7 @@ def simulate_joint(drivers: Sequence[drv.Driver], copula: CopulaSpec, grid: drv.
     normal innovations each driver steps on (supported for drivers whose exact
     transition needs a single innovation per step: Brownian, OU, gamma).
     """
-    m = len(drivers)
-    if m != copula.dim:
-        raise ParameterError("need one driver per copula dimension")
-    for dr in drivers:
-        dr.validate()
+    _check_drivers(copula, drivers)
     starts = np.array([np.full(n_paths, dr.initial_value(), dtype=float) for dr in drivers])
     if isinstance(copula, (IndependenceCopula, ComonotoneCopula)):
         paths = []
@@ -510,37 +483,60 @@ def simulate_joint(drivers: Sequence[drv.Driver], copula: CopulaSpec, grid: drv.
             for i, dr in enumerate(drivers)]
 
 
+def _log_levels(copula: CopulaSpec, t: float, n_paths: int, seed: int):
+    """log U of ``n_paths`` copula draws at t, in blocks of ``va._BLOCK`` from one substream."""
+    rng = substream(seed, 12)
+    for lo in range(0, n_paths, va._BLOCK):
+        yield copula.log_sample(t, min(va._BLOCK, n_paths - lo), rng)
+
+
+def _compose(mmap: MultiCompositeMap, t: float, ys) -> np.ndarray:
+    """Q(t, C(t, F_1(t, y_1), ...)), each margin's log level log_ndtr of its score."""
+    log_u = np.column_stack([special.log_ndtr(mg.score(t, y)) for mg, y in zip(mmap.margins, ys)])
+    if np.isnan(log_u).any():
+        raise ParameterError("copula arguments must lie in [0, 1]")
+    return mmap.quantile.from_score(t, special.ndtri_exp(mmap.copula.log_cdf(t, log_u)))
+
+
+def _check_drivers(copula: CopulaSpec, drivers: Sequence[drv.Driver]) -> None:
+    if len(drivers) != copula.dim:
+        raise ParameterError("need one driver per copula dimension")
+    for dr in drivers:
+        dr.validate()
+
+
+def _check_true_laws(mmap: MultiCompositeMap, drivers) -> None:
+    if mmap.mode == MultiMode.TRUE_JOINT_LAW and not all(
+            mg.is_true_law_of(dr) for mg, dr in zip(mmap.margins, drivers)):
+        raise ParameterError("TrueJointLaw mode requires each margin to be its driver's law")
+
+
 def simulate_joint_terminal(drivers: Sequence[drv.Driver], copula: CopulaSpec,
                             u_time: float, n_paths: int, seed: int) -> list[drv.PathEnsemble]:
     """Exact joint draw of the m driver values at one terminal time.
 
-    Samples the copula's uniforms and inverse-transforms each margin by its
-    marginal quantile: the joint law has the requested copula and the exact
+    Draws the copula's log levels log U, in blocks of ``va._BLOCK`` paths as
+    ``multi_layer_premium`` does, and reads each margin at its score
+    ndtri_exp(log U_i): the joint law has the requested copula and the exact
     marginal laws.  Supports every copula family with a sampler (including
     Clayton and Gumbel), unlike the per-step innovation coupling.
     """
-    m = len(drivers)
-    if m != copula.dim:
-        raise ParameterError("need one driver per copula dimension")
     copula.validate(u_time)
-    for dr in drivers:
-        dr.validate()
-    rng = substream(seed, 12)
-    uniforms = clip_unit(copula.sample(u_time, n_paths, rng))
+    _check_drivers(copula, drivers)
+    log_u = np.concatenate(list(_log_levels(copula, u_time, n_paths, seed)))
     grid = drv.TimeGrid(np.array([u_time]))
-    out = []
-    for i, dr in enumerate(drivers):
-        y = np.asarray(dr.quantile(u_time, uniforms[:, i]), dtype=float)
-        out.append(drv.PathEnsemble(grid=grid, paths=y[:, None], seed=seed, driver=dr))
-    return out
+    return [drv.PathEnsemble(grid=grid, paths=dr.from_score(u_time, x)[:, None], seed=seed,
+                             driver=dr) for dr, x in zip(drivers, special.ndtri_exp(log_u).T)]
 
 
 def apply_multi_composite(mmap: MultiCompositeMap,
                           ensembles: Sequence[drv.PathEnsemble]) -> drv.PathEnsemble:
     """Z[n, k] = Q(t_k, C(t_k, F_1(t_k, Y^1), ..., F_m(t_k, Y^m))).
 
-    All component ensembles must share grid and path count; the output is a
-    univariate ensemble on the common grid.
+    Each margin's level enters the copula as log_ndtr of its score, and Q reads
+    the score of log C, so no level is formed or clamped.  All component
+    ensembles must share grid and path count; the output is a univariate
+    ensemble on the common grid.
     """
     mmap.validate(float(ensembles[0].grid.times[0]))
     if len(ensembles) != len(mmap.margins):
@@ -551,19 +547,10 @@ def apply_multi_composite(mmap: MultiCompositeMap,
         if not np.array_equal(e.grid.times, grid.times) or e.n_paths != n:
             raise RequestError("component ensembles must share grid and path count")
     grid.require_positive()
-    if mmap.mode == MultiMode.TRUE_JOINT_LAW:
-        for mg, e in zip(mmap.margins, ensembles):
-            if not mg.is_true_law_of(e.driver):
-                raise ParameterError(
-                    "TrueJointLaw mode requires each margin to be its driver's law")
+    _check_true_laws(mmap, [e.driver for e in ensembles])
     out = np.empty((n, len(grid)))
     for k, t in enumerate(grid.times):
-        u = np.column_stack([
-            np.asarray(mg.cdf(t, e.paths[:, k]), dtype=float)
-            for mg, e in zip(mmap.margins, ensembles)
-        ])
-        c = mmap.copula.cdf(t, np.clip(u, 0.0, 1.0))
-        out[:, k] = mmap.quantile.quantile(t, clip_unit(c))
+        out[:, k] = _compose(mmap, t, [e.paths[:, k] for e in ensembles])
     return drv.PathEnsemble(grid=grid, paths=out, seed=ensembles[0].seed,
                             driver=ensembles[0].driver)
 
@@ -586,10 +573,13 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
                         rate: TimeParam, mc: va.MCSettings) -> va.ValuationResult:
     """Premium of a layer-type payoff under the multidimensional distorted law.
 
-    Computed as discount * E[V(Z_u)] with Z from the multi-composite of the
-    drivers drawn jointly at u under the map's copula; the auxiliary margins
-    (indices other than ``risk_index``) influence the premium only through
-    the copula coupling.
+    discount * E[V(Z_u)], with Z the multi-composite of the drivers drawn jointly
+    at u as ``simulate_joint_terminal`` draws them, in blocks of ``va._BLOCK``
+    paths, so memory is flat in the path count.  The auxiliary margins (indices
+    other than ``risk_index``) act only through the copula.  Under
+    ``TRUE_JOINT_LAW`` each margin's CDF undoes its driver's quantile, so Z =
+    Q(C(U)) is read off the draw's log C, and only the risk driver is formed,
+    for the raw mean.
     """
     if payoff.kind not in ("Layer", "StopLoss", "Linear"):
         raise RequestError("multidimensional premiums support Layer, StopLoss, Linear payoffs")
@@ -597,14 +587,23 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     mc.validate()
     if not 0 <= risk_index < len(drivers):
         raise RequestError("risk_index out of range")
+    mmap.validate(u)
+    _check_drivers(mmap.copula, drivers)
+    _check_true_laws(mmap, drivers)
     disc = va._discount(rate, t, u)
-    ensembles = simulate_joint_terminal(drivers, mmap.copula, u, mc.n_paths, mc.seed)
-    z = apply_multi_composite(mmap, ensembles).paths[:, 0]
-    moments = va._Moments().add(payoff(z))
-    price = disc * moments.mean
-    raw = disc * float(np.mean(ensembles[risk_index].paths[:, 0]))
-    return va.ValuationResult(price=price, std_error=moments.std_error(disc),
-                              risk_loading=price - raw,
+    mv, my = va._Moments(), va._Moments(spread=False)
+    for log_u in _log_levels(mmap.copula, u, mc.n_paths, mc.seed):
+        if mmap.mode == MultiMode.TRUE_JOINT_LAW:
+            z = mmap.quantile.from_score(u, special.ndtri_exp(mmap.copula.log_cdf(u, log_u)))
+            y = drivers[risk_index].from_score(u, special.ndtri_exp(log_u[:, risk_index]))
+        else:
+            ys = [dr.from_score(u, x) for dr, x in zip(drivers, special.ndtri_exp(log_u).T)]
+            z, y = _compose(mmap, u, ys), ys[risk_index]
+        mv.add(payoff(z))
+        my.add(y)
+    price = disc * mv.mean
+    return va.ValuationResult(price=price, std_error=mv.std_error(disc),
+                              risk_loading=price - disc * my.mean,
                               diagnostics={"n_effective": mc.n_paths, "seed": mc.seed,
                                            "risk_index": risk_index})
 

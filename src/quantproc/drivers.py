@@ -557,7 +557,7 @@ class VarianceGamma(Driver):
         return self.pdf(t - s, np.asarray(y, dtype=float) - np.asarray(state, dtype=float))
 
 
-#: the gamma law's upper tail runs in log space past 1 - F = 1e-300, at scores above _X_TINY
+#: the gamma law's tails run in log space past a tail level of 1e-300, at |score| > _X_TINY
 _LOG_TINY, _X_TINY = math.log(1e-300), -float(special.ndtri(1e-300))
 
 
@@ -591,16 +591,17 @@ class GammaProcess(Driver):
         return states + rng.gamma(shape, scale, size=np.shape(states))
 
     def transition_from_score(self, s, t, states, x):
-        """states plus gammaincinv at the level ndtr(x); where that level is within 1e-15
-        of 0 or 1, plus the law's own ``from_score``, which reads the tail exactly."""
+        """states plus the step's own law read at the score x, as ``from_score`` reads the
+        marginal law: gammaincinv at ndtr(x), gammainccinv at ndtr(-x) where ndtr(x) is
+        within 1e-15 of 1, and each tail past the level 1e-300 in log space."""
         shape, scale = self._shape_scale(t - s)
         x = np.asarray(x, dtype=float)
         u = special.ndtr(x)
         out = np.asarray(scale * special.gammaincinv(shape, u))
-        far = (u < 1e-15) | (u > 1.0 - 1e-15)
-        if np.any(far):
-            out[far] = self.from_score(t - s, x[far])
-        return states + out
+        up = u > 1.0 - 1e-15
+        if np.any(up):
+            out[up] = scale * special.gammainccinv(shape, special.ndtr(-x[up]))
+        return states + self._far_values(out, x, shape, scale)
 
     def cdf(self, t, y):
         a, s = self.params_at(t)
@@ -625,35 +626,57 @@ class GammaProcess(Driver):
         return 0.0, np.inf
 
     def score(self, t, y):
-        """Law's score, with -ndtri_exp(log(1 - F)) past 1 - F = 1e-300: -inf at and
-        below 0, +inf only at +inf."""
+        """Law's score, in log space past a tail level of 1e-300: ndtri_exp(log F) below
+        and -ndtri_exp(log(1 - F)) above, so it is +-inf only at and beyond 0 and +inf."""
         out, y = np.asarray(super().score(t, y)), np.asarray(y, dtype=float)
-        far = (out > _X_TINY) & (y < np.inf)
-        if np.any(far):
+        lower, upper = (out < -_X_TINY) & (y > 0.0), (out > _X_TINY) & (y < np.inf)
+        if np.any(lower | upper):
             a, s = self.params_at(t)
-            out[far] = -special.ndtri_exp(self._log_sf(y[far] / s, a)[0])
+            out[lower] = special.ndtri_exp(self._log_cdf(np.log(y[lower]) - math.log(s), a)[0])
+            out[upper] = -special.ndtri_exp(self._log_sf(y[upper] / s, a)[0])
         return out[()]
 
     def from_score(self, t, x):
-        """Law's inverse of ``score``, past ndtr(-x) = 1e-300 by solving
-        log(1 - F(y)) = log_ndtr(-x), so a value is finite at every finite score."""
+        """Law's inverse of ``score``, with each tail past the level 1e-300 solved in log
+        space, so a value is finite at every finite score."""
         out, x = np.asarray(super().from_score(t, x)), np.asarray(x, dtype=float)
-        far = (x > _X_TINY) & (x < np.inf)
-        if np.any(far):
-            a, s = self.params_at(t)
-            log_q = special.log_ndtr(-x[far])
-            # past lo, where Q = 1e-300, log Q falls at a rate of at least rho per unit
-            lo = special.gammainccinv(a, 1e-300)
-            rho = min(1.0, (lo - a + 1.0) / lo)
-            lo, hi = np.full_like(log_q, lo), lo + (_LOG_TINY - log_q) / rho * 1.01
+        return self._far_values(out, x, *self.params_at(t))
 
-            def resid_slope(w, idx):
-                log_sf, w_cf = self._log_sf(w, a)
-                return log_q[idx] - log_sf, 1.0 / w_cf
-
-            out[far] = s * _solve_increasing(resid_slope, lo, hi, 0.5 * (lo + hi), 0.0,
-                                             "gamma upper tail")
+    def _far_values(self, out, x, a, s):
+        """out with the value at each finite score x past +-_X_TINY replaced by s times the
+        root, at shape a, of log(1 - F) = log_ndtr(-x) above and log F = log_ndtr(x) below."""
+        for root, side in ((self._upper_root, x > _X_TINY), (self._lower_root, x < -_X_TINY)):
+            side &= np.abs(x) < np.inf
+            if np.any(side):
+                out[side] = s * root(x[side], a)
         return out[()]
+
+    def _upper_root(self, x, a):
+        log_q = special.log_ndtr(-x)
+        # past lo, where Q = 1e-300, log Q falls at a rate of at least rho per unit
+        lo = special.gammainccinv(a, 1e-300)
+        rho = min(1.0, (lo - a + 1.0) / lo)
+        lo, hi = np.full_like(log_q, lo), lo + (_LOG_TINY - log_q) / rho * 1.01
+
+        def resid_slope(w, idx):
+            log_sf, w_cf = self._log_sf(w, a)
+            return log_q[idx] - log_sf, 1.0 / w_cf
+
+        return _solve_increasing(resid_slope, lo, hi, 0.5 * (lo + hi), 0.0, "gamma upper tail")
+
+    def _lower_root(self, x, a):
+        """Solved in w = log y: log P is concave in w, and e^-y y^a <= Gamma(a + 1) P <= y^a
+        puts the root in [w0, w0 + y / a] with w0 = (log P + gammaln(a + 1)) / a, where y is
+        below the level-1e-300 quantile; Newton from w0 rises to it monotonically."""
+        log_p = special.log_ndtr(x)
+        lo = (log_p + special.gammaln(a + 1.0)) / a
+        hi = lo + 1.01 * special.gammaincinv(a, 1e-300) / a
+
+        def resid_slope(w, idx):
+            log_cdf, series = self._log_cdf(w, a)
+            return log_cdf - log_p[idx], 1.0 / series
+
+        return np.exp(_solve_increasing(resid_slope, lo, hi, lo.copy(), 1.0, "gamma lower tail"))
 
     def transition_pdf(self, s, t, state, y):
         _check_step(s, t)
@@ -667,6 +690,23 @@ class GammaProcess(Driver):
         with np.errstate(invalid="ignore"):  # inf - inf at y = inf, where the density is 0
             log_pdf = special.xlogy(a - 1.0, x) - x - special.gammaln(a)
         return np.where((x < 0) | np.isinf(x), 0.0, np.exp(log_pdf) / s)[()]
+
+    @staticmethod
+    def _log_cdf(w, a):
+        """(log P(a, y), series) at y = e^w below the median, from the series
+        P(a, y) = e^-y y^a series / Gamma(a), series = 1/a + y/(a(a+1)) + ...;
+        d log P / dw = 1 / series."""
+        y = np.exp(w)
+        term = np.full_like(y, 1.0 / a)
+        series = term.copy()
+        for n in range(1, 20_000):
+            term *= y / (a + n)
+            series += term
+            if np.all(term <= 1e-17 * series):
+                break
+        else:
+            raise NumericError(f"gamma lower tail series at shape {a} did not converge")
+        return a * w - y - special.gammaln(a) + np.log(series), series
 
     @staticmethod
     def _log_sf(x, a):

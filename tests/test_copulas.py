@@ -497,6 +497,90 @@ def test_clayton_theta_sweep_runs_with_common_randoms():
     assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
 
 
+def _kendall_premium(copula, q, payoff, disc):
+    """disc * int V(Q(v)) K'(v) dv, split at the payoff's kinks, from the closed-form
+    Kendall derivative: the law of C(U) is K, so Z = Q(C(U)) has this expectation."""
+    dK = copula.kendall_derivative(1.0)
+    v1, v2 = (float(q.cdf(1.0, z)) for z in (payoff.a, payoff.b))
+    value, _ = integrate.quad(lambda v: float(payoff(q.quantile(1.0, v)) * dK(v)), v1, 1.0,
+                              points=[v2], epsabs=1e-13, epsrel=1e-12, limit=200)
+    return disc * value
+
+
+@pytest.mark.parametrize("copula", [cp.ClaytonCopula(0.5), cp.ClaytonCopula(2.0),
+                                    cp.ClaytonCopula(6.0), cp.GumbelCopula(1.2),
+                                    cp.GumbelCopula(2.0), cp.GumbelCopula(4.0)],
+                         ids=lambda c: f"{c.family}-{c.theta}")
+def test_archimedean_premium_matches_the_kendall_integral(copula):
+    mm, bm = two_margin_map(copula)
+    payoff = va.Layer(0.5, 2.0)
+    prem = cp.multi_layer_premium(mm, [bm, bm], 0, payoff, 0.0, 1.0, 0.05,
+                                  va.MCSettings(200_000, 37))
+    want = _kendall_premium(copula, mm.quantile, payoff, math.exp(-0.05))
+    assert abs(prem.price - want) <= 3.0 * prem.std_error
+
+
+def _textbook_cdf(copula, u):
+    """C(u) in levels, straight from each family's definition."""
+    th = getattr(copula, "theta", None)
+    return {"Independence": lambda: np.prod(u, axis=-1),
+            "Comonotone": lambda: np.min(u, axis=-1),
+            "Clayton": lambda: (np.sum(u ** -th, axis=-1) - (u.shape[-1] - 1)) ** (-1.0 / th),
+            "Gumbel": lambda: np.exp(-np.sum((-np.log(u)) ** th, axis=-1) ** (1.0 / th)),
+            "GaussianCopula": lambda: copula.cdf(1.0, u)}[copula.family]()
+
+
+@pytest.mark.parametrize("copula", [cp.IndependenceCopula(3), cp.ComonotoneCopula(3),
+                                    cp.ClaytonCopula(2.0, 3), cp.GumbelCopula(1.7, 3),
+                                    cp.GumbelCopula(1.0, 2),
+                                    cp.GaussianCopula(np.array([[1.0, 0.6], [0.6, 1.0]]))],
+                         ids=lambda c: f"{c.family}-{c.dim}")
+def test_log_cdf_is_the_log_of_the_copula_at_its_draws(copula):
+    # each family's log C from log U against log C(exp(log U)) in levels: to 1e-12 of
+    # |log C|, plus the round-off of a level near 1 carried into its log
+    log_u = copula.log_sample(1.0, 20_000, np.random.default_rng(41))
+    assert log_u.shape == (20_000, copula.dim) and np.all(log_u <= 0.0)
+    got = copula.log_cdf(1.0, log_u)
+    want = np.log(_textbook_cdf(copula, np.exp(log_u)))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 4.0 * np.finfo(float).eps)
+    np.testing.assert_allclose(copula.cdf(1.0, np.exp(log_u)), np.exp(got), rtol=1e-13, atol=0.0)
+
+
+def test_false_law_premium_composes_the_terminal_draws():
+    # a FalseLaw premium with false margins is the mean payoff of apply_multi_composite
+    # over simulate_joint_terminal's draws: both read the copula in the same blocks
+    bm, ou = d.Brownian(), d.InhomogeneousOU(1.0, 0.2, 0.8, 0.1)
+    mm = cp.MultiCompositeMap(margins=(tr.GaussianLaw(0.3, 1.2), tr.GaussianLaw(-0.1, 0.7)),
+                              copula=cp.ClaytonCopula(2.0), quantile=tr.TukeyG(0, 1, 0.4),
+                              mode=cp.MultiMode.FALSE_LAW)
+    payoff, n = va.Layer(0.5, 2.0), va._BLOCK + 30_000
+    prem = cp.multi_layer_premium(mm, [bm, ou], 1, payoff, 0.0, 1.0, 0.05, va.MCSettings(n, 43))
+    ens = cp.simulate_joint_terminal([bm, ou], mm.copula, 1.0, n, 43)
+    v = payoff(cp.apply_multi_composite(mm, ens).paths[:, 0])
+    disc = math.exp(-0.05)
+    assert prem.price == pytest.approx(disc * float(np.mean(v)), rel=1e-13)
+    assert prem.std_error == pytest.approx(disc * float(np.std(v, ddof=1)) / math.sqrt(n), rel=1e-10)
+    raw = disc * float(np.mean(ens[1].paths[:, 0]))
+    assert prem.risk_loading == pytest.approx(prem.price - raw, rel=1e-12)
+
+
+def test_premium_memory_is_flat_in_the_path_count():
+    import tracemalloc
+
+    mm, bm = two_margin_map(cp.GumbelCopula(2.0))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            cp.multi_layer_premium(mm, [bm, bm], 0, va.Layer(0.5, 2.0), 0.0, 1.0, 0.0,
+                                   va.MCSettings(n, 47))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1 << 20) <= 1.5 * peak(1 << 17)
+
+
 def test_premium_payoff_kinds_guarded():
     mm, bm = two_margin_map(cp.IndependenceCopula(2))
     with pytest.raises(RequestError):

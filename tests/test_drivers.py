@@ -407,6 +407,50 @@ def test_gamma_from_score_is_finite_at_every_finite_score(shape, x):
     assert math.isfinite(y) and y >= 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=st.floats(50.0, 1e4), x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=20))
+@example(shape=1e4, x=[-40.0, -38.0, -37.0, -30.0, 30.0, 40.0])
+def test_gamma_from_score_inverts_score_at_large_shapes(shape, x):
+    # past a tail level of 1e-300 both tails score and invert in log space: log P(a, y) by
+    # its series below the median, log Q(a, y) by its continued fraction above it
+    gp, x = d.GammaProcess(shape, shape), np.array(x)
+    back = gp.score(1.0, gp.from_score(1.0, x))
+    assert np.all(np.abs(back - x) <= 2e-14 * (1.0 + np.abs(x)))
+
+
+def test_gamma_scores_resolve_the_lower_tail():
+    # gammainc(1e4, 800) underflows to 0, where the score was -inf, and the level of a
+    # score of -40 read 5e-324; targets from a 50-digit solve of log P(a, y) = log Phi(x)
+    import mpmath as mp
+    mp.mp.dps = 50
+    a, gp = mp.mpf(10_000), d.GammaProcess(1e4, 1e4)
+    log_p = mp.log(mp.gammainc(a, 0, 800, regularized=True))
+    want_x = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - log_p, -179.2)
+    want_y = mp.findroot(lambda y: mp.log(mp.gammainc(a, 0, y, regularized=True))
+                         - mp.log(mp.ncdf(-40)), 6514.0)
+    assert float(gp.score(1.0, 800.0)) == pytest.approx(float(want_x), rel=1e-13)
+    assert float(gp.from_score(1.0, -40.0)) == pytest.approx(float(want_y), rel=1e-13)
+    assert float(gp.score(1.0, 5000.0)) < -40.0 < float(gp.score(1.0, 6600.0))
+
+
+def test_gamma_step_shorter_than_min_time_reads_its_own_tails():
+    # a step below MIN_TIME reads its far tails from its own (shape, scale), as
+    # sample_transition draws it, not from the time-checked marginal law; at shape 1e-8
+    # the lower half of the step underflows to 0
+    gp = d.GammaProcess()
+    assert np.all(np.isfinite(gp.transition_from_score(1.0, 1.0 + 1e-8, np.zeros(2),
+                                                       np.array([0.0, 9.0]))))
+    x = np.linspace(-40.0, 40.0, 161)
+    step = gp.transition_from_score(1.0, 1.0 + 1e-8, np.zeros_like(x), x)
+    assert np.all(np.isfinite(step)) and np.all(np.diff(step) >= 0.0)
+    assert np.all(np.diff(step[x >= 5.0]) > 0.0)
+    # past the levels 1e-15 and 1 - 1e-15 a step of the same (shape, scale) at t >= MIN_TIME
+    # is the law's own from_score
+    wide, far = d.GammaProcess(1e-4, 1e-4), np.abs(x) > 7.95
+    np.testing.assert_array_equal(wide.transition_from_score(0.0, 1.0, np.zeros_like(x), x)[far],
+                                  wide.from_score(1.0, x[far]))
+
+
 def test_gamma_step_reads_the_law_past_its_clamped_levels():
     # a gamma step is gammaincinv at the level ndtr(x) while that level lies within
     # [1e-15, 1 - 1e-15], and the law's own from_score past it, where the clamped level

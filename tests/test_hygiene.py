@@ -1,16 +1,18 @@
 """Source hygiene of the package: every import in src/quantproc is used, and so is
 every module-level private function, class and constant; no law's quantile is
-evaluated at a level ndtr(x) formed outside ``Law.from_score``; ``clip_unit`` is
-called only at its two copula sites, and ``_check_time`` only in each driver's one
-parameter method; no driver's law is read through the older ``marginal_*`` names;
-and a cold start loads none of the heavy scipy submodules."""
+evaluated at a level ndtr(x) formed outside ``Law.from_score``; no module names the
+retired level clamp ``clip_unit`` or its ``U_EPS``, and ``_check_time`` is called only
+in each driver's one parameter method; no driver's law is read through the older
+``marginal_*`` names; and a cold start loads none of the heavy scipy submodules."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -180,17 +182,28 @@ def test_detector_finds_each_clip_unit_call():
             return draw(1), clip_unit(draw(2))
         """)
     assert call_sites("clip_unit", source) == ["<module>", "Law.cdf", "sample", "sample"]
+    assert retired_names(source + "# U_EPS\nEPS = 'U_EPS'\n") == ["clip_unit"]
+    assert retired_names("from ._util import U_EPS as eps\n") == ["U_EPS"]
 
 
-#: the probabilities still clamped into (0, 1): each site goes once its law scores and
-#: inverts in its own tails, and no new one may come
-CLIP_UNIT_SITES = {
-    "copulas.py": ["apply_multi_composite", "simulate_joint_terminal"],
-}
+#: the level clamp into (0, 1) and its epsilon, retired once every law scored and
+#: inverted in its own tails and every copula read its levels in log space
+RETIRED = ("clip_unit", "U_EPS")
+
+
+def retired_names(source: str) -> list[str]:
+    """The ``RETIRED`` names that ``source`` uses as identifiers, outside strings and
+    comments."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sorted({tok.string for tok in tokens if tok.type == tokenize.NAME and tok.string in RETIRED})
+
+
+#: the modules that still name a retired clamp: none, and none may again
+CLIP_UNIT_SITES = {}
 
 
 def test_clip_unit_has_only_its_known_sites():
-    sites = {path.name: call_sites("clip_unit", path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    sites = {path.name: retired_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in sites.items() if found} == CLIP_UNIT_SITES
 
 
