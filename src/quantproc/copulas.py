@@ -124,16 +124,31 @@ class IndependenceCopula(CopulaSpec):
         m = self.dim
 
         def K(v):
-            # law of a product of m independent uniforms: v sum_{k < m} (-log v)^k / k!
             v = np.asarray(v, dtype=float)
-            lv = -np.log(np.where(v > 0, v, 1.0))
-            out = v * sum(lv ** k / math.factorial(k) for k in range(m))
-            return np.clip(np.where(v > 0, out, 0.0), 0.0, 1.0)
+            # law of a product of m independent uniforms
+            out = np.zeros_like(v)
+            pos = v > 0
+            lv = -np.log(np.where(pos, v, 1.0))
+            acc = np.zeros_like(v)
+            term = np.ones_like(v)
+            for k in range(m):
+                if k > 0:
+                    term = term * lv / k
+                acc = acc + term
+            out[pos] = (v * acc)[pos]
+            return np.clip(out, 0.0, 1.0)
 
         return K
 
     def kendall_derivative(self, t):
-        return lambda v: (-np.log(v)) ** (self.dim - 1) / math.factorial(self.dim - 1)
+        m = self.dim
+
+        def dK(v):
+            v = np.asarray(v, dtype=float)
+            lv = -np.log(v)
+            return lv ** (m - 1) / math.factorial(m - 1)
+
+        return dK
 
 
 @dataclass(frozen=True)
@@ -338,13 +353,29 @@ class ClaytonCopula(_Archimedean):
 
     def log_cdf(self, t, log_u):
         th = self._theta(t)
-        return -np.log1p(_fold(np.add, np.expm1(-th * log_u))) / th
+        w = -th * log_u
+        with np.errstate(over="ignore"):
+            out = np.asarray(np.log1p(_fold(np.add, np.expm1(w))))
+        # where a u^-theta overflows, 1 + sum(u^-theta - 1) is sum(u^-theta) to the last bit
+        far = np.isinf(out)
+        if np.any(far):
+            out[far] = special.logsumexp(w[far], axis=-1)
+        return (out / -th)[()]
 
     def log_sample(self, t, n, rng):
-        # Marshall-Olkin: U = psi(E / V) with psi(s) = (1 + s)^(-1/theta), V ~ Gamma(1/theta)
+        # Marshall-Olkin: U = psi(E / V) with psi(s) = (1 + s)^(-1/theta), V ~ Gamma(1/theta);
+        # log V = log G - theta E' with G ~ Gamma(1 + 1/theta), so V cannot underflow
         th = self._theta(t)
-        mix = rng.gamma(1.0 / th, 1.0, size=(n, 1))
-        return np.log1p(rng.exponential(size=(n, self.dim)) / mix) / -th
+        mix = rng.gamma(1.0 + 1.0 / th, 1.0, size=(n, 1))
+        log_v = np.log(mix) - th * rng.exponential(size=(n, 1))
+        e = rng.exponential(size=(n, self.dim))
+        with np.errstate(over="ignore"):
+            out = np.log1p(e * np.exp(-log_v))
+        # past the float range E / V is above 1e308, where log1p(E / V) = log E - log V
+        far = np.isinf(out)
+        if np.any(far):
+            out[far] = (np.log(e) - log_v)[far]
+        return out / -th
 
     def generator_ratio(self, t, v):
         th = self._theta(t)
@@ -372,7 +403,15 @@ class GumbelCopula(_Archimedean):
 
     def log_cdf(self, t, log_u):
         th = self._theta(t)
-        return -_fold(np.add, (-log_u) ** th) ** (1.0 / th)
+        with np.errstate(over="ignore"):
+            total = _fold(np.add, (-log_u) ** th)
+        out = np.asarray(total ** (1.0 / th))
+        # where the sum of (-log u)^theta leaves the normal floats, sum it in logs
+        far = (total < np.finfo(float).tiny) | (total == np.inf)
+        if np.any(far):
+            with np.errstate(divide="ignore"):
+                out[far] = np.exp(special.logsumexp(th * np.log(-log_u[far]), axis=-1) / th)
+        return -out[()]
 
     def log_sample(self, t, n, rng):
         # Marshall-Olkin: U = psi(E / S) with psi(s) = exp(-s^(1/theta))
@@ -384,9 +423,10 @@ class GumbelCopula(_Archimedean):
         alpha = 1.0 / th
         theta0 = rng.uniform(0.0, math.pi, size=n)
         w = rng.exponential(size=n)
-        s = (np.sin(alpha * theta0) / np.sin(theta0) ** (1.0 / alpha)
-             * (np.sin((1.0 - alpha) * theta0) / w) ** ((1.0 - alpha) / alpha))
-        return -((rng.exponential(size=(n, self.dim)) / s[:, None]) ** alpha)
+        # log S, so that S cannot under- or overflow at large theta
+        log_s = (np.log(np.sin(alpha * theta0)) - th * np.log(np.sin(theta0))
+                 + (th - 1.0) * np.log(np.sin((1.0 - alpha) * theta0) / w))
+        return -np.exp(alpha * (np.log(rng.exponential(size=(n, self.dim))) - log_s[:, None]))
 
     def generator_ratio(self, t, v):
         th = self._theta(t)
@@ -577,9 +617,11 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     at u as ``simulate_joint_terminal`` draws them, in blocks of ``va._BLOCK``
     paths, so memory is flat in the path count.  The auxiliary margins (indices
     other than ``risk_index``) act only through the copula.  Under
-    ``TRUE_JOINT_LAW`` each margin's CDF undoes its driver's quantile, so Z =
-    Q(C(U)) is read off the draw's log C, and only the risk driver is formed,
-    for the raw mean.
+    ``TRUE_JOINT_LAW`` with continuous drivers each margin's CDF undoes its
+    driver's quantile, so Z = Q(C(U)) is read off the draw's log C, and only the
+    risk driver is formed, for the raw mean.  A discrete driver's CDF at its
+    drawn count is a step level above U, so then every driver is formed and
+    composed, as in ``FALSE_LAW``.
     """
     if payoff.kind not in ("Layer", "StopLoss", "Linear"):
         raise RequestError("multidimensional premiums support Layer, StopLoss, Linear payoffs")
@@ -591,9 +633,10 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     _check_drivers(mmap.copula, drivers)
     _check_true_laws(mmap, drivers)
     disc = va._discount(rate, t, u)
+    direct = mmap.mode == MultiMode.TRUE_JOINT_LAW and not any(dr.is_discrete for dr in drivers)
     mv, my = va._Moments(), va._Moments(spread=False)
     for log_u in _log_levels(mmap.copula, u, mc.n_paths, mc.seed):
-        if mmap.mode == MultiMode.TRUE_JOINT_LAW:
+        if direct:
             z = mmap.quantile.from_score(u, special.ndtri_exp(mmap.copula.log_cdf(u, log_u)))
             y = drivers[risk_index].from_score(u, special.ndtri_exp(log_u[:, risk_index]))
         else:

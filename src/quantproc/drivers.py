@@ -668,9 +668,11 @@ class GammaProcess(Driver):
         """Solved in w = log y: log P is concave in w, and e^-y y^a <= Gamma(a + 1) P <= y^a
         puts the root in [w0, w0 + y / a] with w0 = (log P + gammaln(a + 1)) / a, where y is
         below the level-1e-300 quantile; Newton from w0 rises to it monotonically."""
-        log_p = special.log_ndtr(x)
+        log_p, q = special.log_ndtr(x), special.gammaincinv(a, 1e-300)
         lo = (log_p + special.gammaln(a + 1.0)) / a
-        hi = lo + 1.01 * special.gammaincinv(a, 1e-300) / a
+        hi = lo + 1.01 * q / a
+        if q > 0.0:  # the root is below q, short of the median, where the series is quick
+            hi = np.minimum(hi, math.log(q) + 1e-9)
 
         def resid_slope(w, idx):
             log_cdf, series = self._log_cdf(w, a)
@@ -695,18 +697,20 @@ class GammaProcess(Driver):
     def _log_cdf(w, a):
         """(log P(a, y), series) at y = e^w below the median, from the series
         P(a, y) = e^-y y^a series / Gamma(a), series = 1/a + y/(a(a+1)) + ...;
-        d log P / dw = 1 / series."""
+        d log P / dw = 1 / series.  Near the level-1e-300 quantile the terms take about
+        sqrt(a) steps to fall below 1e-17, so they are summed in doubling blocks."""
         y = np.exp(w)
         term = np.full_like(y, 1.0 / a)
-        series = term.copy()
-        for n in range(1, 20_000):
-            term *= y / (a + n)
-            series += term
-            if np.all(term <= 1e-17 * series):
-                break
-        else:
-            raise NumericError(f"gamma lower tail series at shape {a} did not converge")
-        return a * w - y - special.gammaln(a) + np.log(series), series
+        series, n, k = term.copy(), 0, 8
+        while not np.all(term <= 1e-17 * series):
+            if n > 100.0 + 4.0 * math.sqrt(a):
+                raise NumericError(f"gamma lower tail series at shape {a} did not converge")
+            terms = term[..., None] * np.cumprod(y[..., None] / (a + n + np.arange(1.0, k + 1.0)),
+                                                 axis=-1)
+            series += terms.sum(axis=-1)
+            term, n, k = terms[..., -1], n + k, min(2 * k, max(8, (1 << 16) // y.size))
+        d = w - math.log(a)
+        return _gamma_log_scale(a) - a * (np.expm1(d) - d) + np.log(series), series
 
     @staticmethod
     def _log_sf(x, a):
@@ -726,7 +730,20 @@ class GammaProcess(Driver):
                 break
         else:
             raise NumericError(f"gamma tail continued fraction at shape {a} did not converge")
-        return a * np.log(x) - x + np.log(cf) - special.gammaln(a), x * cf
+        r = (x - a) / a
+        return _gamma_log_scale(a) - a * (r - np.log1p(r)) + np.log(cf), x * cf
+
+
+def _gamma_log_scale(a: float) -> float:
+    """a log a - a - log Gamma(a), by Stirling's series from a = 15, where the direct sum
+    cancels, so that log(y^a e^-y / Gamma(a)) = this - a (y/a - 1 - log(y/a)) keeps its
+    digits at large shapes."""
+    if a < 15.0:
+        return a * math.log(a) - a - special.gammaln(a)
+    inv2 = 1.0 / (a * a)
+    stirling = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * (
+        1.0 / 1680.0 - inv2 / 1188.0)))) / a
+    return 0.5 * math.log(a / (2.0 * math.pi)) - stirling
 
 
 @dataclass(frozen=True, eq=False)

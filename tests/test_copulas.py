@@ -564,6 +564,46 @@ def test_false_law_premium_composes_the_terminal_draws():
     assert prem.risk_loading == pytest.approx(prem.price - raw, rel=1e-12)
 
 
+def test_true_law_premium_over_poisson_drivers_composes_the_terminal_draws():
+    # a Poisson driver's CDF at its drawn count is a step level above U, so Q(C(U)) is
+    # not its composite: the premium composes the drawn counts, as apply_multi_composite
+    # does over simulate_joint_terminal's draws
+    p1, p2 = d.InhomogeneousPoisson(3.0), d.InhomogeneousPoisson(lambda t: 1.0 + t)
+    mm = cp.MultiCompositeMap(margins=(p1, p2), copula=cp.ClaytonCopula(2.0),
+                              quantile=tr.TukeyG(0, 1, 0.4))
+    payoff, n = va.Layer(0.5, 2.0), va._BLOCK + 5_000
+    prem = cp.multi_layer_premium(mm, [p1, p2], 0, payoff, 0.0, 1.0, 0.05, va.MCSettings(n, 53))
+    ens = cp.simulate_joint_terminal([p1, p2], mm.copula, 1.0, n, 53)
+    v = payoff(cp.apply_multi_composite(mm, ens).paths[:, 0])
+    disc = math.exp(-0.05)
+    assert prem.price == pytest.approx(disc * float(np.mean(v)), rel=1e-13)
+    raw = disc * float(np.mean(ens[0].paths[:, 0]))
+    assert prem.risk_loading == pytest.approx(prem.price - raw, rel=1e-12)
+    # the continuous reading Q(C(U)) would price a different law
+    want = _kendall_premium(mm.copula, mm.quantile, payoff, disc)
+    assert abs(prem.price - want) > 10.0 * prem.std_error
+
+
+@pytest.mark.parametrize("copula", [cp.ClaytonCopula(100.0), cp.GumbelCopula(50.0),
+                                    cp.GumbelCopula(1000.0)],
+                         ids=lambda c: f"{c.family}-{c.theta}")
+def test_premium_is_finite_at_strong_dependence(copula):
+    # the frailty of a Clayton draw at theta = 100 underflows about once in a thousand
+    # draws, and (-log u)^theta leaves the floats at large Gumbel theta; both are read in
+    # logs, so every level and every premium stays finite
+    log_u = copula.log_sample(1.0, 100_000, np.random.default_rng(59))
+    log_c = copula.log_cdf(1.0, log_u)
+    assert np.all(np.isfinite(log_u)) and np.all(log_u <= 0.0)
+    assert np.all(np.isfinite(log_c)) and np.all(log_c <= log_u.min(axis=1))
+    mm, bm = two_margin_map(copula)
+    for payoff in (va.Linear(), va.Layer(0.5, 2.0)):
+        prem = cp.multi_layer_premium(mm, [bm, bm], 0, payoff, 0.0, 1.0, 0.05,
+                                      va.MCSettings(100_000, 61))
+        assert all(math.isfinite(v) for v in (prem.price, prem.std_error, prem.risk_loading))
+    want = _kendall_premium(copula, mm.quantile, payoff, math.exp(-0.05))
+    assert abs(prem.price - want) <= 3.0 * prem.std_error
+
+
 def test_premium_memory_is_flat_in_the_path_count():
     import tracemalloc
 

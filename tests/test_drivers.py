@@ -418,6 +418,30 @@ def test_gamma_from_score_inverts_score_at_large_shapes(shape, x):
     assert np.all(np.abs(back - x) <= 2e-14 * (1.0 + np.abs(x)))
 
 
+@settings(max_examples=12, deadline=None)
+@given(shape=st.floats(1e5, 1e10), x=st.lists(st.floats(37.6, 45.0), min_size=1, max_size=5))
+@example(shape=1e9, x=[37.6, 38.0, 40.0, 45.0])
+def test_gamma_far_tails_invert_at_very_large_shapes(shape, x):
+    # past the level 1e-300 the lower-tail series takes about sqrt(a) terms, summed in
+    # blocks, and both tails sum a log y - y - log Gamma(a) by Stirling's series, where
+    # the direct sum cancels to about a * 1e-16.  A value is resolved to a few ulps; its
+    # score only to the rounding of log y, in which the lower tail is solved: about
+    # 1e-15 sqrt(a) in the score
+    gp, x = d.GammaProcess(shape, shape), np.sort(np.concatenate([-np.array(x), x]))
+    y = gp.from_score(1.0, x)
+    assert np.all(np.isfinite(y)) and np.all(np.diff(y) >= 0.0)
+    assert np.all(np.abs(gp.score(1.0, y) - x) <= 1e-14 * (1.0 + math.sqrt(shape)) * (1.0 + np.abs(x)))
+    np.testing.assert_allclose(gp.from_score(1.0, gp.score(1.0, y)), y, rtol=1e-14, atol=0.0)
+
+
+def test_gamma_far_tails_at_shape_1e9():
+    # targets from a 40-digit mpmath solve of log P(a, y) = log Phi(x), with P from the
+    # 1F1 series, and of log Q(a, y) = log Phi(-x), with Q from gammainc
+    gp = d.GammaProcess(1e9, 1e9)
+    assert float(gp.score(1.0, 998735622.0)) == pytest.approx(-39.99999620050865087, rel=1e-12)
+    assert float(gp.score(1.0, 1001265440.0)) == pytest.approx(39.99986982299832073, rel=1e-13)
+
+
 def test_gamma_scores_resolve_the_lower_tail():
     # gammainc(1e4, 800) underflows to 0, where the score was -inf, and the level of a
     # score of -40 read 5e-324; targets from a 50-digit solve of log P(a, y) = log Phi(x)
