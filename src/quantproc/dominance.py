@@ -8,8 +8,8 @@ where both CDFs leave {0, 1}; the grid on it is uniform in asinh(z), so a
 domain widened to millions by a heavy tail keeps its points dense where the
 CDFs cross.  Quantile crossing levels u* delimit the dominance domain for
 composite-map pairs sharing a driver law; the crossing scan reads both laws'
-quantiles at normal scores x through ``Law.from_score`` and forms only the
-level u* = ndtr(x*) it reports.  The sufficient conditions read
+quantiles through ``Law.from_score`` on a fixed grid of normal scores x, built
+once, and solves each sign change by Brent's method.  The sufficient conditions read
 their derivatives and CDFs off ``transforms.preimage``, the inverse composite
 w = Q_dist(t, F_quantile(t, z)); this module does not import ``measures``.
 """
@@ -76,34 +76,68 @@ class DominanceReport:
 _X_RESOLVABLE = 8.2
 #: points of the crossing scan, uniform in x on [-_X_RESOLVABLE, _X_RESOLVABLE]
 _N_SCAN = 4096
+#: the crossing scan's grid, built once and read-only: its scores x and their levels ndtr(x)
+_XS = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
+_US = special.ndtr(_XS)
+_XS.flags.writeable = _US.flags.writeable = False
+
+
+def _brent(f: Callable, a: float, b: float, xtol: float, maxiter: int) -> float:
+    """A root of f in [a, b] by Brent's method (Brent, 1973, ch. 4), a line-for-line port of
+    scipy's ``brentq.c`` with rtol = 4 eps: the same calls of f and the same root.  Where the trial
+    step's divisor underflows to 0, C's inf or NaN step fails the step test; so does inf here."""
+    def call(x: float) -> float:
+        if math.isnan(fx := float(f(x))):
+            raise NumericError(fail + f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    fail = f"crossing root-finding failed near x={a:.3f}: "
+    rtol, xpre, xcur, xblk, fblk, spre, scur = 2.0 ** -50, float(a), float(b), 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericError(fail + "f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the step test: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # extrapolate
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            stry = num / den if den else math.inf
+        good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NumericError(fail + f"Failed to converge after {maxiter} iterations.")
 
 
 def _crossing_roots(q1: tr.Law, q2: tr.Law, t: float) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Scores x where Q1 - Q2 changes sign, the scan's levels ndtr(x) and Q1 - Q2 on them."""
-    from scipy import optimize
-    xs = np.linspace(-_X_RESOLVABLE, _X_RESOLVABLE, _N_SCAN)
-
     def diff(x):
         return q1.from_score(t, x) - q2.from_score(t, x)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        d = diff(xs)
+        d = diff(_XS)
     d = np.where(np.isfinite(d), d, 0.0)
     s = np.sign(d)
-    roots: list[float] = []
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    for i in flips:
-        try:
-            r = optimize.brentq(diff, xs[i], xs[i + 1], xtol=1e-13, maxiter=200)
-        except (ValueError, RuntimeError) as exc:
-            raise NumericError(f"crossing root-finding failed near x={xs[i]:.3f}: {exc}")
-        roots.append(float(r))
+    roots = [_brent(diff, _XS[i], _XS[i + 1], 1e-13, 200) for i in np.nonzero(s[:-1] * s[1:] < 0)[0]]
     # exact zeros on the scan grid count as touch points
     for i in np.nonzero(s == 0)[0]:
         if 0 < i < _N_SCAN - 1 and s[i - 1] * s[i + 1] < 0:
-            roots.append(float(xs[i]))
+            roots.append(float(_XS[i]))
     roots.sort()
-    return roots, special.ndtr(xs), d
+    return roots, _US, d
 
 
 def crossing_u_star(q1: tr.Law, q2: tr.Law, t: float = 1.0) -> Optional[float]:

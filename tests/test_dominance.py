@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from quantproc import dominance as dom
 from quantproc import drivers as d
@@ -132,6 +132,83 @@ def test_crossing_curve_ordering_in_kurtosis_gap():
     u_by_dh = [dom.crossing_u_star(gh(g2 + dg, h2 + dh), gh(g2, h2))
                for dh in (0.2, 0.35, 0.5)]
     assert u_by_dh[0] < u_by_dh[1] < u_by_dh[2]
+
+
+# ---------------------------------------------------------------------------
+# the crossing root-finder: a port of scipy's brentq, root for root
+# ---------------------------------------------------------------------------
+
+def scan_brackets(q1, q2):
+    """Q1 - Q2 as a function of the score, and the scan's brackets of its sign changes."""
+    def diff(x):
+        return q1.from_score(1.0, x) - q2.from_score(1.0, x)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = diff(dom._XS)
+    s = np.sign(np.where(np.isfinite(d), d, 0.0))
+    return diff, [(dom._XS[i], dom._XS[i + 1]) for i in np.nonzero(s[:-1] * s[1:] < 0)[0]]
+
+
+def brent_and_brentq(f, lo, hi, maxiter=200):
+    """The roots of ``_brent`` and ``optimize.brentq`` on [lo, hi], or the text of each failure
+    after the crossing report's own prefix."""
+    try:
+        mine = dom._brent(f, lo, hi, 1e-13, maxiter)
+    except NumericError as exc:
+        prefix = f"crossing root-finding failed near x={lo:.3f}: "
+        assert str(exc).startswith(prefix)
+        mine = str(exc)[len(prefix):]
+    try:
+        theirs = optimize.brentq(f, lo, hi, xtol=1e-13, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        theirs = str(exc)
+    return mine, theirs
+
+
+#: TukeyGH(a, b, g, h) with a and b moved, g in [-3, 3] and h in [0, 0.6]
+tukey_gh = st.builds(tr.TukeyGH, st.floats(-2.0, 2.0), st.floats(0.2, 3.0), st.floats(-3.0, 3.0),
+                     st.floats(0.0, 0.6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q1=tukey_gh, q2=tukey_gh)
+def test_brent_port_gives_brentqs_root_on_every_scan_bracket(q1, q2):
+    diff, brackets = scan_brackets(q1, q2)
+    assume(brackets)
+    for lo, hi in brackets:
+        mine, theirs = brent_and_brentq(diff, lo, hi)
+        assert mine == theirs, (lo, hi)
+
+
+@pytest.mark.parametrize("q1, q2", [
+    (gh(1.0, 0.4), gh(1.0, 0.1)),  # cubic contact at the median
+    (tr.PoissonQuantile(3.0), tr.GaussianLaw(3.0, 1.7)),  # flat stretches between counts
+    (tr.PoissonQuantile(3.0), tr.TukeyGH(3.0, 1.5, 0.3, 0.1)),
+], ids=["cubic-contact", "poisson-gaussian", "poisson-tukeygh"])
+def test_brent_port_gives_brentqs_roots_on_hard_pairs(q1, q2):
+    diff, brackets = scan_brackets(q1, q2)
+    assert brackets
+    for lo, hi in brackets:
+        mine, theirs = brent_and_brentq(diff, lo, hi)
+        assert isinstance(mine, float) and mine == theirs, (lo, hi)
+
+
+def test_brent_port_bisects_where_c_divides_by_zero():
+    # at values near 1e-150 the extrapolation's divisor, a product of three such
+    # differences, underflows to 0: C's trial step is non-finite and bisects
+    mine, theirs = brent_and_brentq(lambda x: 1e-150 * (x ** 3 - 0.1), -1.0, 2.0)
+    assert isinstance(mine, float) and mine == theirs
+
+
+@pytest.mark.parametrize("f, lo, hi, maxiter, why", [
+    (lambda x: x * x + 1.0, 0.0, 1.0, 200, "f(a) and f(b) must have different signs"),
+    (lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0, 200,
+     "The function value at x=0.7 is NaN; solver cannot continue."),
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0, 2, "Failed to converge after 2 iterations."),
+], ids=["same-sign", "nan", "maxiter"])
+def test_brent_port_fails_as_brentq_does(f, lo, hi, maxiter, why):
+    # brent_and_brentq reads the port's NumericError after the crossing report's prefix
+    assert brent_and_brentq(f, lo, hi, maxiter) == (why, why)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ every module-level private function, class and constant; no law's quantile is
 evaluated at a level ndtr(x) formed outside ``Law.from_score``; no module names the
 retired level clamp ``clip_unit`` or its ``U_EPS``, and ``_check_time`` is called only
 in each driver's one parameter method; no driver's law is read through the older
-``marginal_*`` names; and a cold start loads none of the heavy scipy submodules."""
+``marginal_*`` names; no module imports ``scipy.optimize``; and a cold start loads none of
+the heavy scipy submodules."""
 
 import ast
 import io
@@ -268,6 +269,42 @@ def test_no_old_marginal_calls(path):
     assert old_marginal_calls(path.read_text()) == []
 
 
+def scipy_optimize_imports(source: str) -> list[str]:
+    """The lines that import ``scipy.optimize`` or a name from it, in any scope.  The crossing
+    scan solves by its own port of scipy's Brent method, so the package needs none."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_detector_finds_a_scipy_optimize_import():
+    source = textwrap.dedent("""\
+        import scipy.optimize
+        from scipy import special, optimize as opt
+        from scipy.optimize import brentq
+        import scipy, scipy.special
+
+        def solve(f):
+            from scipy import optimize
+            return optimize.brentq(f, 0.0, 1.0), special.ndtr(0.0)
+        """)
+    assert scipy_optimize_imports(source) == ["line 1", "line 2", "line 3", "line 7"]
+    assert scipy_optimize_imports("from scipy import special\nfrom . import optimizer\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_optimize_imports(path):
+    assert scipy_optimize_imports(path.read_text()) == []
+
+
 #: scipy submodules that cost most of a cold start; the package imports them where called
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
@@ -307,5 +344,13 @@ def test_cold_start_loads_no_heavy_scipy_module():
             dominance.sosd_check(dominance.state_dependent_tukey_g_cdf(0.8, 0.2),
                                  lambda z: q2.cdf(1.0, z), (-1.0 / 0.3, float("inf")))"""),
         "split_g_sosd_integrals": "dominance.split_g_sosd_integrals(0.8, 0.2, 0.3)",
+        "crossing_report": textwrap.dedent("""\
+            dominance.crossing_report(transforms.TukeyGH(0, 1, 2, 0.4),
+                                      transforms.TukeyGH(0, 1, 0.8, 0.05))"""),
+        "reproduce crossing-table": textwrap.dedent("""\
+            import contextlib, io, tempfile
+            from quantproc import cli
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["reproduce", "crossing-table", "--out", out]) == cli.EXIT_OK"""),
     }
     assert heavy_modules_after(steps) == {label: [] for label in steps}
