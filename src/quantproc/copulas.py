@@ -614,14 +614,13 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     """Premium of a layer-type payoff under the multidimensional distorted law.
 
     discount * E[V(Z_u)], with Z the multi-composite of the drivers drawn jointly
-    at u as ``simulate_joint_terminal`` draws them, in blocks of ``va._BLOCK``
-    paths, so memory is flat in the path count.  The auxiliary margins (indices
-    other than ``risk_index``) act only through the copula.  Under
-    ``TRUE_JOINT_LAW`` with continuous drivers each margin's CDF undoes its
-    driver's quantile, so Z = Q(C(U)) is read off the draw's log C, and only the
-    risk driver is formed, for the raw mean.  A discrete driver's CDF at its
-    drawn count is a step level above U, so then every driver is formed and
-    composed, as in ``FALSE_LAW``.
+    at u as ``simulate_joint_terminal`` draws them, in flat-memory blocks of
+    ``va._BLOCK`` paths that ``qpvp_price``'s reducer reduces.  The auxiliary
+    margins act only through the copula.  Under ``TRUE_JOINT_LAW`` with
+    continuous drivers each margin's CDF undoes its driver's quantile, so
+    Z = Q(C(U)) is read off the draw's log C and only the risk driver is formed,
+    for the raw mean.  A discrete driver's CDF at its drawn count is a step level
+    above U, so then every driver is formed and composed, as in ``FALSE_LAW``.
     """
     if payoff.kind not in ("Layer", "StopLoss", "Linear"):
         raise RequestError("multidimensional premiums support Layer, StopLoss, Linear payoffs")
@@ -632,23 +631,19 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     mmap.validate(u)
     _check_drivers(mmap.copula, drivers)
     _check_true_laws(mmap, drivers)
-    disc = va._discount(rate, t, u)
     direct = mmap.mode == MultiMode.TRUE_JOINT_LAW and not any(dr.is_discrete for dr in drivers)
-    mv, my = va._Moments(), va._Moments(spread=False)
-    for log_u in _log_levels(mmap.copula, u, mc.n_paths, mc.seed):
-        if direct:
-            z = mmap.quantile.from_score(u, special.ndtri_exp(mmap.copula.log_cdf(u, log_u)))
-            y = drivers[risk_index].from_score(u, special.ndtri_exp(log_u[:, risk_index]))
-        else:
-            ys = [dr.from_score(u, x) for dr, x in zip(drivers, special.ndtri_exp(log_u).T)]
-            z, y = _compose(mmap, u, ys), ys[risk_index]
-        mv.add(payoff(z))
-        my.add(y)
-    price = disc * mv.mean
-    return va.ValuationResult(price=price, std_error=mv.std_error(disc),
-                              risk_loading=price - disc * my.mean,
-                              diagnostics={"n_effective": mc.n_paths, "seed": mc.seed,
-                                           "risk_index": risk_index})
+
+    def blocks():
+        for log_u in _log_levels(mmap.copula, u, mc.n_paths, mc.seed):
+            if direct:
+                x_c = special.ndtri_exp(mmap.copula.log_cdf(u, log_u))
+                x_r = special.ndtri_exp(log_u[:, risk_index])
+                yield drivers[risk_index].from_score(u, x_r), mmap.quantile.from_score(u, x_c)
+            else:
+                ys = [dr.from_score(u, x) for dr, x in zip(drivers, special.ndtri_exp(log_u).T)]
+                yield ys[risk_index], _compose(mmap, u, ys)
+    return va._premium(blocks(), payoff, va._discount(rate, t, u),
+                       {"n_effective": mc.n_paths, "seed": mc.seed, "risk_index": risk_index})
 
 
 def kendall_table_csv(spec: CopulaSpec, path: str, t: float = 1.0,

@@ -212,6 +212,8 @@ def _verdict(order: str, d: np.ndarray, at: np.ndarray, none_note: str,
 
 #: the edges an infinite domain bound may be cut at: +-1, 4, 16, ..., 4**20 (about 1.1e12)
 _EDGES = 4.0 ** np.arange(21)
+#: points of the first- and second-order checks' grids
+_FOSD_POINTS, _SOSD_POINTS = 512, 1024
 
 
 def _truncate_domain(F1, F2, domain: tuple[float, float]) -> tuple[float, float]:
@@ -231,35 +233,33 @@ def _truncate_domain(F1, F2, domain: tuple[float, float]) -> tuple[float, float]
 
 
 def _cdf_grid(F1, F2, domain: tuple[float, float],
-              grid_size: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+              n_points: int) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Truncated domain, its asinh-spaced grid and F2 - F1 on the grid.
 
     asinh spacing is linear near 0 and logarithmic in |z|, so a domain
     widened to cover heavy tails still resolves crossings at moderate z.
     """
-    if grid_size < 64:
-        raise ParameterError("grid_size must be at least 64")
     lo, hi = _truncate_domain(F1, F2, domain)
-    zs = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi), grid_size))
+    zs = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi), n_points))
     f1 = np.asarray(F1(zs), dtype=float)
     f2 = np.asarray(F2(zs), dtype=float)
     return lo, hi, zs, f2 - f1
 
 
-def fosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 512) -> DominanceReport:
+def fosd_check(F1, F2, domain: tuple[float, float]) -> DominanceReport:
     """First-order check: does one CDF sit below the other on the domain?
 
     F2 - F1 >= -TOL everywhere with one point above TOL means the first
     process dominates; the swapped inequality means the second does.  The
     reported domain_lower is the lower edge of the (truncated) domain.
     """
-    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
+    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, _FOSD_POINTS)
     return _verdict("FOSD", diff, zs, "CDFs cross or coincide: no first-order verdict",
                     domain_lower=lo, evidence={"z": zs, "cdf_diff": diff},
                     truncation=(lo, hi))
 
 
-def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024) -> DominanceReport:
+def sosd_check(F1, F2, domain: tuple[float, float]) -> DominanceReport:
     """Second-order check via the running integral of the CDF difference.
 
     The integral of (F2 - F1) from the domain's lower edge must stay above
@@ -267,7 +267,7 @@ def sosd_check(F1, F2, domain: tuple[float, float], grid_size: int = 1024) -> Do
     sign-swapped statement for the second.  When the difference has not
     decayed at the truncation edge the verdict is flagged inconclusive.
     """
-    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, grid_size)
+    lo, hi, zs, diff = _cdf_grid(F1, F2, domain, _SOSD_POINTS)
     cum = np.concatenate([[0.0], np.cumsum(np.diff(zs) * (diff[1:] + diff[:-1]) / 2.0)])
     tail_live = bool(abs(diff[-1]) > 1e-6)
     return _verdict("SOSD", cum, zs, "running integral changes sign: no second-order verdict",

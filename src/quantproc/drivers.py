@@ -219,7 +219,7 @@ class Brownian(GaussianDriver):
         return states, math.sqrt(t - s)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InhomogeneousOU(GaussianDriver):
     """Ornstein-Uhlenbeck driver dY = theta(t) (mu(t) - Y) dt + sigma(t) dW.
 
@@ -478,7 +478,7 @@ class _VGLaw:
         return out[()]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VarianceGamma(Driver):
     """Variance-gamma driver with drift ``mu_vg``, volatility ``sigma_vg``, variance rate ``nu``.
 
@@ -746,7 +746,7 @@ def _gamma_log_scale(a: float) -> float:
     return 0.5 * math.log(a / (2.0 * math.pi)) - stirling
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InhomogeneousPoisson(Driver):
     """Counting process with deterministic intensity lambda(t) >= 0.
 

@@ -398,6 +398,9 @@ class ShiftedDriverLaw(Law):
     def quantile(self, t, u):
         return self.driver.quantile(t, u) + self.shift
 
+    def support(self, t):
+        return tuple(end + self.shift for end in self.driver.support(t))
+
     def is_true_law_of(self, driver):
         return self.shift == 0.0 and self.driver == driver
 

@@ -22,7 +22,7 @@ from . import drivers as drv
 from . import measures as me
 from . import transforms as tr
 from ._util import TimeParam, substream
-from .errors import ParameterError, RequestError
+from .errors import NumericError, ParameterError, RequestError
 
 __all__ = [
     "Payoff",
@@ -226,7 +226,8 @@ class _Moments:
     The first block is read as ``np.mean`` and ``np.std`` read a whole sample, so
     a one-block sample gives their floats bit for bit; each later block joins by
     the pairwise update of Chan, Golub and LeVeque (1979).  With ``spread`` off
-    only the mean is kept.
+    only the mean is kept.  Every premium's finite check is here: a non-finite block
+    mean raises ``RequestError``, a non-finite standard error ``NumericError``.
     """
 
     def __init__(self, spread: bool = True):
@@ -235,10 +236,13 @@ class _Moments:
 
     def add(self, x: np.ndarray) -> "_Moments":
         n_b, mean_b = x.size, float(np.mean(x))
+        if not math.isfinite(mean_b):
+            raise RequestError(f"Monte Carlo block mean is {mean_b}: a non-finite value")
         m2_b = 0.0
         if self.spread:
-            d = x - mean_b
-            m2_b = float(np.sum(np.square(d, out=d)))
+            with np.errstate(over="ignore"):  # std_error raises on an M2 past the floats
+                d = x - mean_b
+                m2_b = float(np.sum(np.square(d, out=d)))
         if self.n == 0:
             self.n, self.mean, self.m2 = n_b, mean_b, m2_b
             return self
@@ -249,13 +253,23 @@ class _Moments:
         self.n = n
         return self
 
-    def std(self) -> float:
-        """The sample standard deviation (ddof = 1)."""
-        return math.sqrt(self.m2 / (self.n - 1))
-
     def std_error(self, scale: float) -> float:
-        """Standard error of the mean of the sample scaled by ``scale``."""
-        return scale * self.std() / math.sqrt(self.n)
+        """Standard error of the mean of the sample scaled by ``scale`` (ddof = 1)."""
+        se = scale * math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+        if not math.isfinite(se):
+            raise NumericError(f"Monte Carlo standard error {se} is not finite")
+        return se
+
+
+def _premium(blocks, payoff: Payoff, disc: float, diagnostics: dict) -> ValuationResult:
+    """disc * mean V(Z), its standard error and the loading over disc * mean Y, per (Y, Z) block."""
+    mv, my = _Moments(), _Moments(spread=False)
+    for y, z in blocks:
+        mv.add(payoff(z))
+        my.add(y)
+    price = disc * mv.mean
+    return ValuationResult(price=price, std_error=mv.std_error(disc),
+                           risk_loading=price - disc * my.mean, diagnostics=diagnostics)
 
 
 def _start_state(req: ValuationRequest) -> tuple[float, float]:
@@ -288,18 +302,8 @@ def qpvp_price(req: ValuationRequest) -> ValuationResult:
     """
     req.validate()
     disc = _discount(req.rate, req.t, req.u)
-    mv, my = _Moments(), _Moments(spread=False)
-    for y_u, z_u in _terminal_blocks(req):
-        v = req.payoff(z_u)
-        if not np.all(np.isfinite(v)):
-            raise RequestError("payoff evaluated to non-finite values")
-        mv.add(v)
-        my.add(y_u)
-    price = disc * mv.mean
-    return ValuationResult(price=price, std_error=mv.std_error(disc),
-                           risk_loading=price - disc * my.mean,
-                           diagnostics={"n_effective": req.mc.n_paths, "seed": req.mc.seed,
-                                        "discount": disc})
+    return _premium(_terminal_blocks(req), req.payoff, disc,
+                    {"n_effective": req.mc.n_paths, "seed": req.mc.seed, "discount": disc})
 
 
 def quantile_integral_price(req: ValuationRequest) -> float:
@@ -348,11 +352,9 @@ def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) ->
            "price": price, "benchmark": bench}
     if fosd_certificate:
         law = me.DistortedLaw(req.map, req.risk)
-        lo, hi = req.map.quantile.support(req.u)
-        rep = dom.fosd_check(lambda z: me.distorted_cdf(law, req.u, z),
-                             lambda z: req.risk.cdf(req.u, z),
-                             (lo, hi))
-        out["fosd"] = rep
+        out["fosd"] = dom.fosd_check(lambda z: me.distorted_cdf(law, req.u, z),
+                                     lambda z: req.risk.cdf(req.u, z),
+                                     req.map.quantile.support(req.u))
     return out
 
 
@@ -369,9 +371,12 @@ class PriceOrdering:
 def price_ordering(req1: ValuationRequest, req2: ValuationRequest) -> PriceOrdering:
     """Price two maps with common random numbers and compare with dominance.
 
-    Both requests must share payoff, times and rate.  The returned flag is
-    False when a definite first-order verdict between the two distorted laws
-    contradicts the sign of the price difference beyond 3 standard errors.
+    Both requests must share payoff, times and rate, and run on req1's seed.
+    The standard error is that of the paired difference V1 - V2, exact when path
+    i of both comes from the same variates (one driver, an equal twin, or two
+    Gaussian drivers); for drivers of different kinds neither it nor the
+    independent-samples SE is.  The flag is False when a definite first-order
+    verdict contradicts the sign of the difference beyond 3 standard errors.
     """
     for a, b, what in ((req1.payoff, req2.payoff, "payoff"),
                        ((req1.t, req1.u), (req2.t, req2.u), "times"),
@@ -383,19 +388,14 @@ def price_ordering(req1: ValuationRequest, req2: ValuationRequest) -> PriceOrder
     req1.validate()
     req2.validate()
     disc = _discount(req1.rate, req1.t, req1.u)
-    crn = req1.risk == req2.risk  # common random numbers: the SE of the paired difference
-    mv1, mv2, md = _Moments(spread=not crn), _Moments(spread=not crn), _Moments()
+    mv1, mv2, md = _Moments(spread=False), _Moments(spread=False), _Moments()
     # the two streams step in lockstep, one block of each at a time
     for (_, z1), (_, z2) in zip(_terminal_blocks(req1), _terminal_blocks(req2)):
         v1, v2 = req1.payoff(z1), req2.payoff(z2)
         mv1.add(v1)
         mv2.add(v2)
-        if crn:
-            md.add(v1 - v2)
-    if crn:
-        se = md.std_error(disc)
-    else:
-        se = disc * math.hypot(mv1.std(), mv2.std()) / math.sqrt(req1.mc.n_paths)
+        md.add(v1 - v2)
+    se = md.std_error(disc)
     p1, p2 = disc * mv1.mean, disc * mv2.mean
     law1, law2 = me.DistortedLaw(req1.map, req1.risk), me.DistortedLaw(req2.map, req2.risk)
     lo = min(req1.map.quantile.support(req1.u)[0], req2.map.quantile.support(req2.u)[0])
@@ -453,13 +453,10 @@ def carbon_tariff_table(exporters: Sequence[Exporter], unit_cost: float,
         res = qpvp_price(req)
         rows.append({"name": ex.name, "gamma": ex.gamma, "g": ex.g,
                      "price": res.price, "std_error": res.std_error})
-    monotone = True
-    for i, ei in enumerate(exporters):
-        for j, ej in enumerate(exporters):
-            if (ei.driver == ej.driver and ei.gamma == ej.gamma and ei.g > ej.g):
-                se = math.hypot(rows[i]["std_error"], rows[j]["std_error"])
-                if rows[i]["price"] < rows[j]["price"] - 3.0 * se:
-                    monotone = False
+    monotone = not any(
+        ri["price"] < rj["price"] - 3.0 * math.hypot(ri["std_error"], rj["std_error"])
+        for ei, ri in zip(exporters, rows) for ej, rj in zip(exporters, rows)
+        if ei.driver == ej.driver and ei.gamma == ej.gamma and ei.g > ej.g)
     rows.sort(key=lambda r: r["price"])
     return {"rows": rows, "monotone_in_g": monotone}
 

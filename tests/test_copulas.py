@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from quantproc import measures as me
 from quantproc import transforms as tr
 from quantproc import valuation as va
 from quantproc._util import substream
-from quantproc.errors import CapabilityError, ParameterError, RequestError
+from quantproc.errors import CapabilityError, NumericError, ParameterError, RequestError
 
 from conftest import ks_critical
 
@@ -619,6 +620,43 @@ def test_premium_memory_is_flat_in_the_path_count():
             tracemalloc.stop()
 
     assert peak(1 << 20) <= 1.5 * peak(1 << 17)
+
+
+def test_true_joint_law_premium_accepts_drivers_equal_to_their_margins():
+    # drivers compare by value: margins built apart from the drivers are their true laws
+    ou = lambda: d.InhomogeneousOU(1.0, 0.2, 0.8)
+    mm = cp.MultiCompositeMap(margins=(ou(), d.Brownian()), copula=cp.ClaytonCopula(2.0),
+                              quantile=tr.TukeyG(0, 1, 0.4))
+    shared, twins = (cp.multi_layer_premium(mm, drs, 0, va.Layer(0.5, 2.0), 0.0, 1.0, 0.05,
+                                            va.MCSettings(20_000, 7))
+                     for drs in (list(mm.margins), [ou(), d.Brownian()]))
+    assert twins == shared
+
+
+class InfLinear(va.Linear):
+    """A Linear payoff that is +inf at the first path of every block it prices."""
+
+    def __call__(self, y):
+        v = super().__call__(y)
+        v.flat[0] = np.inf
+        return v
+
+
+@pytest.mark.parametrize("payoff, h, error, match",
+                         [(InfLinear(), 0.0, RequestError, "non-finite"),
+                          (va.Linear(), 40.0, NumericError, "standard error")],
+                         ids=["inf-value", "inf-se"])
+@pytest.mark.parametrize("mode", [cp.MultiMode.TRUE_JOINT_LAW, cp.MultiMode.FALSE_LAW])
+def test_premium_raises_on_a_non_finite_value_or_standard_error(payoff, h, error, match, mode):
+    # at h = 40 every Z is finite, but their squared deviations leave the floats
+    mm, bm = two_margin_map(cp.IndependenceCopula(2), tr.TukeyGH(0, 1, 0.5, h))
+    if mode == cp.MultiMode.FALSE_LAW:
+        mm = replace(mm, margins=(tr.GaussianLaw(0.0, 1.0),) * 2, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            cp.multi_layer_premium(mm, [bm, bm], 0, payoff, 0.0, 1.0, 0.0,
+                                   va.MCSettings(20_000, 1))
 
 
 def test_premium_payoff_kinds_guarded():

@@ -265,11 +265,6 @@ def test_heavy_tailed_crossing_pair_has_no_verdict():
     assert np.min(sosd.evidence["cum_integral"]) == pytest.approx(dip, abs=5e-4)
 
 
-def test_fosd_grid_size_guard():
-    with pytest.raises(ParameterError):
-        dom.fosd_check(lambda z: z, lambda z: z, (0.0, 1.0), grid_size=16)
-
-
 # ---------------------------------------------------------------------------
 # second-order checks
 # ---------------------------------------------------------------------------
@@ -306,8 +301,8 @@ def test_fosd_implies_sosd_property(g2, gap):
     F1 = lambda z: tr.TukeyG(0, 1, g1).cdf(1.0, z)
     F2 = lambda z: tr.TukeyG(0, 1, g2).cdf(1.0, z)
     domain = (-1.0 / g2 + 1e-9, np.inf)
-    fosd = dom.fosd_check(F1, F2, domain, grid_size=256)
-    sosd = dom.sosd_check(F1, F2, domain, grid_size=256)
+    fosd = dom.fosd_check(F1, F2, domain)
+    sosd = dom.sosd_check(F1, F2, domain)
     assert fosd.order == "FOSD" and fosd.direction == 1
     assert sosd.order == "SOSD" and sosd.direction == 1
 

@@ -503,6 +503,17 @@ def test_true_law_mode_rejects_wrong_law():
             tr.apply_composite(wrong, ens)
 
 
+@pytest.mark.parametrize("make", [lambda: d.InhomogeneousOU(1.0, 0.0, 1.0),
+                                  lambda: d.VarianceGamma(0.1, 0.9, 0.4),
+                                  lambda: d.InhomogeneousPoisson(2.0)], ids=["OU", "VG", "Poisson"])
+def test_true_law_mode_accepts_an_equal_twin_of_the_driver(make):
+    # drivers compare by value, so a map built over one driver serves an equal one built apart
+    cm = tr.true_law_map(make(), tr.TukeyG(0, 1, 0.5))
+    twin = make()
+    assert cm.dist_for(twin) == twin and hash(cm.dist) == hash(twin)
+    assert tr.ShiftedDriverLaw(cm.dist, 0.0).is_true_law_of(twin)
+
+
 def test_uniform_through_true_law():
     bm = d.Brownian()
     ens = d.simulate(bm, d.TimeGrid(np.array([1.0])), 100_000, 21)
@@ -712,6 +723,15 @@ def test_shifted_gamma_law_inverts_in_the_gamma_tail():
     w = law.from_score(1.0, x)
     assert np.all(np.isfinite(w)) and np.array_equal(w, gamma.from_score(1.0, x) + 0.5)
     np.testing.assert_allclose(law.score(1.0, w), x, rtol=1e-12, atol=0.0)
+
+
+def test_shifted_driver_law_support_is_the_drivers_shifted():
+    for driver, shift, want in ((d.GammaProcess(), 0.5, (0.5, np.inf)),
+                                (d.InhomogeneousPoisson(2.0), 0.25, (0.25, np.inf)),
+                                (d.Brownian(), 0.4, (-np.inf, np.inf))):
+        law = tr.ShiftedDriverLaw(driver, shift)
+        assert law.support(1.0) == want
+        assert law.quantile(1.0, np.array([0.0, 1.0])).tolist() == list(want)
 
 
 #: the empirical law inverts strictly between its outermost knot levels 0.5/n and

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from quantproc import drivers as d
 from quantproc import transforms as tr
 from quantproc import valuation as va
 from quantproc._util import substream
-from quantproc.errors import ParameterError, RequestError
+from quantproc.errors import NumericError, ParameterError, RequestError
 
 
 def brownian_identity():
@@ -223,6 +224,54 @@ def test_price_ordering_under_crn_keeps_the_paired_difference_se(n):
     assert out.std_error < 0.5 * math.hypot(std_error(v1, disc), std_error(v2, disc))
 
 
+@pytest.mark.parametrize("second", ["shared", "equal-twin", "brownian"])
+def test_price_ordering_gives_the_paired_se_for_drivers_on_the_same_variates(second):
+    # OU(1, 0, 1) and Brownian motion step on the same normal innovations, so under
+    # true-law maps path i of both requests is one draw whichever driver prices it
+    ou = d.InhomogeneousOU(1.0, 0.0, 1.0)
+    risk = {"shared": ou, "equal-twin": d.InhomogeneousOU(1.0, 0.0, 1.0),
+            "brownian": d.Brownian()}[second]
+    r1 = make_req(tr.true_law_map(ou, tr.TukeyG(0, 1, 0.8)), va.Layer(0.5, 3.0), n=20_000, risk=ou)
+    r2 = make_req(tr.true_law_map(risk, tr.TukeyG(0, 1, 0.3)), va.Layer(0.5, 3.0), n=20_000,
+                  risk=risk)
+    out = va.price_ordering(r1, r2)
+    _, v1, disc = whole_sample(r1)
+    _, v2, _ = whole_sample(r2)
+    assert out.std_error == std_error(v1 - v2, disc)
+    assert out.std_error < 0.5 * math.hypot(std_error(v1, disc), std_error(v2, disc))
+
+
+class InfLinear(va.Linear):
+    """A Linear payoff that is +inf at the first path of every block it prices."""
+
+    def __call__(self, y):
+        v = super().__call__(y)
+        v.flat[0] = np.inf
+        return v
+
+
+PRICERS = {"qpvp": va.qpvp_price, "risk-loading": va.risk_loading_check,
+           "ordering": lambda r: va.price_ordering(r, replace(r, map=brownian_identity())),
+           "nested": lambda r: va.nested_price(replace(r, mc=replace(r.mc, n_inner=200)), 0.5, 50)}
+
+
+@pytest.mark.parametrize("pricer", PRICERS.values(), ids=PRICERS.keys())
+def test_a_non_finite_payoff_value_raises_a_request_error(pricer):
+    with pytest.raises(RequestError, match="non-finite"):
+        pricer(make_req(brownian_identity(), InfLinear(), n=5_000))
+
+
+@pytest.mark.parametrize("pricer", PRICERS.values(), ids=PRICERS.keys())
+def test_an_overflowing_standard_error_raises_a_numeric_error_without_a_warning(pricer):
+    # every V(Z) = Z^4 is finite at h = 20, but their squared deviations leave the floats
+    req = make_req(tr.true_law_map(d.Brownian(), tr.TukeyGH(0, 1, 0.5, 20)), va.PowerUtility(4),
+                   n=20_000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="standard error"):
+            pricer(req)
+
+
 def test_price_runs_in_constant_memory():
     def peak(n):
         req = make_req(brownian_identity(), va.Linear(), n=n, seed=73)
@@ -370,6 +419,17 @@ def test_tariff_small_skew_approaches_plain_expectation():
     by_name = {r["name"]: r for r in tab["rows"]}
     # undistorted expectation of the standardized level is zero
     assert abs(by_name["tiny"]["price"]) <= 3.5 * by_name["tiny"]["std_error"]
+
+
+def test_tariff_compares_exporters_over_equal_twin_drivers(monkeypatch):
+    # exporters read from a config each build their own driver; equal twins form one
+    # group, so a tariff falling in g within it breaks the monotonicity flag
+    monkeypatch.setattr(va, "qpvp_price",
+                        lambda req: va.ValuationResult(-req.map.quantile.g, 0.0, 0.0))
+    exps = [va.Exporter(name, 0.0, g, d.InhomogeneousOU(1.0, 0.0, 1.0))
+            for name, g in (("hi-skew", 0.6), ("lo-skew", 0.2))]
+    tab = va.carbon_tariff_table(exps, 1.0, 0.0, 1.0, 0.0, va.MCSettings(1_000, 1))
+    assert not tab["monotone_in_g"]
 
 
 def test_tariff_needs_two_exporters():
