@@ -636,9 +636,8 @@ def multi_layer_premium(mmap: MultiCompositeMap, drivers: Sequence[drv.Driver],
     def blocks():
         for log_u in _log_levels(mmap.copula, u, mc.n_paths, mc.seed):
             if direct:
-                x_c = special.ndtri_exp(mmap.copula.log_cdf(u, log_u))
-                x_r = special.ndtri_exp(log_u[:, risk_index])
-                yield drivers[risk_index].from_score(u, x_r), mmap.quantile.from_score(u, x_c)
+                z = mmap.quantile.from_score(u, special.ndtri_exp(mmap.copula.log_cdf(u, log_u)))
+                yield drivers[risk_index].from_score(u, special.ndtri_exp(log_u[:, risk_index])), z
             else:
                 ys = [dr.from_score(u, x) for dr, x in zip(drivers, special.ndtri_exp(log_u).T)]
                 yield ys[risk_index], _compose(mmap, u, ys)
