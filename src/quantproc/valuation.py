@@ -262,7 +262,7 @@ class _Moments:
 
 
 def _premium(blocks, payoff: Payoff, disc: float, diagnostics: dict) -> ValuationResult:
-    """disc * mean V(Z), its standard error and the loading over disc * mean Y, per (Y, Z) block."""
+    """disc * mean V(Z) over (Y, Z) blocks, its standard error and excess over disc * mean Y."""
     mv, my = _Moments(), _Moments(spread=False)
     for y, z in blocks:
         mv.add(payoff(z))
