@@ -18,7 +18,7 @@ from quantproc import valuation as va
 from quantproc._util import substream
 from quantproc.errors import CapabilityError, NumericError, ParameterError, RequestError
 
-from conftest import ks_critical
+from conftest import InfLinear, ks_critical
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +631,6 @@ def test_true_joint_law_premium_accepts_drivers_equal_to_their_margins():
                                             va.MCSettings(20_000, 7))
                      for drs in (list(mm.margins), [ou(), d.Brownian()]))
     assert twins == shared
-
-
-class InfLinear(va.Linear):
-    """A Linear payoff that is +inf at the first path of every block it prices."""
-
-    def __call__(self, y):
-        v = super().__call__(y)
-        v.flat[0] = np.inf
-        return v
 
 
 @pytest.mark.parametrize("payoff, h, error, match",

@@ -13,6 +13,8 @@ from quantproc import valuation as va
 from quantproc._util import substream
 from quantproc.errors import NumericError, ParameterError, RequestError
 
+from conftest import InfLinear
+
 
 def brownian_identity():
     return tr.true_law_map(d.Brownian(), tr.GaussianLaw(m=0.0, v=lambda t: t))
@@ -239,15 +241,6 @@ def test_price_ordering_gives_the_paired_se_for_drivers_on_the_same_variates(sec
     _, v2, _ = whole_sample(r2)
     assert out.std_error == std_error(v1 - v2, disc)
     assert out.std_error < 0.5 * math.hypot(std_error(v1, disc), std_error(v2, disc))
-
-
-class InfLinear(va.Linear):
-    """A Linear payoff that is +inf at the first path of every block it prices."""
-
-    def __call__(self, y):
-        v = super().__call__(y)
-        v.flat[0] = np.inf
-        return v
 
 
 PRICERS = {"qpvp": va.qpvp_price, "risk-loading": va.risk_loading_check,
