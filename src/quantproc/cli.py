@@ -119,7 +119,7 @@ def _build_dist(spec: Optional[dict], driver: Optional[drv.Driver]) -> Optional[
             return drv.Brownian()
     if family in ("DriverLaw", "ShiftedDriverLaw"):
         if driver is None:
-            raise ConfigError(f"{family} distribution needs a driver in the config")
+            raise ConfigError(f"{family} distribution needs a valid driver in the config")
         if family == "DriverLaw":  # the config driver is its own marginal law
             if len(spec) > 1:
                 raise ConfigError(f"dist.DriverLaw takes no keys, got {sorted(set(spec) - {'family'})}")
@@ -143,10 +143,6 @@ def _build_payoff(spec: dict) -> va.Payoff:
         knots = {"y": "y_knots", "v": "v_knots"}
         spec = {knots.get(k, k): v for k, v in spec.items()}
     return _build("payoff", "kind", _PAYOFFS, spec)
-
-
-def _build_copula(spec: dict) -> cp.CopulaSpec:
-    return _build("copula", "family", _COPULAS, spec)
 
 
 #: the config sections that must be mappings when present
@@ -173,47 +169,60 @@ _NEEDS = {"simulate": ("driver", "grid"), "price": ("driver", "map", "payoff"),
           "dominance": ("map1", "map2")}
 
 
-def validate_config(cfg: dict) -> list[Diagnostic]:
-    """All violations of the declarative specs, without running anything."""
-    diags: list[Diagnostic] = []
+def _plan(cfg: dict) -> tuple[list[Diagnostic], dict]:
+    """Build and validate, once, every object a run of ``cfg`` reads.
+
+    Returns every violation, each under its field name, and the objects that
+    built and validated, keyed by field name (a copula's quantile and composite
+    map as ``quantile`` and ``joint_map``); a runner reads only these.
+    """
     kind = cfg.get("kind")
     if kind not in KINDS:
-        diags.append(Diagnostic("kind", f"must be one of {', '.join(KINDS)}"))
-        return diags
+        return [Diagnostic("kind", f"must be one of {', '.join(KINDS)}")], {}
     diags = [Diagnostic(name, "must be a mapping") for name in _non_mappings(cfg)]
     if diags:
-        return diags
+        return diags, {}
+    built: dict = {}
 
-    def check(fieldname: str, fn):
+    def build(fieldname: str, make, key: Optional[str] = None) -> None:
         try:
-            fn()
+            obj = make()
+            if hasattr(obj, "validate"):  # a TimeGrid checks itself when built
+                obj.validate()
         except (ConfigError, ParameterError, RequestError, KeyError, ValueError) as exc:
             diags.append(Diagnostic(fieldname, str(exc)))
+        else:
+            built[key or fieldname] = obj
 
-    driver = None
     if "driver" in cfg:
-        def build_and_validate():
-            nonlocal driver
-            driver = _build_driver(cfg["driver"])
-            driver.validate()
-        check("driver", build_and_validate)
+        build("driver", lambda: _build_driver(cfg["driver"]))
     if "grid" in cfg:
-        check("grid", lambda: drv.TimeGrid(np.asarray(cfg["grid"]["times"], dtype=float),
+        build("grid", lambda: drv.TimeGrid(np.asarray(cfg["grid"]["times"], dtype=float),
                                            cfg["grid"].get("origin_value")))
     if "map" in cfg:
         if "copula" in cfg:
             # multidimensional maps pair the quantile with per-margin driver laws
-            check("map", lambda: _build_quantile(cfg["map"]["quantile"]).validate())
+            build("map", lambda: _build_quantile(cfg["map"]["quantile"]), key="quantile")
         else:
-            check("map", lambda: _build_map(cfg["map"], driver).validate())
+            build("map", lambda: _build_map(cfg["map"], built.get("driver")))
     for key in ("map1", "map2"):
         if key in cfg:
             # dominance compares canonical quantile families; only they validate
-            check(key, lambda k=key: _build_quantile(cfg[k]["quantile"]).validate())
+            build(key, lambda k=key: _build_quantile(cfg[k]["quantile"]))
     if "payoff" in cfg:
-        check("payoff", lambda: _build_payoff(cfg["payoff"]).validate())
+        build("payoff", lambda: _build_payoff(cfg["payoff"]))
     if "copula" in cfg:
-        check("copula", lambda: _build_copula(cfg["copula"]).validate())
+        build("copula", lambda: _build("copula", "family", _COPULAS, cfg["copula"]))
+        # one driver per copula margin: the drivers list, else the driver in each
+        specs = cfg["drivers"] if isinstance(cfg.get("drivers"), list) else []
+        for i, spec in enumerate(specs):
+            build(f"drivers[{i}]", lambda s=spec: _build_driver(s))
+        margins = [built.get(f"drivers[{i}]") for i in range(len(specs))]
+        if {"quantile", "copula"} <= built.keys():
+            margins = margins or [built.get("driver")] * built["copula"].dim
+            if None not in margins:
+                build("drivers", lambda: cp.MultiCompositeMap(tuple(margins), built["copula"],
+                                                              built["quantile"]), key="joint_map")
     if kind == "simulate":
         n = cfg.get("n_paths", 0)
         if not isinstance(n, int) or n < 1:
@@ -233,31 +242,35 @@ def validate_config(cfg: dict) -> list[Diagnostic]:
                     diags.append(Diagnostic(f"exporters[{i}].gamma", "must lie in [0, 1]"))
                 if ex.get("g", 0.0) == 0.0:
                     diags.append(Diagnostic(f"exporters[{i}].g", "skew parameter must be nonzero"))
+                if "driver" in ex:
+                    build(f"exporters[{i}].driver", lambda s=ex["driver"]: _build_driver(s))
     if "drivers" in cfg and not isinstance(cfg["drivers"], list):
         diags.append(Diagnostic("drivers", "must be a list of driver mappings"))
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         diags.append(Diagnostic("seed", "must be an integer"))
-    return diags
+    return diags, built
+
+
+def validate_config(cfg: dict) -> list[Diagnostic]:
+    """All violations of the declarative specs, without running anything."""
+    return _plan(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_simulate(cfg: dict, out: Path) -> list[Path]:
-    driver = _build_driver(cfg["driver"])
-    grid = drv.TimeGrid(np.asarray(cfg["grid"]["times"], dtype=float),
-                        cfg["grid"].get("origin_value"))
-    ens = drv.simulate(driver, grid, int(cfg["n_paths"]), int(cfg["seed"]))
+def _run_simulate(cfg: dict, built: dict, out: Path) -> list[Path]:
+    grid = built["grid"]
+    ens = drv.simulate(built["driver"], grid, int(cfg["n_paths"]), int(cfg["seed"]))
     path = out / "ensemble.csv"
     header = [f"t_{k}" for k in range(len(grid))]
     _write_csv(path, header, ens.paths.tolist())
     return [path]
 
 
-def _run_dominance(cfg: dict, out: Path) -> list[Path]:
-    q1 = _build_quantile(cfg["map1"]["quantile"])
-    q2 = _build_quantile(cfg["map2"]["quantile"])
+def _run_dominance(cfg: dict, built: dict, out: Path) -> list[Path]:
+    q1, q2 = built["map1"], built["map2"]
     t = float(cfg.get("t", 1.0))
     rep = dom.crossing_report(q1, q2, t)
     lo = min(q1.support(t)[0], q2.support(t)[0])
@@ -284,26 +297,17 @@ def _run_dominance(cfg: dict, out: Path) -> list[Path]:
     return [jpath, cpath]
 
 
-def _run_price(cfg: dict, out: Path) -> list[Path]:
-    payoff = _build_payoff(cfg["payoff"])
+def _run_price(cfg: dict, built: dict, out: Path) -> list[Path]:
+    payoff = built["payoff"]
     mc = va.MCSettings(n_paths=int(cfg.get("n_paths", 100_000)), seed=int(cfg["seed"]))
     if "copula" in cfg:
         # multidimensional premium: one driver per copula margin
-        copula = _build_copula(cfg["copula"])
-        driver_specs = cfg.get("drivers") or [cfg["driver"]] * copula.dim
-        drs = [_build_driver(s) for s in driver_specs]
-        mmap = cp.MultiCompositeMap(
-            margins=tuple(drs),
-            copula=copula,
-            quantile=_build_quantile(cfg["map"]["quantile"]),
-            mode=cp.MultiMode.TRUE_JOINT_LAW)
-        res = cp.multi_layer_premium(mmap, drs, int(cfg.get("risk_index", 0)), payoff,
+        mmap = built["joint_map"]
+        res = cp.multi_layer_premium(mmap, mmap.margins, int(cfg.get("risk_index", 0)), payoff,
                                      float(cfg.get("t", 0.0)), float(cfg.get("u", 1.0)),
                                      float(cfg.get("rate", 0.0)), mc)
     else:
-        driver = _build_driver(cfg["driver"])
-        cmap = _build_map(cfg["map"], driver)
-        req = va.ValuationRequest(risk=driver, map=cmap, payoff=payoff,
+        req = va.ValuationRequest(risk=built["driver"], map=built["map"], payoff=payoff,
                                   t=float(cfg.get("t", 0.0)), u=float(cfg.get("u", 1.0)),
                                   rate=float(cfg.get("rate", 0.0)), mc=mc,
                                   state=cfg.get("state"))
@@ -316,13 +320,12 @@ def _run_price(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_tariff(cfg: dict, out: Path) -> list[Path]:
-    exporters = []
-    for ex in cfg["exporters"]:
-        driver = _build_driver(ex.get("driver", cfg.get("driver", {"kind": "Brownian"})))
-        exporters.append(va.Exporter(name=str(ex.get("name", len(exporters))),
-                                     gamma=float(ex.get("gamma", 0.0)),
-                                     g=float(ex["g"]), driver=driver))
+def _run_tariff(cfg: dict, built: dict, out: Path) -> list[Path]:
+    # an exporter without a driver of its own reads the config's, else a Brownian one
+    shared = built.get("driver", drv.Brownian())
+    exporters = [va.Exporter(name=str(ex.get("name", i)), gamma=float(ex.get("gamma", 0.0)),
+                             g=float(ex["g"]), driver=built.get(f"exporters[{i}].driver", shared))
+                 for i, ex in enumerate(cfg["exporters"])]
     mc = va.MCSettings(n_paths=int(cfg.get("n_paths", 100_000)), seed=int(cfg["seed"]))
     table = va.carbon_tariff_table(exporters, unit_cost=float(cfg.get("unit_cost", 1.0)),
                                    t=float(cfg.get("t", 0.0)), u=float(cfg.get("u", 1.0)),
@@ -347,7 +350,7 @@ CROSSING_TABLE_ROWS = (
 )
 
 
-def _run_crossing_table(cfg: dict, out: Path) -> list[Path]:
+def _run_crossing_table(cfg: dict, built: dict, out: Path) -> list[Path]:
     rows = []
     for g1, g2, h1, h2 in CROSSING_TABLE_ROWS:
         q1 = tr.TukeyGH(0.0, 1.0, g1, h1)
@@ -364,7 +367,7 @@ def _run_crossing_table(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_crossing_curves(cfg: dict, out: Path) -> list[Path]:
+def _run_crossing_curves(cfg: dict, built: dict, out: Path) -> list[Path]:
     g2, h2 = 0.1, 0.05
     h_gaps = (0.2, 0.35, 0.5)
     g_gaps = cfg.get("g_gaps") or [0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5,
@@ -381,7 +384,7 @@ def _run_crossing_curves(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_sosd_split_g(cfg: dict, out: Path) -> list[Path]:
+def _run_sosd_split_g(cfg: dict, built: dict, out: Path) -> list[Path]:
     g1a = float(cfg.get("g1_below", 0.8))
     g1b = float(cfg.get("g1_above", 0.2))
     g2 = float(cfg.get("g2", 0.3))
@@ -399,7 +402,7 @@ def _run_sosd_split_g(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_pivot_moments(cfg: dict, out: Path) -> list[Path]:
+def _run_pivot_moments(cfg: dict, built: dict, out: Path) -> list[Path]:
     seed = int(cfg["seed"])
     n = int(cfg.get("n_paths", 1_000_000))
     draws = cfg.get("draws")
@@ -446,16 +449,19 @@ KINDS = tuple(_RUNNERS)
 REPRODUCE_KINDS = tuple(k.removeprefix("reproduce-") for k in KINDS if k.startswith("reproduce-"))
 
 
-def run(cfg: dict, out_dir: str = "out") -> list[Path]:
-    """Validate then execute one experiment; returns the artifact paths."""
-    diags = validate_config(cfg)
-    if diags:
-        raise ConfigError("; ".join(str(d) for d in diags))
+def _execute(cfg: dict, built: dict, out_dir: str) -> list[Path]:
+    """Run a planned experiment (seed 0 unless the config sets one) into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = dict(cfg)
-    cfg.setdefault("seed", 0)
-    return _RUNNERS[cfg["kind"]](cfg, out)
+    return _RUNNERS[cfg["kind"]]({"seed": 0, **cfg}, built, out)
+
+
+def run(cfg: dict, out_dir: str = "out") -> list[Path]:
+    """Plan then execute one experiment; returns the artifact paths."""
+    diags, built = _plan(cfg)
+    if diags:
+        raise ConfigError("; ".join(str(d) for d in diags))
+    return _execute(cfg, built, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +487,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_for_command(args) -> dict:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = {}
+    cfg = load_config(args.config) if args.config else {}
     if args.command == "reproduce":
         cfg["kind"] = f"reproduce-{args.name}"
     else:
@@ -494,7 +497,6 @@ def _load_for_command(args) -> dict:
                 f"config kind {cfg['kind']!r} does not match subcommand {args.command!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
     return cfg
 
 
@@ -506,24 +508,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    diags, built = _plan(cfg)
+    for d in diags:
+        print(str(d), file=sys.stdout if args.command == "validate" else sys.stderr)
+    if diags:
+        return EXIT_VALIDATION
     if args.command == "validate":
-        diags = validate_config(cfg) if cfg.get("kind") in KINDS else [
-            Diagnostic("kind", f"must be one of {', '.join(KINDS)}")]
-        for d in diags:
-            print(str(d))
-        if diags:
-            return EXIT_VALIDATION
         print("config is valid")
         return EXIT_OK
 
     try:
-        diags = validate_config(cfg)
-        if diags:
-            for d in diags:
-                print(str(d), file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"stage: running {cfg['kind']}")
-        artifacts = run(cfg, args.out)
+        artifacts = _execute(cfg, built, args.out)
         for a in artifacts:
             print(f"stage: wrote {a}")
         return EXIT_OK

@@ -121,22 +121,10 @@ class IndependenceCopula(CopulaSpec):
         return -rng.exponential(size=(n, self.dim))
 
     def kendall_closed_form(self, t):
-        m = self.dim
-
         def K(v):
-            v = np.asarray(v, dtype=float)
-            # law of a product of m independent uniforms
-            out = np.zeros_like(v)
-            pos = v > 0
-            lv = -np.log(np.where(pos, v, 1.0))
-            acc = np.zeros_like(v)
-            term = np.ones_like(v)
-            for k in range(m):
-                if k > 0:
-                    term = term * lv / k
-                acc = acc + term
-            out[pos] = (v * acc)[pos]
-            return np.clip(out, 0.0, 1.0)
+            # law of a product of m independent uniforms: -log of it is Gamma(m)
+            with np.errstate(divide="ignore"):
+                return special.gammaincc(self.dim, -np.log(np.clip(v, 0.0, 1.0)))
 
         return K
 

@@ -610,30 +610,18 @@ def pivot_gaussian_tukey_g_params(
     fm, fv = as_time_fn(m), as_time_fn(v)
     fmu, fsig = as_time_fn(mu_y), as_time_fn(sigma_y)
 
-    def check(t: float) -> tuple[float, float, float, float, float, float, float]:
+    def params(t: float) -> tuple[float, float, float]:
         at, bt, gt = fa(t), fb(t), fg(t)
         mt, vt, mut, sigt = fm(t), fv(t), fmu(t), fsig(t)
         if gt == 0.0:
             raise ParameterError("the Tukey-g family requires g != 0")
         if not (sigt > 0 and vt > 0):
             raise ParameterError("pivot reparameterization needs sigma_Y > 0 and v > 0")
-        return at, bt, gt, mt, vt, mut, sigt
+        scale = sigt * math.sqrt(vt)
+        shift = gt * (mut + sigt * mt) / scale
+        return at + bt / gt * math.expm1(-shift), bt / scale * math.exp(-shift), gt / scale
 
-    def a_star(t: float) -> float:
-        at, bt, gt, mt, vt, mut, sigt = check(t)
-        shift = gt * (mut + sigt * mt) / (sigt * math.sqrt(vt))
-        return at + bt / gt * math.expm1(-shift)
-
-    def b_star(t: float) -> float:
-        at, bt, gt, mt, vt, mut, sigt = check(t)
-        shift = gt * (mut + sigt * mt) / (sigt * math.sqrt(vt))
-        return bt / (sigt * math.sqrt(vt)) * math.exp(-shift)
-
-    def g_star(t: float) -> float:
-        _, _, gt, _, vt, _, sigt = check(t)
-        return gt / (sigt * math.sqrt(vt))
-
-    return a_star, b_star, g_star
+    return (lambda t: params(t)[0]), (lambda t: params(t)[1]), (lambda t: params(t)[2])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from . import dominance as dom
 from . import drivers as drv
 from . import measures as me
 from . import transforms as tr
-from ._util import TimeParam, substream
+from ._util import TimeParam, adaptive_quad, substream
 from .errors import NumericError, ParameterError, RequestError
 
 __all__ = [
@@ -313,7 +313,6 @@ def quantile_integral_price(req: ValuationRequest) -> float:
     E[V(Z_u)] = integral over (0, 1) of V(Q(u, p)) dp, computed here through p = ndtr(x)
     with Q read at the score x.  Independent of any Monte Carlo path.
     """
-    from scipy import integrate
     if req.t != 0:
         raise RequestError("the quantile-integral oracle prices at t = 0 only")
     req.map.dist_for(req.risk)
@@ -326,8 +325,7 @@ def quantile_integral_price(req: ValuationRequest) -> float:
         z = q.from_score(req.u, np.asarray(x))
         return float(req.payoff(z)) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
-    val, err = integrate.quad(f, -10.0, 10.0, epsabs=1e-10, limit=400)
-    return disc * float(val)
+    return disc * adaptive_quad(f, -10.0, 10.0, what="quantile-integral oracle")
 
 
 def risk_loading_check(req: ValuationRequest, fosd_certificate: bool = False) -> dict:

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from quantproc import cli
+from quantproc import transforms as tr
 from quantproc._util import substream
 from quantproc.errors import ConfigError
 
@@ -133,6 +134,53 @@ def test_non_mapping_section_is_validation_failure(tmp_path, capsys, section):
         captured = capsys.readouterr()
         assert f"{section}: must be a mapping" in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+def copula_price_cfg(*drivers):
+    cfg = price_cfg()
+    cfg["copula"] = {"family": "Clayton", "theta": 1.5, "dim": 2}
+    cfg["drivers"] = list(drivers)
+    return cfg
+
+
+def tariff_cfg(driver):
+    return {"kind": "tariff", "n_paths": 1000,
+            "exporters": [{"g": 0.6, "driver": driver}, {"g": 0.2}]}
+
+
+@pytest.mark.parametrize("field, cfg", [
+    ("drivers[1]", copula_price_cfg({"kind": "Brownian"}, {"kind": "Frobnicate"})),
+    ("drivers[1]", copula_price_cfg({"kind": "Brownian"}, {"kind": "VarianceGamma", "nu": -1})),
+    ("exporters[0].driver", tariff_cfg({"kind": "Frobnicate"})),
+    ("exporters[0].driver", tariff_cfg({"kind": "GammaProcess", "mean_rate": -1})),
+    ("drivers", copula_price_cfg({"kind": "Brownian"})),
+], ids=["margin-kind", "margin-parameter", "exporter-kind", "exporter-parameter",
+        "margin-count"])
+def test_validate_builds_every_object_a_run_builds(tmp_path, capsys, field, cfg):
+    # copula margins, exporter drivers and the margin count are checked before anything runs
+    cfgfile = write_yaml(tmp_path, "unbuilt.yaml", cfg)
+    for command in ("validate", cfg["kind"]):
+        rc = cli.main([command, "--config", cfgfile, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"\n{field}: " in "\n" + captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_table_quantile_is_read_once_per_run(tmp_path, monkeypatch):
+    table = tmp_path / "table.csv"
+    table.write_text("0.0,-3.0\n0.5,0.0\n1.0,3.0\n")
+    reads = []
+    from_csv = tr.TableQuantile.from_csv
+    monkeypatch.setattr(tr.TableQuantile, "from_csv",
+                        lambda path: reads.append(path) or from_csv(path))
+    cfg = price_cfg()
+    cfg["n_paths"] = 1000
+    cfg["map"]["quantile"] = {"family": "TableDriven", "csv": str(table)}
+    out = tmp_path / "out"
+    rc = cli.main(["price", "--config", write_yaml(tmp_path, "table.yaml", cfg), "--out", str(out)])
+    assert rc == cli.EXIT_OK and (out / "price.json").exists()
+    assert reads == [str(table)]
 
 
 def test_unparseable_yaml_reports_location(tmp_path):

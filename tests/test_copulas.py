@@ -217,6 +217,17 @@ def test_kendall_independence_closed_and_empirical():
     assert emp == pytest.approx(want, abs=4 * math.sqrt(want * (1 - want) / 1_000_000))
 
 
+def test_kendall_independence_is_the_product_of_uniforms_law():
+    # K(v) = P(U_1 ... U_m <= v) = v sum_{k < m} (-log v)^k / k!, and 1 from v = 1 on
+    v = np.linspace(0.0, 1.0, 1001)[1:]
+    for m in range(1, 7):
+        series = v * sum((-np.log(v)) ** k / math.factorial(k) for k in range(m))
+        K = cp.kendall_function(cp.IndependenceCopula(m), 1.0, v)
+        assert np.max(np.abs(K - series)) <= 2e-15
+        assert list(cp.kendall_function(cp.IndependenceCopula(m), 1.0, [0.0, 1.0, 1.5])) \
+            == [0.0, 1.0, 1.0]
+
+
 def test_kendall_clayton_closed_form_value():
     c = cp.ClaytonCopula(2.0, 2)
     want = 0.5 + 0.5 * (1 - 0.5 ** 2) / 2.0

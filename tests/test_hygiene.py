@@ -3,8 +3,8 @@ every module-level private function, class and constant; no law's quantile is
 evaluated at a level ndtr(x) formed outside ``Law.from_score``; no module names the
 retired level clamp ``clip_unit`` or its ``U_EPS``, and ``_check_time`` is called only
 in each driver's one parameter method; no driver's law is read through the older
-``marginal_*`` names; no module imports ``scipy.optimize``; and a cold start loads none of
-the heavy scipy submodules."""
+``marginal_*`` names; no module imports ``scipy.optimize``, and only ``_util`` imports
+``scipy.integrate``; and a cold start loads none of the heavy scipy submodules."""
 
 import ast
 import io
@@ -269,9 +269,8 @@ def test_no_old_marginal_calls(path):
     assert old_marginal_calls(path.read_text()) == []
 
 
-def scipy_optimize_imports(source: str) -> list[str]:
-    """The lines that import ``scipy.optimize`` or a name from it, in any scope.  The crossing
-    scan solves by its own port of scipy's Brent method, so the package needs none."""
+def scipy_imports(source: str, submodule: str) -> list[str]:
+    """The lines that import ``scipy.<submodule>`` or a name from it, in any scope."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -280,7 +279,7 @@ def scipy_optimize_imports(source: str) -> list[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+        if any(f"{name}.".startswith(f"scipy.{submodule}.") for name in names):
             lines.append(node.lineno)
     return [f"line {line}" for line in sorted(lines)]
 
@@ -296,13 +295,34 @@ def test_detector_finds_a_scipy_optimize_import():
             from scipy import optimize
             return optimize.brentq(f, 0.0, 1.0), special.ndtr(0.0)
         """)
-    assert scipy_optimize_imports(source) == ["line 1", "line 2", "line 3", "line 7"]
-    assert scipy_optimize_imports("from scipy import special\nfrom . import optimizer\n") == []
+    assert scipy_imports(source, "optimize") == ["line 1", "line 2", "line 3", "line 7"]
+    assert scipy_imports("from scipy import special\nfrom . import optimizer\n", "optimize") == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_optimize_imports(path):
-    assert scipy_optimize_imports(path.read_text()) == []
+    # the crossing scan solves by its own port of scipy's Brent method
+    assert scipy_imports(path.read_text(), "optimize") == []
+
+
+def test_detector_finds_a_scipy_integrate_import():
+    source = textwrap.dedent("""\
+        import scipy.integrate as si
+        from scipy import integrate, special
+
+        def area(f):
+            from scipy.integrate import quad
+            return quad(f, 0.0, 1.0)[0] + si.trapezoid([0.0, 1.0]) + special.ndtr(0.0)
+        """)
+    assert scipy_imports(source, "integrate") == ["line 1", "line 2", "line 5"]
+    assert scipy_imports(source, "optimize") == []
+    assert scipy_imports("from scipy import special\nfrom . import integrator\n", "integrate") == []
+
+
+def test_only_util_imports_scipy_integrate():
+    # every quadrature goes through _util.adaptive_quad, which checks its error estimate
+    found = {p.name: scipy_imports(p.read_text(), "integrate") for p in SRC.glob("*.py")}
+    assert {name for name, lines in found.items() if lines} == {"_util.py"}
 
 
 #: scipy submodules that cost most of a cold start; the package imports them where called

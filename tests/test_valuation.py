@@ -110,6 +110,23 @@ def test_layer_price_matches_quantile_integral_oracle():
     assert oracle == pytest.approx(brute, abs=1e-6)
 
 
+def test_oracle_matches_a_quadrature_split_at_the_layer_kinks():
+    # README's price.yaml case; Q(1, ndtr(x)) = expm1(g x) / g meets the layer's kinks
+    # z = 1, 2 at x = log1p(g z) / g, and quad between the kinks is smooth and exact
+    g, r = 0.5, 0.05
+    req = make_req(tr.canonical_map(tr.TukeyG(0, 1, g)), va.Layer(1.0, 2.0), rate=r)
+    k1, k2 = math.log1p(g) / g, math.log1p(2.0 * g) / g
+
+    def f(x):
+        return min(max(math.expm1(g * x) / g - 1.0, 0.0), 1.0) * math.exp(-0.5 * x * x)
+
+    split = sum(integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-14, limit=400)[0]
+                for lo, hi in ((k1, k2), (k2, 10.0)))
+    split *= math.exp(-r) / math.sqrt(2.0 * math.pi)
+    assert split == pytest.approx(0.129604223379505, abs=1e-15)
+    assert va.quantile_integral_price(req) == pytest.approx(split, abs=1e-11)
+
+
 def test_discounting_is_multiplicative():
     cm = tr.canonical_map(tr.TukeyG(0, 1, 0.5))
     p0 = va.qpvp_price(make_req(cm, va.Layer(1, 2), seed=4, rate=0.0)).price
