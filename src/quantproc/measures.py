@@ -173,12 +173,15 @@ def conditional_rn(cmap: tr.CompositeMap, base: drv.Driver, s: float, t: float,
 # ---------------------------------------------------------------------------
 
 def money_market(rate: TimeParam, t: float) -> float:
-    """Accumulation factor B_t = exp(integral of the short rate to t)."""
+    """Accumulation factor B_t = exp(integral of the short rate to t); a NumericError once
+    the integral reaches 700 in magnitude, where B_t or 1 / B_t nears the end of the floats."""
     if t == 0.0:
         return 1.0
-    if not callable(rate):
-        return math.exp(float(rate) * t)
-    return math.exp(adaptive_quad(rate, 0.0, t, tol=1e-12, what="short-rate integral"))
+    log_b = float(rate) * t if not callable(rate) else adaptive_quad(
+        rate, 0.0, t, tol=1e-12, what="short-rate integral")
+    if not abs(log_b) < 700.0:
+        raise NumericError(f"the short-rate integral to t = {t} is {log_b}, past the float range")
+    return math.exp(log_b)
 
 
 @dataclass(frozen=True)

@@ -644,16 +644,20 @@ def tukey_g_gaussian_moments(a: float, b: float, g: float, m: float, v: float) -
 
     Z is an affine image of a lognormal variable with log-variance g^2/v, so
     the shape factors are the lognormal skewness and excess kurtosis (signed
-    by g for the skewness).
+    by g for the skewness).  A moment past the float range is a NumericError.
     """
-    if g == 0.0:
-        raise ParameterError("the Tukey-g family requires g != 0")
-    if not v > 0:
-        raise ParameterError("v must be positive")
-    w = g * g / v
-    mean = a + b / g * math.expm1(-m * g / math.sqrt(v) + 0.5 * w)
-    variance = (b / g) ** 2 * math.expm1(w) * math.exp(-2.0 * g * m / math.sqrt(v) + w)
-    skew = math.copysign(1.0, g) * (math.exp(w) + 2.0) * math.sqrt(math.expm1(w))
-    kurt_excess = math.exp(4 * w) + 2 * math.exp(3 * w) + 3 * math.exp(2 * w) - 6.0
-    return TukeyGMoments(mean=mean, variance=variance, skewness=skew,
-                         kurtosis_excess=kurt_excess)
+    if g == 0.0 or not (b > 0 and v > 0):
+        raise ParameterError(f"the Tukey-g pivot needs g != 0, b > 0 and v > 0, got {g}, {b}, {v}")
+    try:
+        w = g * g / v
+        mean = a + b / g * math.expm1(-m * g / math.sqrt(v) + 0.5 * w)
+        variance = (b / g) ** 2 * math.expm1(w) * math.exp(-2.0 * g * m / math.sqrt(v) + w)
+        skew = math.copysign(1.0, g) * (math.exp(w) + 2.0) * math.sqrt(math.expm1(w))
+        kurt_excess = math.exp(4 * w) + 2 * math.exp(3 * w) + 3 * math.exp(2 * w) - 6.0
+        if all(map(math.isfinite, (mean, variance, skew, kurt_excess))):
+            return TukeyGMoments(mean=mean, variance=variance, skewness=skew,
+                                 kurtosis_excess=kurt_excess)
+    except OverflowError:
+        pass
+    raise NumericError(f"Tukey-g pivot moments at a={a}, b={b}, g={g}, m={m}, v={v} "
+                       "leave the float range")

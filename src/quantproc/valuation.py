@@ -188,8 +188,8 @@ class ValuationRequest:
     state: Optional[float] = None   # driver value at t, required when t > 0
 
     def validate(self) -> None:
-        if not 0 <= self.t <= self.u or self.u <= 0:
-            raise RequestError(f"need 0 <= t <= u with u > 0, got t={self.t}, u={self.u}")
+        if not 0 <= self.t <= self.u or self.u < drv.MIN_TIME:
+            raise RequestError(f"need 0 <= t <= u, u >= {drv.MIN_TIME}, got t={self.t}, u={self.u}")
         if self.t > 0 and self.state is None:
             raise RequestError("pricing at t > 0 needs the driver state at t")
         self.payoff.validate()
@@ -279,17 +279,22 @@ def _start_state(req: ValuationRequest) -> tuple[float, float]:
     return 0.0, req.risk.initial_value()
 
 
-def _terminal_blocks(req: ValuationRequest, stream: tuple[int, ...] = (0,)):
-    """Yield (Y_u, Z_u) from the request's conditioning point by one exact step,
-    in consecutive blocks of at most ``_BLOCK`` paths drawn from one substream."""
+def _driver_blocks(req: ValuationRequest, stream: tuple[int, ...] = (0,)):
+    """Yield Y_u as ensembles on the grid {u}, drawn from the request's conditioning point
+    by one exact step, in consecutive blocks of at most ``_BLOCK`` paths from one substream."""
     rng = substream(req.mc.seed, *stream)
     start_t, start_y = _start_state(req)
     grid = drv.TimeGrid(np.array([req.u]))
     for lo in range(0, req.mc.n_paths, _BLOCK):
         states = np.full(min(_BLOCK, req.mc.n_paths - lo), start_y)
         y_u = drv.simulate_conditional(req.risk, start_t, req.u, states, rng)
-        ens = drv.PathEnsemble(grid=grid, paths=y_u[:, None], seed=req.mc.seed, driver=req.risk)
-        yield y_u, tr.apply_composite(req.map, ens).paths[:, 0]
+        yield drv.PathEnsemble(grid=grid, paths=y_u[:, None], seed=req.mc.seed, driver=req.risk)
+
+
+def _terminal_blocks(req: ValuationRequest, stream: tuple[int, ...] = (0,)):
+    """Yield (Y_u, Z_u) over ``_driver_blocks``, Z_u the request's map of Y_u."""
+    for ens in _driver_blocks(req, stream):
+        yield ens.paths[:, 0], tr.apply_composite(req.map, ens).paths[:, 0]
 
 
 def qpvp_price(req: ValuationRequest) -> ValuationResult:
@@ -426,6 +431,11 @@ class Exporter:
     g: float
     driver: drv.Driver
 
+    def map(self) -> tr.CompositeMap:
+        """The driver law shifted by gamma, read through a Tukey-g quantile with skew g."""
+        return tr.CompositeMap(dist=tr.ShiftedDriverLaw(self.driver, self.gamma),
+                               quantile=tr.TukeyG(0.0, 1.0, self.g), mode=tr.MapMode.FALSE_LAW)
+
 
 def carbon_tariff_table(exporters: Sequence[Exporter], unit_cost: float,
                         t: float, u: float, rate: TimeParam,
@@ -433,30 +443,36 @@ def carbon_tariff_table(exporters: Sequence[Exporter], unit_cost: float,
     """Tariff per exporter: the distorted expectation of unit-cost times emissions.
 
     Each exporter's map shifts the driver law by gamma and applies a Tukey-g
-    quantile with their skew parameter.  Rows are sorted by price; the
-    monotonicity flag asserts that, within groups sharing a driver and gamma,
-    tariffs are non-decreasing in g (within 3 standard errors).
+    quantile with their skew parameter.  Each distinct driver is drawn once and
+    every row on it maps those draws.  Rows are sorted by price; the monotonicity
+    flag asserts that, within groups sharing a driver and gamma, tariffs are
+    non-decreasing in g (within 3 standard errors of the paired difference).
     """
     if len(exporters) < 2:
         raise RequestError("tariff table needs at least two exporters")
-    if not unit_cost > 0:
-        raise ParameterError("unit cost must be positive")
-    rows = []
-    for ex in exporters:
-        cmap = tr.CompositeMap(dist=tr.ShiftedDriverLaw(ex.driver, ex.gamma),
-                               quantile=tr.TukeyG(0.0, 1.0, ex.g),
-                               mode=tr.MapMode.FALSE_LAW)
-        req = ValuationRequest(risk=ex.driver, map=cmap, payoff=Linear(unit_cost),
-                               t=t, u=u, rate=rate, mc=mc, state=state)
-        res = qpvp_price(req)
-        rows.append({"name": ex.name, "gamma": ex.gamma, "g": ex.g,
-                     "price": res.price, "std_error": res.std_error})
-    monotone = not any(
-        ri["price"] < rj["price"] - 3.0 * math.hypot(ri["std_error"], rj["std_error"])
-        for ei, ri in zip(exporters, rows) for ej, rj in zip(exporters, rows)
-        if ei.driver == ej.driver and ei.gamma == ej.gamma and ei.g > ej.g)
-    rows.sort(key=lambda r: r["price"])
-    return {"rows": rows, "monotone_in_g": monotone}
+    reqs = [ValuationRequest(risk=ex.driver, map=ex.map(), payoff=Linear(unit_cost), t=t, u=u,
+                             rate=rate, mc=mc, state=state) for ex in exporters]
+    for req in reqs:
+        req.validate()
+    # every row maps the draws of the first row on its driver, drawn once per driver
+    first = [next(k for k, e in enumerate(exporters) if e.driver == ex.driver) for ex in exporters]
+    pairs = [(i, j) for i, ei in enumerate(exporters) for j, ej in enumerate(exporters)
+             if first[i] == first[j] and ei.gamma == ej.gamma and ei.g > ej.g]
+    moments = [_Moments() for _ in range(len(exporters) + len(pairs))]  # rows, then pairs
+    draws = {k: _driver_blocks(reqs[k]) for k in dict.fromkeys(first)}
+    for blocks in zip(*draws.values()):
+        ens = dict(zip(draws, blocks))
+        v = [req.payoff(tr.apply_composite(req.map, ens[k]).paths[:, 0])
+             for req, k in zip(reqs, first)]
+        for m, x in zip(moments, v + [v[i] - v[j] for i, j in pairs]):
+            m.add(x)
+    disc = _discount(rate, t, u)
+    table = [{"name": ex.name, "gamma": ex.gamma, "g": ex.g, "price": disc * m.mean,
+              "std_error": m.std_error(disc)} for ex, m in zip(exporters, moments)]
+    monotone = not any(table[i]["price"] < table[j]["price"] - 3.0 * m.std_error(disc)
+                       for (i, j), m in zip(pairs, moments[len(exporters):]))
+    table.sort(key=lambda r: r["price"])
+    return {"rows": table, "monotone_in_g": monotone}
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
+import copy
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantproc import cli
 from quantproc import transforms as tr
 from quantproc._util import substream
 from quantproc.errors import ConfigError
+
+from test_golden import GOLDEN
 
 
 def write_yaml(tmp_path: Path, name: str, payload: dict) -> str:
@@ -143,9 +149,19 @@ def copula_price_cfg(*drivers):
     return cfg
 
 
-def tariff_cfg(driver):
+def tariff_cfg(driver, **entries):
     return {"kind": "tariff", "n_paths": 1000,
-            "exporters": [{"g": 0.6, "driver": driver}, {"g": 0.2}]}
+            "exporters": [{"g": 0.6, "driver": driver, **entries}, {"g": 0.2}]}
+
+
+def with_entries(cfg, **entries):
+    return {**cfg, **entries}
+
+
+def command_for(kind):
+    """The subcommand that runs a config of ``kind``."""
+    name = kind.removeprefix("reproduce-")
+    return ["reproduce", name] if name != kind else [kind]
 
 
 @pytest.mark.parametrize("field, cfg", [
@@ -154,13 +170,37 @@ def tariff_cfg(driver):
     ("exporters[0].driver", tariff_cfg({"kind": "Frobnicate"})),
     ("exporters[0].driver", tariff_cfg({"kind": "GammaProcess", "mean_rate": -1})),
     ("drivers", copula_price_cfg({"kind": "Brownian"})),
+    ("t", with_entries(price_cfg(), t="soon")),
+    ("n_paths", with_entries(price_cfg(), n_paths="many")),
+    ("n_paths", with_entries(price_cfg(), n_paths="1e6")),
+    ("u", with_entries(price_cfg(), u="later")),
+    ("rate", with_entries(price_cfg(), rate="fast")),
+    ("n_paths", with_entries(price_cfg(), n_paths=2.5)),
+    ("n_paths", with_entries(price_cfg(), n_paths=500)),
+    ("seed", with_entries(price_cfg(), seed=True)),
+    ("seed", with_entries(simulate_cfg(), seed=-1)),
+    ("seed", {"kind": "reproduce-pivot-moments", "seed": -1}),
+    ("seed", with_entries(price_cfg(), seed=-1)),
+    ("exporters[0].gamma", tariff_cfg({"kind": "Brownian"}, gamma="z")),
+    ("exporters[0].g", tariff_cfg({"kind": "Brownian"}, g="x")),
+    ("unit_cost", with_entries(tariff_cfg({"kind": "Brownian"}), unit_cost="lots")),
+    ("g2", {"kind": "reproduce-sosd-split-g", "g2": "abc"}),
+    ("g_gaps", {"kind": "reproduce-crossing-curves", "g_gaps": ["a"]}),
+    ("n_paths", {"kind": "reproduce-pivot-moments", "n_paths": 0}),
+    ("t", {"kind": "dominance", "t": -1,
+           "map1": {"quantile": {"family": "TukeyGH", "a": 0, "b": 1, "g": 0.5, "h": 0.1}},
+           "map2": {"quantile": {"family": "TukeyGH", "a": 0, "b": 1, "g": 0.2, "h": 0.1}}}),
 ], ids=["margin-kind", "margin-parameter", "exporter-kind", "exporter-parameter",
-        "margin-count"])
+        "margin-count", "t-string", "n_paths-string", "n_paths-1e6-string", "u-string",
+        "rate-string", "n_paths-fraction", "n_paths-below-mc-floor", "seed-bool",
+        "simulate-seed-negative", "pivot-seed-negative", "price-seed-negative",
+        "exporter-gamma-string", "exporter-g-string", "unit_cost-string", "split-g2-string",
+        "g_gaps-entry-string", "pivot-n_paths-zero", "dominance-t-negative"])
 def test_validate_builds_every_object_a_run_builds(tmp_path, capsys, field, cfg):
-    # copula margins, exporter drivers and the margin count are checked before anything runs
+    # every object and scalar key a run reads is checked before anything runs
     cfgfile = write_yaml(tmp_path, "unbuilt.yaml", cfg)
-    for command in ("validate", cfg["kind"]):
-        rc = cli.main([command, "--config", cfgfile, "--out", str(tmp_path / "out")])
+    for command in (["validate"], command_for(cfg["kind"])):
+        rc = cli.main(command + ["--config", cfgfile, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert f"\n{field}: " in "\n" + captured.out + captured.err
@@ -181,6 +221,21 @@ def test_a_table_quantile_is_read_once_per_run(tmp_path, monkeypatch):
     rc = cli.main(["price", "--config", write_yaml(tmp_path, "table.yaml", cfg), "--out", str(out)])
     assert rc == cli.EXIT_OK and (out / "price.json").exists()
     assert reads == [str(table)]
+
+
+def test_readme_lists_every_declared_key():
+    # README's key table and the plan's table name the same (kind, key) pairs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| kind | key | type | default | range |\n|---|---|---|---|---|\n")[1]
+    listed = set()
+    for row in table[:table.index("\n\n")].splitlines():
+        kinds, key = row.split(" | ")[:2]
+        kinds = cli.KINDS if kinds == "| every kind" else kinds.strip("| `").split("`, `")
+        listed |= {(kind, key.strip("`")) for kind in kinds}
+    declared = {(kind, "seed") for kind in cli.KINDS}
+    declared |= {(kind, key) for kind, (_, _, keys) in cli._KINDS.items() for key in keys}
+    declared |= {(f"{name}[i]", key) for name, keys in cli._ENTRY_KEYS.items() for key in keys}
+    assert listed == declared
 
 
 def test_unparseable_yaml_reports_location(tmp_path):
@@ -429,3 +484,54 @@ def test_idempotent_reproduction(tmp_path):
     cli.main(["reproduce", "crossing-table", "--out", str(out1)])
     cli.main(["reproduce", "crossing-table", "--out", str(out2)])
     assert (out1 / "crossing_table.csv").read_bytes() == (out2 / "crossing_table.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one scalar key, exporter field or draw field mutated
+# ---------------------------------------------------------------------------
+
+def fuzz_bases():
+    """The golden configs, with at most 2000 paths, plus a tariff and a pivot-moments
+    config with explicit exporters and draws."""
+    bases = {name: yaml.safe_load(text) for name, (_, text, _) in GOLDEN.items() if text}
+    bases.update({name: {"kind": f"reproduce-{name}"} for name in cli.REPRODUCE_KINDS})
+    bases["tariff"] = {"kind": "tariff", "seed": 11, "unit_cost": 2.0, "exporters": [
+        {"name": "A", "g": 0.6, "gamma": 0.0, "driver": {"kind": "Brownian"}},
+        {"name": "B", "g": 0.2, "gamma": 0.5}]}
+    bases["draws"] = {"kind": "reproduce-pivot-moments", "seed": 1,
+                      "draws": [{"g": 0.4, "v": 1.0, "m": 0.1, "a": 0.0, "b": 1.0}]}
+    for cfg in bases.values():
+        if "n_paths" in cli._KINDS[cfg["kind"]][2]:
+            cfg["n_paths"] = min(cfg.get("n_paths", 2000), 2000)
+    return bases
+
+
+FUZZ_BASES = fuzz_bases()
+#: (base, path of the mutated entry) for every declared key of every base
+FUZZ_TARGETS = [(name, (key,)) for name, cfg in FUZZ_BASES.items()
+                for key in ["seed", *cli._KINDS[cfg["kind"]][2]]]
+FUZZ_TARGETS += [("tariff", ("exporters", i, key)) for i in (0, 1)
+                 for key in cli._ENTRY_KEYS["exporters"]]
+FUZZ_TARGETS += [("draws", ("draws", 0, key)) for key in cli._ENTRY_KEYS["draws"]]
+FUZZ_VALUES = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.integers(max_value=0), st.integers(1, 5000),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
+def test_fuzzed_scalar_exits_0_2_or_3_and_exit_2_writes_nothing(target, value):
+    name, (*path, key) = target
+    cfg = copy.deepcopy(FUZZ_BASES[name])
+    node = cfg
+    for step in path:
+        node = node[step]
+    node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfgfile = write_yaml(Path(tmp), "fuzz.yaml", cfg)
+        rc = cli.main(command_for(cfg["kind"]) + ["--config", cfgfile, "--out", str(out)])
+        assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERIC)
+        assert rc != cli.EXIT_VALIDATION or not out.exists()

@@ -434,11 +434,28 @@ def test_tariff_small_skew_approaches_plain_expectation():
 def test_tariff_compares_exporters_over_equal_twin_drivers(monkeypatch):
     # exporters read from a config each build their own driver; equal twins form one
     # group, so a tariff falling in g within it breaks the monotonicity flag
-    monkeypatch.setattr(va, "qpvp_price",
-                        lambda req: va.ValuationResult(-req.map.quantile.g, 0.0, 0.0))
+    monkeypatch.setattr(tr, "apply_composite", lambda cmap, ens: d.PathEnsemble(
+        ens.grid, np.full_like(ens.paths, -cmap.quantile.g), ens.seed, ens.driver))
     exps = [va.Exporter(name, 0.0, g, d.InhomogeneousOU(1.0, 0.0, 1.0))
             for name, g in (("hi-skew", 0.6), ("lo-skew", 0.2))]
     tab = va.carbon_tariff_table(exps, 1.0, 0.0, 1.0, 0.0, va.MCSettings(1_000, 1))
+    assert not tab["monotone_in_g"]
+
+
+def test_tariff_flags_a_fall_in_g_of_four_paired_standard_errors(monkeypatch):
+    # two rows on shared draws whose price falls in g by 4 standard errors of the paired
+    # difference, which is under 3 standard errors of independent samples
+    n = 10_000
+    x, noise = substream(5, 1).standard_normal(n), substream(5, 2).standard_normal(n)
+    se_pair = 0.05 * np.std(noise, ddof=1) / math.sqrt(n)
+    values = {0.2: x, 0.6: x + 0.05 * (noise - np.mean(noise)) - 4.0 * se_pair}
+    monkeypatch.setattr(tr, "apply_composite", lambda cmap, ens: d.PathEnsemble(
+        ens.grid, values[cmap.quantile.g][:, None], ens.seed, ens.driver))
+    exps = [va.Exporter(name, 0.0, g, d.Brownian()) for name, g in (("hi", 0.6), ("lo", 0.2))]
+    tab = va.carbon_tariff_table(exps, 1.0, 0.0, 1.0, 0.0, va.MCSettings(n, 1))
+    hi, lo = sorted(tab["rows"], key=lambda r: r["name"])
+    assert lo["price"] - hi["price"] == pytest.approx(4.0 * se_pair, rel=1e-9)
+    assert lo["price"] - hi["price"] < 3.0 * math.hypot(hi["std_error"], lo["std_error"])
     assert not tab["monotone_in_g"]
 
 
